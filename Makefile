@@ -19,8 +19,8 @@ race:
 	$(GO) test -race ./...
 
 # The race-detector package list shared with CI: concurrency-bearing
-# packages, including the sharded-replay tier (cpisim) and the boundary
-# banks it merges (cache).
+# packages, including the replay plan cache that concurrent passes share
+# (cpisim) and the pooled bank slabs (cache).
 RACE_PKGS = ./internal/server ./internal/core ./internal/obs ./internal/trace \
 	./internal/fault ./internal/chaos ./internal/surface ./internal/cluster \
 	./internal/cpisim ./internal/cache

@@ -439,33 +439,6 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
 }
 
-// BenchmarkShardedReplay replays the same trace through the sharded
-// single-pass tier at several worker counts. Results are bit-identical
-// to BenchmarkTraceReplay at every count (see the differential tests in
-// internal/cpisim); the wall-clock split across workers only appears
-// when GOMAXPROCS grants the shards real cores.
-func BenchmarkShardedReplay(b *testing.B) {
-	cfg, ws, tr := replayFixture(b)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var total int64
-			for i := 0; i < b.N; i++ {
-				sim, err := NewSim(cfg, ws)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := sim.ReplaySharded(replayFixInsts, tr, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.Benches[0].Insts
-				sim.Release()
-			}
-			b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
-		})
-	}
-}
-
 // BenchmarkCacheAccess measures the raw cache model: the direct-mapped
 // fast path against the LRU set-search paths.
 func BenchmarkCacheAccess(b *testing.B) {

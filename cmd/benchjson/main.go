@@ -21,16 +21,13 @@ import (
 	"pipecache"
 )
 
-// benchRecord is one benchmark's summary row. Gomaxprocs is recorded per
-// row only where it differs from the report-level value (the sharded
-// replay rows raise it to match their worker count); NsPerProbeConfig is
-// the lane-pack figure of merit — bank ns/op normalized by ladder width.
+// benchRecord is one benchmark's summary row. NsPerProbeConfig is the
+// lane-pack figure of merit — bank ns/op normalized by ladder width.
 type benchRecord struct {
 	Name             string  `json:"name"`
 	Iterations       int     `json:"iterations"`
 	NsPerOp          float64 `json:"ns_per_op"`
 	InstsPerSec      float64 `json:"insts_per_sec,omitempty"`
-	Gomaxprocs       int     `json:"gomaxprocs,omitempty"`
 	NsPerProbeConfig float64 `json:"ns_per_probe_config,omitempty"`
 }
 
@@ -42,10 +39,12 @@ type speedupRecord struct {
 	Speedup  float64 `json:"speedup"`
 }
 
-// report is the BENCH_sim.json schema.
+// report is the BENCH_sim.json schema. Every row ran at the report's
+// GOMAXPROCS on a host with Nproc logical CPUs.
 type report struct {
 	Schema     string          `json:"schema"`
 	Go         string          `json:"go"`
+	Nproc      int             `json:"nproc"`
 	GOMAXPROCS int             `json:"gomaxprocs"`
 	Insts      int64           `json:"insts"`
 	Benchmarks []benchRecord   `json:"benchmarks"`
@@ -94,13 +93,8 @@ func simBench(insts int64, instrumented bool) (func(b *testing.B) int64, error) 
 // replayBench mirrors the throughput benchmark but replays a pre-captured
 // event trace instead of interpreting: the speedup against
 // BenchmarkSimulatorThroughput is the per-pass win of the capture/replay
-// tier. The returned generator shares one captured trace (and so one set
-// of compiled chunk plans) across worker counts: workers <= 1 runs the
-// plain sequential pass, larger counts go through the sharded single-pass
-// tier, which is bit-identical at any count. Read the sharded rows against
-// their per-row gomaxprocs: without real cores the shard split only adds
-// boundary-bank merge overhead.
-func replayBench(insts int64) (func(workers int) func(b *testing.B) int64, error) {
+// tier.
+func replayBench(insts int64) (func(b *testing.B) int64, error) {
 	spec, ok := pipecache.LookupBenchmark("espresso")
 	if !ok {
 		return nil, fmt.Errorf("espresso benchmark missing")
@@ -126,28 +120,21 @@ func replayBench(insts int64) (func(workers int) func(b *testing.B) int64, error
 		return nil, err
 	}
 	tr := rec.Finish()
-	return func(workers int) func(b *testing.B) int64 {
-		return func(b *testing.B) int64 {
-			var total int64
-			for i := 0; i < b.N; i++ {
-				sim, err := pipecache.NewSim(cfg, ws)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var res *pipecache.SimResult
-				if workers <= 1 {
-					res, err = sim.Replay(insts, tr)
-				} else {
-					res, err = sim.ReplaySharded(insts, tr, workers)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += res.Benches[0].Insts
-				sim.Release()
+	return func(b *testing.B) int64 {
+		var total int64
+		for i := 0; i < b.N; i++ {
+			sim, err := pipecache.NewSim(cfg, ws)
+			if err != nil {
+				b.Fatal(err)
 			}
-			return total
+			res, err := sim.Replay(insts, tr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			total += res.Benches[0].Insts
+			sim.Release()
 		}
+		return total
 	}, nil
 }
 
@@ -436,6 +423,7 @@ func main() {
 	rep := report{
 		Schema:     "pipecache-bench/v1",
 		Go:         runtime.Version(),
+		Nproc:      runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Insts:      *insts,
 	}
@@ -456,7 +444,7 @@ func main() {
 		os.Exit(1)
 	}
 	live := run("BenchmarkSimulatorThroughput", throughput)
-	replayed := run("BenchmarkTraceReplay", replay(1))
+	replayed := run("BenchmarkTraceReplay", replay)
 	rep.Benchmarks = append(rep.Benchmarks,
 		live,
 		run("BenchmarkSimInstrumented", instrumented),
@@ -468,28 +456,6 @@ func main() {
 		Against:  replayed.Name,
 		Speedup:  live.NsPerOp / replayed.NsPerOp,
 	})
-
-	// Sharded single-pass replay at each worker count, run with GOMAXPROCS
-	// raised to that count so the shards may actually run in parallel; the
-	// sequential row above keeps the single-proc number. Per-row gomaxprocs
-	// records what each row ran at — on a single-core host the raised value
-	// grants no extra cores, so the split shows pure merge overhead there.
-	base := runtime.GOMAXPROCS(0)
-	for _, workers := range []int{2, 4} {
-		if workers > base {
-			runtime.GOMAXPROCS(workers)
-		}
-		rec := run(fmt.Sprintf("BenchmarkShardedReplay/workers=%d", workers), replay(workers))
-		rec.Gomaxprocs = runtime.GOMAXPROCS(0)
-		runtime.GOMAXPROCS(base)
-		rep.Benchmarks = append(rep.Benchmarks, rec)
-		rep.Speedups = append(rep.Speedups, speedupRecord{
-			Name:     fmt.Sprintf("sharded_replay_%d_workers_vs_sequential", workers),
-			Baseline: replayed.Name,
-			Against:  rec.Name,
-			Speedup:  replayed.NsPerOp / rec.NsPerOp,
-		})
-	}
 
 	surfaceFn, err := surfaceBench(*insts)
 	if err != nil {

@@ -184,10 +184,27 @@ func (l *Lab) EvalDesignRangePolicyContext(ctx context.Context, l2TimeNs float64
 	if lo < 0 || hi > len(pts) || lo > hi {
 		return nil, fmt.Errorf("core: design range [%d, %d) outside the %d-point space", lo, hi, len(pts))
 	}
+	// Run the range's passes first, one per worker. The enumeration puts b
+	// outermost and every point behind one b shares a memoized pass, so a
+	// cold point sweep would park all workers on the same pass, one depth
+	// at a time, while each pass runs on a single core.
+	var depths []int
+	for _, dp := range pts[lo:hi] {
+		if len(depths) == 0 || depths[len(depths)-1] != dp.B {
+			depths = append(depths, dp.B)
+		}
+	}
+	err := l.forEach(ctx, len(depths), func(ctx context.Context, i int) error {
+		_, err := l.StaticPassPolicyContext(ctx, depths[i], pol)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
 	out := make([]PointEval, hi-lo)
 	l.progress.StartPhase("design-space range", int64(hi-lo))
 	defer l.progress.Finish()
-	err := l.forEach(ctx, hi-lo, func(ctx context.Context, i int) error {
+	err = l.forEach(ctx, hi-lo, func(ctx context.Context, i int) error {
 		dp := pts[lo+i]
 		tp, bd, err := l.EvalPointPolicyContext(ctx, dp.B, dp.L, dp.ISizeKW, dp.DSizeKW, dp.Scheme, l2TimeNs, pol)
 		if err != nil {

@@ -73,14 +73,6 @@ type Params struct {
 	// simulation, so they parallelize cleanly). Zero means GOMAXPROCS; one
 	// forces the serial path.
 	SweepWorkers int
-	// ReplayShards bounds the worker count of sharded trace replays: a
-	// replay pass whose configuration fits the sharded gate (static
-	// branch scheme, direct-mapped banks) is cut at turn boundaries,
-	// replayed concurrently against boundary-mode bank clones, and merged
-	// back bit-identically. Zero means GOMAXPROCS; one forces the
-	// sequential replay path. Results are identical either way — this
-	// knob only trades cores for wall time.
-	ReplayShards int
 	// TraceBudgetBytes bounds the in-memory event-trace store, the second
 	// memo tier below the result memo: the first pass over a workload set
 	// captures the interpreter event stream, and every later pass with a
@@ -473,7 +465,7 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 		// Oversize tombstone: interpret live without capturing.
 		return sim.RunContext(ctx, l.P.Insts)
 	}
-	res, rerr := sim.ReplayShardedContext(ctx, l.P.Insts, tr, l.replayShards())
+	res, rerr := sim.ReplayContext(ctx, l.P.Insts, tr)
 	tr.Release()
 	if rerr == nil {
 		l.obs.Counter("lab.pass_replays").Inc()
@@ -533,14 +525,6 @@ func (l *Lab) Prewarm() error {
 func (l *Lab) sweepWorkers() int {
 	if l.P.SweepWorkers > 0 {
 		return l.P.SweepWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// replayShards resolves the sharded-replay worker count.
-func (l *Lab) replayShards() int {
-	if l.P.ReplayShards > 0 {
-		return l.P.ReplayShards
 	}
 	return runtime.GOMAXPROCS(0)
 }

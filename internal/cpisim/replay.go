@@ -48,6 +48,13 @@ func (s *Sim) Replay(instsPerBench int64, tr *trace.EventTrace) (*Result, error)
 	return s.ReplayContext(context.Background(), instsPerBench, tr)
 }
 
+// ReplaySharded is Replay; workers is ignored. It remains for callers of
+// the former time-axis sharded replay, which cut one pass across workers
+// and ran at half the sequential pass's speed or less (DESIGN §15).
+func (s *Sim) ReplaySharded(instsPerBench int64, tr *trace.EventTrace, workers int) (*Result, error) {
+	return s.Replay(instsPerBench, tr)
+}
+
 // ReplayContext runs the pass from a captured event trace instead of the
 // interpreters: per-benchmark cursors re-interleave the stored streams
 // round-robin at this simulator's quantum, delivering whole blocks until

@@ -1,7 +1,6 @@
 package cpisim
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 
@@ -69,16 +68,16 @@ func TestReplayAfterReleaseRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := fresh2.ReplaySharded(insts, tr, 4); err == nil {
-		t.Fatal("sharded replay accepted a released trace")
+		t.Fatal("ReplaySharded accepted a released trace")
 	}
 }
 
-// TestShardedReplayPolicyConfigs extends the sharded differential suite
-// to FIFO and Tree-PLRU: non-LRU configurations never lane-pack, so they
-// sit outside the boundary-mode gate and must take the transparent
-// sequential fallback — and the results must stay bit-identical to a live
-// pass and to the sequential replay at every worker count.
-func TestShardedReplayPolicyConfigs(t *testing.T) {
+// TestReplayPolicyConfigs extends the live-vs-replay differential to FIFO
+// and Tree-PLRU ladders: non-LRU configurations never lane-pack, so the
+// compiled plans stream their probes through the general policy kernels,
+// and results, published counters, and bank statistics must stay
+// bit-identical to a live pass.
+func TestReplayPolicyConfigs(t *testing.T) {
 	ws := replayWorkloads(t)
 	const insts = 8_000
 	_, tr := captureTrace(t, Config{Quantum: 1_000}, ws, insts)
@@ -88,66 +87,7 @@ func TestShardedReplayPolicyConfigs(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			cfg := Config{BranchSlots: 2, LoadSlots: 1,
 				ICaches: policyLadder(pol), DCaches: policyLadder(pol), Quantum: 1_000}
-
-			// Live reference: a fresh interpretation of the same workloads.
-			liveSim, err := New(cfg, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			live, err := liveSim.Run(insts)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			want, wantI, wantD, _ := sequentialReplay(t, cfg, ws, insts, tr)
-			if !reflect.DeepEqual(want.Benches, live.Benches) {
-				t.Fatalf("%v sequential replay differs from live run", pol)
-			}
-
-			gateSim, err := New(cfg, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gateSim.shardableReplay() {
-				t.Fatalf("%v configuration unexpectedly inside the sharded gate", pol)
-			}
-
-			for _, workers := range []int{1, 2, 3, 8} {
-				sim, err := New(cfg, ws)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := sim.ReplaySharded(insts, tr, workers)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("workers=%d: result differs from sequential", workers)
-				}
-				if gotI := bankStats(sim.ibank, len(cfg.ICaches)); !reflect.DeepEqual(gotI, wantI) {
-					t.Errorf("workers=%d: merged I-bank stats differ", workers)
-				}
-				if gotD := bankStats(sim.dbank, len(cfg.DCaches)); !reflect.DeepEqual(gotD, wantD) {
-					t.Errorf("workers=%d: merged D-bank stats differ", workers)
-				}
-			}
+			checkLiveAndReplay(t, cfg, ws, insts, tr)
 		})
 	}
-
-	// A direct-mapped non-LRU ladder is policy-equivalent to LRU but must
-	// still be excluded from the gate (its results are answered by the
-	// general kernels, not the packed boundary machinery).
-	t.Run("fifo-direct-mapped-gate", func(t *testing.T) {
-		var cfgs []cache.Config
-		for _, s := range []int{1, 2} {
-			cfgs = append(cfgs, cache.Config{SizeKW: s, BlockWords: 4, Assoc: 1, WriteBack: true, Policy: cache.PolicyFIFO})
-		}
-		sim, err := New(Config{ICaches: cfgs, DCaches: cfgs, Quantum: 1_000}, ws)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sim.shardableReplay() {
-			t.Fatal("direct-mapped FIFO bank unexpectedly inside the sharded gate")
-		}
-	})
 }

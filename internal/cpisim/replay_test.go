@@ -22,6 +22,30 @@ func replayWorkloads(t *testing.T) []Workload {
 	}
 }
 
+// packedLadder is a small all-direct-mapped ladder mixing write policies:
+// it lane-packs into two groups, the shape the ablation sweeps replay
+// through the compiled plans' full bank kernels.
+func packedLadder() []cache.Config {
+	return []cache.Config{
+		{SizeKW: 1, BlockWords: 4, Assoc: 1, WriteBack: true},
+		{SizeKW: 2, BlockWords: 4, Assoc: 1, WriteBack: true},
+		{SizeKW: 1, BlockWords: 4, Assoc: 1, WriteBack: false},
+	}
+}
+
+// bankStats collects every configuration's folded statistics, so tests
+// can pin bank state, not just the per-benchmark counters.
+func bankStats(b *cache.Bank, n int) []cache.Stats {
+	if b == nil {
+		return nil
+	}
+	sts := make([]cache.Stats, n)
+	for i := range sts {
+		sts[i] = b.Stats(i)
+	}
+	return sts
+}
+
 // captureTrace runs one live pass of cfg with a recorder teed in and
 // returns both the live result and the captured trace (caller releases).
 func captureTrace(t *testing.T, cfg Config, ws []Workload, insts int64) (*Result, *trace.EventTrace) {
@@ -39,38 +63,49 @@ func captureTrace(t *testing.T, cfg Config, ws []Workload, insts int64) (*Result
 	return res, rec.Finish()
 }
 
-// liveAndReplay runs cfg both ways from the same trace and returns the two
-// results plus the counter maps each pass published.
-func liveAndReplay(t *testing.T, cfg Config, ws []Workload, insts int64, tr *trace.EventTrace) (live, replay *Result, liveC, replayC map[string]int64) {
+// checkLiveAndReplay is the replay oracle check: cfg runs live — the
+// interpreter driving the generic per-event handlers — and replayed from
+// tr, and the two passes must agree bit for bit on the Result, the
+// published counters, and every configuration's bank statistics.
+func checkLiveAndReplay(t *testing.T, cfg Config, ws []Workload, insts int64, tr *trace.EventTrace) {
 	t.Helper()
-	liveSim, err := New(cfg, ws)
-	if err != nil {
-		t.Fatal(err)
+	pass := func(run func(*Sim) (*Result, error)) (*Sim, *Result, map[string]int64) {
+		sim, err := New(cfg, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		sim.SetObs(reg)
+		res, err := run(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sim, res, reg.Snapshot().Counters
 	}
-	liveReg := obs.NewRegistry()
-	liveSim.SetObs(liveReg)
-	live, err = liveSim.Run(insts)
-	if err != nil {
-		t.Fatal(err)
+	liveSim, live, liveC := pass(func(s *Sim) (*Result, error) { return s.Run(insts) })
+	replaySim, replay, replayC := pass(func(s *Sim) (*Result, error) { return s.Replay(insts, tr) })
+	if !reflect.DeepEqual(live, replay) {
+		t.Errorf("replayed result differs from live:\n live:   %+v\n replay: %+v", live, replay)
 	}
-	replaySim, err := New(cfg, ws)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(liveC, replayC) {
+		t.Errorf("published counters differ:\n live:   %v\n replay: %v", liveC, replayC)
 	}
-	replayReg := obs.NewRegistry()
-	replaySim.SetObs(replayReg)
-	replay, err = replaySim.Replay(insts, tr)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := bankStats(replaySim.ibank, len(cfg.ICaches)), bankStats(liveSim.ibank, len(cfg.ICaches)); !reflect.DeepEqual(got, want) {
+		t.Errorf("I-bank stats differ:\n live:   %+v\n replay: %+v", want, got)
 	}
-	return live, replay, liveReg.Snapshot().Counters, replayReg.Snapshot().Counters
+	if got, want := bankStats(replaySim.dbank, len(cfg.DCaches)), bankStats(liveSim.dbank, len(cfg.DCaches)); !reflect.DeepEqual(got, want) {
+		t.Errorf("D-bank stats differ:\n live:   %+v\n replay: %+v", want, got)
+	}
 }
 
 // TestReplayBitIdentical is the core differential guarantee: a replayed
 // pass produces a bit-identical Result and identical published counters to
 // a live run of the same configuration — across branch schemes, delay
 // depths, cache geometries, and even a quantum different from the
-// capturing pass's.
+// capturing pass's. The configurations cover both replay paths: compiled
+// chunk plans probing single-configuration views, packed ladders, and
+// mixed packed/set-associative ladders, and the generic dispatch the BTB
+// scheme takes.
 func TestReplayBitIdentical(t *testing.T) {
 	ws := replayWorkloads(t)
 	const insts = 30_000
@@ -95,16 +130,16 @@ func TestReplayBitIdentical(t *testing.T) {
 			ICaches: []cache.Config{big}, DCaches: []cache.Config{big}, Quantum: 7_000},
 		"dynamic-loads": {LoadSlots: 2, LoadScheme: LoadDynamic,
 			DCaches: []cache.Config{icfg()}, Quantum: 20_000},
+		"packed-ladder": {BranchSlots: 2, LoadSlots: 1,
+			ICaches: packedLadder(), DCaches: packedLadder(), Quantum: 1_000},
+		"mixed-ladder": {BranchSlots: 2,
+			ICaches: append(packedLadder(), big), DCaches: append(packedLadder(), big), Quantum: 3_000},
+		"icache-only": {BranchSlots: 2,
+			ICaches: packedLadder(), Quantum: 1_000},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
-			live, replay, liveC, replayC := liveAndReplay(t, cfg, ws, insts, tr)
-			if !reflect.DeepEqual(live, replay) {
-				t.Errorf("replayed result differs from live:\n live:   %+v\n replay: %+v", live, replay)
-			}
-			if !reflect.DeepEqual(liveC, replayC) {
-				t.Errorf("published counters differ:\n live:   %v\n replay: %v", liveC, replayC)
-			}
+			checkLiveAndReplay(t, cfg, ws, insts, tr)
 		})
 	}
 
@@ -120,6 +155,97 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plainRes, liveCapture) {
 		t.Error("capturing pass's result differs from an untapped live run")
+	}
+}
+
+// TestReplaySingleBench covers the lone-workload schedule: replay
+// delivers the whole stream as one turn whatever the quantum, which must
+// still agree bit for bit with the per-quantum live pass.
+func TestReplaySingleBench(t *testing.T) {
+	ws := replayWorkloads(t)[:1]
+	const insts = 10_000
+	_, tr := captureTrace(t, Config{Quantum: 900}, ws, insts)
+	defer tr.Release()
+	checkLiveAndReplay(t, Config{BranchSlots: 2, LoadSlots: 2,
+		ICaches: packedLadder(), DCaches: packedLadder(), Quantum: 900}, ws, insts, tr)
+}
+
+// replayWith runs cfg over tr, through Replay when workers is 0 and
+// through ReplaySharded otherwise, and returns the Result with the
+// I- and D-bank statistics.
+func replayWith(t *testing.T, cfg Config, ws []Workload, insts int64, tr *trace.EventTrace, workers int) (*Result, []cache.Stats, []cache.Stats) {
+	t.Helper()
+	sim, err := New(cfg, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
+	if workers == 0 {
+		res, err = sim.Replay(insts, tr)
+	} else {
+		res, err = sim.ReplaySharded(insts, tr, workers)
+	}
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return res, bankStats(sim.ibank, len(cfg.ICaches)), bankStats(sim.dbank, len(cfg.DCaches))
+}
+
+// TestShardedReplayWorkers pins ReplaySharded to Replay: the worker count
+// no longer changes how a pass runs, and every count must produce the
+// sequential replay's Result and bank statistics.
+func TestShardedReplayWorkers(t *testing.T) {
+	ws := replayWorkloads(t)
+	const insts = 12_000
+	cfgs := map[string]Config{
+		"ladder": {BranchSlots: 2, LoadSlots: 1,
+			ICaches: packedLadder(), DCaches: packedLadder(), Quantum: 1_000},
+		"single-config": {BranchSlots: 1,
+			ICaches: []cache.Config{icfg()}, DCaches: []cache.Config{icfg()}, Quantum: 1_000},
+		"icache-only": {BranchSlots: 2,
+			ICaches: packedLadder(), Quantum: 1_000},
+	}
+	_, tr := captureTrace(t, Config{Quantum: 1_000}, ws, insts)
+	defer tr.Release()
+
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			want, wantI, wantD := replayWith(t, cfg, ws, insts, tr, 0)
+			for _, workers := range []int{1, 2, 64} {
+				got, gotI, gotD := replayWith(t, cfg, ws, insts, tr, workers)
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotI, wantI) || !reflect.DeepEqual(gotD, wantD) {
+					t.Errorf("workers=%d: result or bank stats differ from Replay", workers)
+				}
+			}
+		})
+	}
+}
+
+// TestShardedReplayGateFallback: configurations that never lane-pack
+// (set-associative banks, the BTB scheme) take the generic replay path,
+// and ReplaySharded must still agree with Replay and with a live pass.
+func TestShardedReplayGateFallback(t *testing.T) {
+	ws := replayWorkloads(t)
+	const insts = 8_000
+	assoc := cache.Config{SizeKW: 2, BlockWords: 4, Assoc: 2, WriteBack: true}
+	cfgs := map[string]Config{
+		"set-associative": {BranchSlots: 1,
+			ICaches: []cache.Config{icfg(), assoc}, DCaches: []cache.Config{icfg()}, Quantum: 2_000},
+		"btb": {BranchScheme: BranchBTB,
+			ICaches: []cache.Config{icfg()}, DCaches: []cache.Config{icfg()}, Quantum: 2_000},
+	}
+	_, tr := captureTrace(t, Config{Quantum: 2_000}, ws, insts)
+	defer tr.Release()
+
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			checkLiveAndReplay(t, cfg, ws, insts, tr)
+			want, wantI, wantD := replayWith(t, cfg, ws, insts, tr, 0)
+			got, gotI, gotD := replayWith(t, cfg, ws, insts, tr, 4)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotI, wantI) || !reflect.DeepEqual(gotD, wantD) {
+				t.Error("ReplaySharded result or bank stats differ from Replay")
+			}
+		})
 	}
 }
 

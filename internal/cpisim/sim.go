@@ -47,9 +47,9 @@ type Sim struct {
 	evbuf   []interp.Event
 	obs     *obs.Registry
 
-	// Call-free single-configuration probe views (fast.go); non-nil only
+	// Call-free single-configuration probe views (plan.go); non-nil only
 	// when the corresponding bank is a single direct-mapped configuration.
-	// direct gates the fully inlined replay loop: every configured bank
+	// direct gates the inlined plan probe loops: every configured bank
 	// must have a view.
 	ibd, dbd *cache.Direct
 	direct   bool
@@ -77,9 +77,9 @@ type benchState struct {
 	drive interp.EventSink
 	skip  int // delay-slot instructions already executed for the next block
 
-	// ctis is the precomputed static-scheme CTI table driving the
-	// specialized replay loop (fast.go); nil when the configuration needs
-	// the generic dispatch.
+	// ctis is the precomputed static-scheme block table the compiled
+	// chunk plans decode against (plan.go); nil when the configuration
+	// needs the generic dispatch.
 	ctis []blockMeta
 
 	// Deferred BTB resolution: the target address of a taken CTI is the
@@ -164,7 +164,7 @@ func New(cfg Config, ws []Workload) (*Sim, error) {
 		}
 		s.benches = append(s.benches, bs)
 	}
-	if s.fastSinkOK() {
+	if s.planOK() {
 		for _, bs := range s.benches {
 			if blockMetaFits(bs.xlat) {
 				bs.ctis = cachedBlockMeta(bs.prog, bs.xlat, bs.slots, bs.prof)
@@ -293,22 +293,16 @@ func (h *benchSink) Events(evs []interp.Event) {
 	}
 }
 
-// EventColumns consumes one batch in columnar form — the zero-copy replay
-// fast path (interp.ColumnSink): trace chunks are stored as parallel
-// kind/A/B arrays, and this dispatch reads them in place instead of
-// materializing Event records. The switch bodies are identical to Events,
-// so live and replayed streams drive exactly the same state transitions.
+// EventColumns consumes one replayed batch in columnar form
+// (interp.ColumnSink): trace chunks are stored as parallel kind/A/B
+// arrays, read in place instead of materialized as Event records. A
+// configuration the compiled plans cover (plan.go) books the batch
+// through its chunk plan; any other runs the switch below, whose bodies
+// are identical to Events, so live and replayed streams drive exactly the
+// same state transitions.
 func (h *benchSink) EventColumns(kinds []uint8, as, bs []uint32) {
-	if h.b.ctis != nil {
-		if aux := h.s.replayAux; aux != nil && len(kinds) > 0 {
-			h.applyPlan(h.planFor(aux, kinds, as, bs))
-			return
-		}
-		if h.s.direct {
-			h.directColumns(kinds, as, bs)
-		} else {
-			h.fastColumns(kinds, as, bs)
-		}
+	if aux := h.s.replayAux; aux != nil && h.b.ctis != nil && len(kinds) > 0 {
+		h.applyPlan(h.planFor(aux, kinds, as, bs))
 		return
 	}
 	// Reslicing to the kind column's length lets the compiler drop the
@@ -394,6 +388,23 @@ func (h *benchSink) iMisses(addr uint32, miss uint64) {
 	}
 }
 
+// dMisses books the missing configurations of one D-cache probe and
+// forwards the designated configuration's miss to the L2.
+func (h *benchSink) dMisses(addr uint32, miss uint64, isStore bool) {
+	b := h.b
+	for m := miss; m != 0; m &= m - 1 {
+		ci := bits.TrailingZeros64(m)
+		if isStore {
+			b.res.DWriteMisses[ci]++
+		} else {
+			b.res.DReadMisses[ci]++
+		}
+		if ci == h.s.cfg.L2.DIndex {
+			h.accessL2(addr, isStore)
+		}
+	}
+}
+
 // accessL2 sends a designated L1 miss through the unified L2 bank.
 func (h *benchSink) accessL2(addr uint32, write bool) {
 	if h.b.res.L2 == nil {
@@ -415,20 +426,9 @@ func (h *benchSink) mem(addr uint32, isStore bool) {
 		b.res.DReads++
 		b.res.Loads++
 	}
-	db := h.s.dbank
-	if db == nil {
-		return
-	}
-	miss := db.Access(addr, isStore)
-	for m := miss; m != 0; m &= m - 1 {
-		ci := bits.TrailingZeros64(m)
-		if isStore {
-			b.res.DWriteMisses[ci]++
-		} else {
-			b.res.DReadMisses[ci]++
-		}
-		if ci == h.s.cfg.L2.DIndex {
-			h.accessL2(addr, isStore)
+	if db := h.s.dbank; db != nil {
+		if miss := db.Access(addr, isStore); miss != 0 {
+			h.dMisses(addr, miss, isStore)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package mempool provides size-classed pools for the flat slabs the
-// replay tier allocates per pass: cache bank tables, holder maps, dirty
-// arrays, and shard scratch. A design-space sweep builds and discards
+// replay tier allocates per pass: cache bank tables, holder maps, and
+// dirty arrays. A design-space sweep builds and discards
 // thousands of simulator instances over identical geometries, so the same
 // few slab sizes recycle endlessly; pooling them makes the steady-state
 // replay loop allocation-free.
@@ -67,7 +67,6 @@ var (
 	u32Pools  pools[uint32]
 	i32Pools  pools[int32]
 	boolPools pools[bool]
-	u16Pools  pools[uint16]
 )
 
 // Uint64s returns a zeroed []uint64 of length n from the pool.
@@ -93,9 +92,3 @@ func Bools(n int) []bool { return boolPools.get(n) }
 
 // PutBools recycles a slab obtained from Bools.
 func PutBools(s []bool) { boolPools.put(s) }
-
-// Uint16s returns a zeroed []uint16 of length n from the pool.
-func Uint16s(n int) []uint16 { return u16Pools.get(n) }
-
-// PutUint16s recycles a slab obtained from Uint16s.
-func PutUint16s(s []uint16) { u16Pools.put(s) }

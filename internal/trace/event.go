@@ -247,25 +247,6 @@ func (c *Cursor) Done() bool {
 		(c.ci == len(c.be.chunks)-1 && c.off >= len(c.be.chunks[c.ci].kind))
 }
 
-// PrevEvent returns the event immediately before the cursor's position,
-// or ok=false at the start of the stream. Turn parks cursors on block
-// boundaries, so the previous event is the last event of the preceding
-// block — the one place per-benchmark replay state (a pending delay-slot
-// skip from a predicted-taken CTI) can originate; a sharded replay uses
-// it to reconstruct that state at any cut without walking the stream.
-func (c *Cursor) PrevEvent() (kind uint8, a, b uint32, ok bool) {
-	ci, off := c.ci, c.off
-	if off == 0 {
-		if ci == 0 {
-			return 0, 0, 0, false
-		}
-		ci--
-		off = len(c.be.chunks[ci].kind)
-	}
-	ch := c.be.chunks[ci]
-	return ch.kind[off-1], ch.a[off-1], ch.b[off-1], true
-}
-
 // Turn replays one multiprogramming turn: whole blocks are delivered until
 // at least target instructions have been replayed, mirroring the
 // interpreter's RunEvents rule exactly (stop at the first block boundary
