@@ -90,12 +90,15 @@ golden:
 	$(GO) test ./internal/server -run TestGolden -update
 	$(GO) test ./internal/surface -run TestGolden -update
 
-# The full gate CI runs: format check, vet, build, tests, race.
+# The full gate CI runs: format check, vet, build, tests, race. perfbench
+# is a nested module that ./... skips, and it calls the internal packages,
+# so it is vetted and tested from its own directory.
 ci:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race $(RACE_PKGS)
 
 clean:

@@ -271,7 +271,7 @@ func BenchmarkFigure12_TPIOptimum(b *testing.B) {
 		}
 		if i == 0 {
 			report(b, r)
-			opt, err := l.BestDesign(l.P.L2TimeNs, LoadStatic, false)
+			opt, err := l.Best(context.Background(), l.Query(), LoadStatic, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -291,7 +291,9 @@ func BenchmarkFigure13_TPILowPenalty(b *testing.B) {
 		}
 		if i == 0 {
 			report(b, r)
-			opt, err := l.BestDesign(l.P.L2TimeNs*0.6, LoadStatic, false)
+			q := l.Query()
+			q.L2TimeNs *= 0.6
+			opt, err := l.Best(context.Background(), q, LoadStatic, false)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -141,18 +142,20 @@ func runSweep(args []string) error {
 	fmt.Println(f13)
 
 	var pts []core.TPIPoint
+	lowQ := lab.Query()
+	lowQ.L2TimeNs *= 0.6
 	for _, cfg := range []struct {
-		l2    float64
+		q     core.Query
 		name  string
 		symm  bool
 		sched cpisim.LoadScheme
 	}{
-		{lab.P.L2TimeNs, "default penalty, symmetric", true, cpisim.LoadStatic},
-		{lab.P.L2TimeNs, "default penalty, free split", false, cpisim.LoadStatic},
-		{lab.P.L2TimeNs, "default penalty, dynamic loads", false, cpisim.LoadDynamic},
-		{lab.P.L2TimeNs * 0.6, "low penalty, free split", false, cpisim.LoadStatic},
+		{lab.Query(), "default penalty, symmetric", true, cpisim.LoadStatic},
+		{lab.Query(), "default penalty, free split", false, cpisim.LoadStatic},
+		{lab.Query(), "default penalty, dynamic loads", false, cpisim.LoadDynamic},
+		{lowQ, "low penalty, free split", false, cpisim.LoadStatic},
 	} {
-		opt, err := lab.BestDesign(cfg.l2, cfg.sched, cfg.symm)
+		opt, err := lab.Best(context.Background(), cfg.q, cfg.sched, cfg.symm)
 		if err != nil {
 			return err
 		}
@@ -242,7 +245,8 @@ func runSimulate(args []string) error {
 	if *dyn {
 		scheme = cpisim.LoadDynamic
 	}
-	pt, err := lab.TPI(*b, *l, *isize, *dsize, scheme, lab.P.L2TimeNs)
+	pt, err := lab.TPI(context.Background(), lab.Query(),
+		core.DesignPoint{B: *b, L: *l, ISizeKW: *isize, DSizeKW: *dsize, Scheme: scheme})
 	if err != nil {
 		return err
 	}

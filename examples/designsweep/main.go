@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,11 +42,12 @@ func main() {
 	}
 	fmt.Println(fig12)
 
+	ctx, q := context.Background(), lab.Query()
 	var pts []core.TPIPoint
 	for depth := 0; depth <= 3; depth++ {
 		best := core.TPIPoint{TPINs: 1e18}
 		for _, side := range params.SizesKW {
-			pt, err := lab.TPI(depth, depth, side, side, cpisim.LoadStatic, params.L2TimeNs)
+			pt, err := lab.TPI(ctx, q, core.DesignPoint{B: depth, L: depth, ISizeKW: side, DSizeKW: side})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -57,12 +59,12 @@ func main() {
 	}
 	fmt.Println(core.SummaryTable("Best design per pipeline depth", pts))
 
-	opt, err := lab.BestDesign(params.L2TimeNs, cpisim.LoadStatic, false)
+	opt, err := lab.Best(ctx, q, cpisim.LoadStatic, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("overall optimum (static loads):  %s\n", opt.Best)
-	optDyn, err := lab.BestDesign(params.L2TimeNs, cpisim.LoadDynamic, false)
+	optDyn, err := lab.Best(ctx, q, cpisim.LoadDynamic, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -719,13 +719,13 @@ func (c *Coordinator) handleSweepRange(w http.ResponseWriter, r *http.Request) {
 }
 
 // mergedBest reproduces the single-node /v1/best body from fanned-out
-// sub-range sweeps. The canonical enumeration restricted to one scheme (and
-// optionally the symmetric diagonal) is exactly the optimizer's candidate
-// order, and the strict-less reduction below is the optimizer's earliest-
-// wins minimum, so the winning point, the Evaluated count, and therefore
-// the marshaled bytes match a backend's answer exactly.
+// sub-range sweeps. The canonical enumeration filtered through
+// core.BestCandidate is exactly the optimizer's candidate order, and the
+// strict-less reduction below is the optimizer's earliest-wins minimum, so
+// the winning point, the Evaluated count, and therefore the marshaled
+// bytes match a backend's answer exactly.
 func (c *Coordinator) mergedBest(ctx context.Context, req server.BestRequest) ([]byte, error) {
-	scheme, err := parseLoadScheme(req.Loads)
+	scheme, err := cpisim.ParseLoadScheme(req.Loads)
 	if err != nil {
 		return nil, err
 	}
@@ -736,10 +736,7 @@ func (c *Coordinator) mergedBest(ctx context.Context, req server.BestRequest) ([
 	best := server.SimPoint{TPINs: math.Inf(1)}
 	evaluated := 0
 	for i, dp := range c.space {
-		if dp.Scheme != scheme {
-			continue
-		}
-		if req.Symmetric && (dp.B != dp.L || dp.ISizeKW != dp.DSizeKW) {
+		if !core.BestCandidate(dp, scheme, req.Symmetric) {
 			continue
 		}
 		evaluated++
@@ -748,16 +745,6 @@ func (c *Coordinator) mergedBest(ctx context.Context, req server.BestRequest) ([
 		}
 	}
 	return json.Marshal(&server.BestResponse{Request: req, Best: best, Evaluated: evaluated})
-}
-
-func parseLoadScheme(s string) (cpisim.LoadScheme, error) {
-	switch strings.ToLower(s) {
-	case "static":
-		return cpisim.LoadStatic, nil
-	case "dynamic":
-		return cpisim.LoadDynamic, nil
-	}
-	return 0, fmt.Errorf("unknown load scheme %q (want static or dynamic)", s)
 }
 
 // ShardHealth is one shard's block in the coordinator's /healthz.

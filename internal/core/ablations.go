@@ -51,7 +51,7 @@ func (l *Lab) AssocStudy(sizeKW int) (*AssocStudyResult, error) {
 	rowsByDepth := make([][]AssocRow, len(depths))
 	err := l.forEach(context.Background(), len(depths), func(ctx context.Context, di int) error {
 		depth := depths[di]
-		pass, err := l.RunPassContext(ctx, cpisim.Config{
+		pass, err := l.RunPass(ctx, cpisim.Config{
 			BranchSlots: depth,
 			ICaches:     bank,
 			DCaches:     bank,
@@ -143,7 +143,7 @@ func (l *Lab) BlockSizeStudy(sizeKW int) (*BlockSizeStudyResult, error) {
 			SizeKW: sizeKW, BlockWords: bw, Assoc: 1, WriteBack: true,
 		})
 	}
-	pass, err := l.RunPass(cpisim.Config{ICaches: bank, DCaches: bank})
+	pass, err := l.RunPass(context.Background(), cpisim.Config{ICaches: bank, DCaches: bank})
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +212,7 @@ func (l *Lab) TwoLevelStudy(l1SizeKW int, l2SizesKW []int, l2Hit, mem int) (*Two
 	for _, s := range l2SizesKW {
 		l2bank = append(l2bank, cache.Config{SizeKW: s, BlockWords: 16, Assoc: 2, WriteBack: true})
 	}
-	pass, err := l.RunPass(cpisim.Config{
+	pass, err := l.RunPass(context.Background(), cpisim.Config{
 		ICaches: []cache.Config{l1},
 		DCaches: []cache.Config{l1},
 		L2:      cpisim.L2Config{Caches: l2bank},
@@ -282,7 +282,7 @@ func (l *Lab) WritePolicyStudy(penalty int) (*WritePolicyStudyResult, error) {
 				SizeKW: s, BlockWords: l.P.BlockWords, Assoc: 1, WriteBack: wb,
 			})
 		}
-		pass, err := l.RunPassContext(ctx, cpisim.Config{DCaches: bank})
+		pass, err := l.RunPass(ctx, cpisim.Config{DCaches: bank})
 		if err != nil {
 			return err
 		}
@@ -357,7 +357,7 @@ func (l *Lab) BTBSizeStudy(entries []int) (*BTBSizeStudyResult, error) {
 	res := &BTBSizeStudyResult{Rows: make([]BTBSizeRow, len(entries))}
 	err := l.forEach(context.Background(), len(entries), func(ctx context.Context, i int) error {
 		cfg := btb.Config{Entries: entries[i], Assoc: 1}
-		pass, err := l.RunPassContext(ctx, cpisim.Config{
+		pass, err := l.RunPass(ctx, cpisim.Config{
 			BranchScheme: cpisim.BranchBTB,
 			BTB:          cfg,
 		})
@@ -433,7 +433,7 @@ func (l *Lab) ProfileStudy() (*ProfileStudyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	btbPass, err := l.BTBPass()
+	btbPass, err := l.BTBPass(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +441,7 @@ func (l *Lab) ProfileStudy() (*ProfileStudyResult, error) {
 	res := &ProfileStudyResult{Rows: make([]ProfileRow, len(depths))}
 	err = l.forEach(context.Background(), len(depths), func(ctx context.Context, di int) error {
 		b := depths[di]
-		heur, err := l.StaticPassContext(ctx, b)
+		heur, err := l.StaticPass(ctx, b, l.P.Policy)
 		if err != nil {
 			return err
 		}
@@ -506,7 +506,7 @@ func (l *Lab) QuantumStudy(sizeKW, penalty int, quanta []int64) (*QuantumStudyRe
 	cc := cache.Config{SizeKW: sizeKW, BlockWords: l.P.BlockWords, Assoc: 1, WriteBack: true}
 	res := &QuantumStudyResult{SizeKW: sizeKW, Penalty: penalty, Rows: make([]QuantumRow, len(quanta))}
 	err := l.forEach(context.Background(), len(quanta), func(ctx context.Context, i int) error {
-		pass, err := l.RunPassContext(ctx, cpisim.Config{
+		pass, err := l.RunPass(ctx, cpisim.Config{
 			ICaches: []cache.Config{cc},
 			DCaches: []cache.Config{cc},
 			Quantum: quanta[i],
@@ -580,7 +580,7 @@ func (l *Lab) PolicyStudy(assoc, depth int) (*PolicyStudyResult, error) {
 				SizeKW: s, BlockWords: l.P.BlockWords, Assoc: assoc, WriteBack: true, Policy: pol,
 			})
 		}
-		pass, err := l.RunPassContext(ctx, cpisim.Config{
+		pass, err := l.RunPass(ctx, cpisim.Config{
 			BranchSlots: depth,
 			ICaches:     bank,
 			DCaches:     bank,
@@ -677,7 +677,7 @@ func (l *Lab) StabilityStudy(offsets []uint64) (*StabilityStudyResult, error) {
 			// bounded store keeps the whole study under one byte budget.
 			fresh.SetTraceStore(l.traces)
 		}
-		opt, err := fresh.BestDesign(l.P.L2TimeNs, cpisim.LoadStatic, true)
+		opt, err := fresh.Best(context.Background(), fresh.Query(), cpisim.LoadStatic, true)
 		if err != nil {
 			return nil, err
 		}

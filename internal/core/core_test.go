@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -113,11 +114,11 @@ func TestPenaltyCycles(t *testing.T) {
 
 func TestPassMemoized(t *testing.T) {
 	l := getLab(t)
-	a, err := l.StaticPass(1)
+	a, err := l.StaticPass(context.Background(), 1, l.P.Policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := l.StaticPass(1)
+	b, err := l.StaticPass(context.Background(), 1, l.P.Policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestFigure3SlopeGrowsWithSmallCaches(t *testing.T) {
 	// branch stalls).
 	l := getLab(t)
 	missCPI := func(b, sizeIdx int) float64 {
-		pass, err := l.StaticPass(b)
+		pass, err := l.StaticPass(context.Background(), b, l.P.Policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -479,7 +480,7 @@ func TestFigure11PositiveAndOrdered(t *testing.T) {
 
 func TestTPIConsistency(t *testing.T) {
 	l := getLab(t)
-	pt, err := l.TPI(2, 2, 8, 8, cpisim.LoadStatic, l.P.L2TimeNs)
+	pt, err := l.TPI(context.Background(), l.Query(), DesignPoint{B: 2, L: 2, ISizeKW: 8, DSizeKW: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +528,7 @@ func TestHeadlinePipeliningWins(t *testing.T) {
 
 func TestBestDesignSymmetricDepth(t *testing.T) {
 	l := getLab(t)
-	opt, err := l.BestDesign(l.P.L2TimeNs, cpisim.LoadStatic, true)
+	opt, err := l.Best(context.Background(), l.Query(), cpisim.LoadStatic, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,11 +542,11 @@ func TestBestDesignSymmetricDepth(t *testing.T) {
 
 func TestBestDesignFullAtLeastAsGood(t *testing.T) {
 	l := getLab(t)
-	sym, err := l.BestDesign(l.P.L2TimeNs, cpisim.LoadStatic, false)
+	sym, err := l.Best(context.Background(), l.Query(), cpisim.LoadStatic, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	symOnly, err := l.BestDesign(l.P.L2TimeNs, cpisim.LoadStatic, true)
+	symOnly, err := l.Best(context.Background(), l.Query(), cpisim.LoadStatic, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,11 +575,11 @@ func TestFigure13OptimumSmallerThanFigure12(t *testing.T) {
 	// Lower penalty shifts the optimum toward smaller caches/shallower
 	// pipelines (or at least not larger).
 	l := getLab(t)
-	hi, err := l.BestDesign(l.P.L2TimeNs, cpisim.LoadStatic, true)
+	hi, err := l.Best(context.Background(), l.Query(), cpisim.LoadStatic, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, err := l.BestDesign(l.P.L2TimeNs*0.6, cpisim.LoadStatic, true)
+	lo, err := l.Best(context.Background(), l.queryAt(l.P.L2TimeNs*0.6), cpisim.LoadStatic, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,11 +613,11 @@ func TestPrewarmConcurrentDeterministic(t *testing.T) {
 	if err := fresh.Prewarm(); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := l.StaticPass(2)
+	seq, err := l.StaticPass(context.Background(), 2, l.P.Policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := fresh.StaticPass(2)
+	par, err := fresh.StaticPass(context.Background(), 2, fresh.P.Policy)
 	if err != nil {
 		t.Fatal(err)
 	}

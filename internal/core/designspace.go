@@ -23,6 +23,28 @@ type DesignPoint struct {
 	Scheme           cpisim.LoadScheme
 }
 
+// Query carries the per-request coordinates of a design-space question:
+// the ones that are not dimensions of the DesignSpace enumeration. The
+// enumeration, and so the coordinator's sub-range merge, has the same
+// shape at every Query; only the per-point results differ.
+type Query struct {
+	// L2TimeNs is the constant-time L1 miss service (Params.L2TimeNs is
+	// the lab's default).
+	L2TimeNs float64
+	// Policy is the replacement policy of the cache banks; passes are
+	// memoized per (depth, policy).
+	Policy cache.Policy
+}
+
+// Query returns the lab's default query: its miss-service time and
+// replacement policy.
+func (l *Lab) Query() Query { return l.queryAt(l.P.L2TimeNs) }
+
+// queryAt is the lab's default query at another miss-service time.
+func (l *Lab) queryAt(l2TimeNs float64) Query {
+	return Query{L2TimeNs: l2TimeNs, Policy: l.P.Policy}
+}
+
 // DesignSpace enumerates the full design space of p in the canonical
 // order every precomputed surface indexes by: b outermost, then l, then
 // the I-size bank in Params order, the D-size bank, and finally the load
@@ -91,55 +113,6 @@ type Breakdown struct {
 	DMiss       float64
 }
 
-// EvalPoint evaluates one design point plus its CPI breakdown; this is the
-// single definition of the /v1/simulate result, shared by the live serving
-// path and the surface baker so the two can never drift.
-func (l *Lab) EvalPoint(b, ld, iSizeKW, dSizeKW int, scheme cpisim.LoadScheme, l2TimeNs float64) (TPIPoint, Breakdown, error) {
-	return l.EvalPointContext(context.Background(), b, ld, iSizeKW, dSizeKW, scheme, l2TimeNs)
-}
-
-// EvalPointContext is EvalPoint with cooperative cancellation.
-func (l *Lab) EvalPointContext(ctx context.Context, b, ld, iSizeKW, dSizeKW int, scheme cpisim.LoadScheme, l2TimeNs float64) (TPIPoint, Breakdown, error) {
-	return l.EvalPointPolicyContext(ctx, b, ld, iSizeKW, dSizeKW, scheme, l2TimeNs, l.P.Policy)
-}
-
-// EvalPointPolicyContext is EvalPointContext with an explicit replacement
-// policy: the per-request policy override of /v1/simulate resolves here,
-// against the (depth, policy)-memoized pass.
-func (l *Lab) EvalPointPolicyContext(ctx context.Context, b, ld, iSizeKW, dSizeKW int, scheme cpisim.LoadScheme, l2TimeNs float64, pol cache.Policy) (TPIPoint, Breakdown, error) {
-	var bd Breakdown
-	pt, err := l.TPIPolicyContext(ctx, b, ld, iSizeKW, dSizeKW, scheme, l2TimeNs, pol)
-	if err != nil {
-		return pt, bd, err
-	}
-	pass, err := l.StaticPassPolicyContext(ctx, b, pol)
-	if err != nil {
-		return pt, bd, err
-	}
-	iIdx, err := l.sizeIndex(iSizeKW)
-	if err != nil {
-		return pt, bd, err
-	}
-	noMiss, err := pass.CPIFor(ld, scheme, -1, -1, 0, 0)
-	if err != nil {
-		return pt, bd, err
-	}
-	withIMiss, err := pass.CPIFor(ld, scheme, iIdx, -1, pt.PenCycles, 0)
-	if err != nil {
-		return pt, bd, err
-	}
-	branch := pass.BranchCPIComponent()
-	load := pass.LoadCPIComponentFor(ld, scheme)
-	bd = Breakdown{
-		Base:        noMiss - branch - load,
-		BranchStall: branch,
-		LoadStall:   load,
-		IMiss:       withIMiss - noMiss,
-		DMiss:       pt.CPI - withIMiss,
-	}
-	return pt, bd, nil
-}
-
 // PointEval is one fully evaluated design point: the TPI result, the CPI
 // breakdown, and the miss ratios of the two cache sides — the per-point
 // tuple a baked surface stores.
@@ -150,36 +123,56 @@ type PointEval struct {
 	DMissRate float64
 }
 
-// EvalDesignSpaceContext evaluates every point of DesignSpace(l.P) at the
-// given miss-service time on the lab's bounded sweep pool, returning the
-// results in canonical order. The points behind a fixed b share one
-// memoized simulation pass, so the sweep costs a handful of passes plus
-// cheap per-point arithmetic regardless of worker count, and the output is
-// bit-identical at any Params.SweepWorkers setting.
-func (l *Lab) EvalDesignSpaceContext(ctx context.Context, l2TimeNs float64) ([]PointEval, error) {
-	return l.EvalDesignRangeContext(ctx, l2TimeNs, 0, len(DesignSpace(l.P)))
+// EvalPoint evaluates one design point with its CPI breakdown and miss
+// ratios, all from one lookup of the point's memoized pass. It is the
+// single definition of the /v1/simulate result and of a baked surface
+// record, shared by the live serving path, the range sweep and the
+// surface baker so they can never drift.
+func (l *Lab) EvalPoint(ctx context.Context, q Query, dp DesignPoint) (PointEval, error) {
+	pass, err := l.StaticPass(ctx, dp.B, q.Policy)
+	if err != nil {
+		return PointEval{}, err
+	}
+	pt, iIdx, dIdx, err := l.tpi(pass, q, dp)
+	if err != nil {
+		return PointEval{}, err
+	}
+	noMiss, err := pass.CPIFor(dp.L, dp.Scheme, -1, -1, 0, 0)
+	if err != nil {
+		return PointEval{}, err
+	}
+	withIMiss, err := pass.CPIFor(dp.L, dp.Scheme, iIdx, -1, pt.PenCycles, 0)
+	if err != nil {
+		return PointEval{}, err
+	}
+	branch := pass.BranchCPIComponent()
+	load := pass.LoadCPIComponentFor(dp.L, dp.Scheme)
+	return PointEval{
+		Point: pt,
+		Breakdown: Breakdown{
+			Base:        noMiss - branch - load,
+			BranchStall: branch,
+			LoadStall:   load,
+			IMiss:       withIMiss - noMiss,
+			DMiss:       pt.CPI - withIMiss,
+		},
+		IMissRate: pass.IMissRatio(iIdx),
+		DMissRate: pass.DMissRatio(dIdx),
+	}, nil
 }
 
-// EvalDesignRangeContext evaluates the contiguous sub-range [lo, hi) of the
-// canonical enumeration at the given miss-service time, returning hi-lo
-// results in enumeration order. It is the backend entry point of the
-// coordinator tier's fan-out (/v1/sweep-range): because each shard's output
-// is a slice of the same canonical order the full surface uses, a
-// coordinator that concatenates sub-range results in range order
-// reconstructs exactly the single-node sweep, point for point and bit for
-// bit. The per-point math is EvalPointContext — the one definition the
-// single-node server and the surface baker share — so sharded and unsharded
-// evaluations cannot drift.
-func (l *Lab) EvalDesignRangeContext(ctx context.Context, l2TimeNs float64, lo, hi int) ([]PointEval, error) {
-	return l.EvalDesignRangePolicyContext(ctx, l2TimeNs, l.P.Policy, lo, hi)
-}
-
-// EvalDesignRangePolicyContext is EvalDesignRangeContext with an explicit
-// replacement policy. The policy is a per-request coordinate like the
-// miss-service time, not a dimension of the canonical enumeration: the
-// point order (and so the coordinator's sub-range merge) is identical for
-// every policy, only the per-point results differ.
-func (l *Lab) EvalDesignRangePolicyContext(ctx context.Context, l2TimeNs float64, pol cache.Policy, lo, hi int) ([]PointEval, error) {
+// EvalRange evaluates the contiguous sub-range [lo, hi) of the canonical
+// enumeration DesignSpace(l.P) on the lab's bounded sweep pool, returning
+// hi-lo results in enumeration order; [0, len(DesignSpace(l.P))) is the
+// whole space a surface bakes. The points behind a fixed b share one
+// memoized simulation pass, so a sweep costs a handful of passes plus
+// cheap per-point arithmetic, and the output is bit-identical at any
+// Params.SweepWorkers setting. It is also the backend entry point of the
+// coordinator tier's fan-out (/v1/sweep-range): because each shard's
+// output is a slice of the same canonical order, a coordinator that
+// concatenates sub-range results in range order reconstructs exactly the
+// single-node sweep, point for point and bit for bit.
+func (l *Lab) EvalRange(ctx context.Context, q Query, lo, hi int) ([]PointEval, error) {
 	pts := DesignSpace(l.P)
 	if lo < 0 || hi > len(pts) || lo > hi {
 		return nil, fmt.Errorf("core: design range [%d, %d) outside the %d-point space", lo, hi, len(pts))
@@ -195,7 +188,7 @@ func (l *Lab) EvalDesignRangePolicyContext(ctx context.Context, l2TimeNs float64
 		}
 	}
 	err := l.forEach(ctx, len(depths), func(ctx context.Context, i int) error {
-		_, err := l.StaticPassPolicyContext(ctx, depths[i], pol)
+		_, err := l.StaticPass(ctx, depths[i], q.Policy)
 		return err
 	})
 	if err != nil {
@@ -205,29 +198,11 @@ func (l *Lab) EvalDesignRangePolicyContext(ctx context.Context, l2TimeNs float64
 	l.progress.StartPhase("design-space range", int64(hi-lo))
 	defer l.progress.Finish()
 	err = l.forEach(ctx, hi-lo, func(ctx context.Context, i int) error {
-		dp := pts[lo+i]
-		tp, bd, err := l.EvalPointPolicyContext(ctx, dp.B, dp.L, dp.ISizeKW, dp.DSizeKW, dp.Scheme, l2TimeNs, pol)
+		ev, err := l.EvalPoint(ctx, q, pts[lo+i])
 		if err != nil {
 			return err
 		}
-		pass, err := l.StaticPassPolicyContext(ctx, dp.B, pol)
-		if err != nil {
-			return err
-		}
-		iIdx, err := l.sizeIndex(dp.ISizeKW)
-		if err != nil {
-			return err
-		}
-		dIdx, err := l.sizeIndex(dp.DSizeKW)
-		if err != nil {
-			return err
-		}
-		out[i] = PointEval{
-			Point:     tp,
-			Breakdown: bd,
-			IMissRate: pass.IMissRatio(iIdx),
-			DMissRate: pass.DMissRatio(dIdx),
-		}
+		out[i] = ev
 		l.progress.Step(1)
 		return nil
 	})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -36,7 +37,8 @@ func TestDeterminismUnderParallelism(t *testing.T) {
 		for depth := 0; depth <= 3; depth++ {
 			for _, size := range lab.P.SizesKW {
 				for _, scheme := range []cpisim.LoadScheme{cpisim.LoadStatic, cpisim.LoadDynamic} {
-					pt, err := lab.TPI(depth, depth, size, size, scheme, lab.P.L2TimeNs)
+					pt, err := lab.TPI(context.Background(), lab.Query(),
+						DesignPoint{B: depth, L: depth, ISizeKW: size, DSizeKW: size, Scheme: scheme})
 					if err != nil {
 						t.Fatal(err)
 					}

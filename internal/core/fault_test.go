@@ -30,10 +30,10 @@ func TestPassMemoNotPoisonedByTransientError(t *testing.T) {
 	lab, reg := diffLab(t, 0, 1)
 	enablePlan(t, "seed=1,rate=1024/1024,kinds=error,maxfires=1,points=lab.pass.run")
 
-	if _, err := lab.StaticPass(2); !errors.Is(err, fault.ErrInjected) {
+	if _, err := lab.StaticPass(context.Background(), 2, lab.P.Policy); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("first pass: err = %v, want an injected error", err)
 	}
-	res, err := lab.StaticPass(2)
+	res, err := lab.StaticPass(context.Background(), 2, lab.P.Policy)
 	if err != nil {
 		t.Fatalf("memo poisoned: retry after transient failure returned %v", err)
 	}
@@ -46,7 +46,7 @@ func TestPassMemoNotPoisonedByTransientError(t *testing.T) {
 	}
 
 	// And the successful result is now memoized: a third call is a hit.
-	if _, err := lab.StaticPass(2); err != nil {
+	if _, err := lab.StaticPass(context.Background(), 2, lab.P.Policy); err != nil {
 		t.Fatalf("memoized pass: %v", err)
 	}
 	if n := reg.Snapshot().Counters["lab.passes_run"]; n != 1 {
@@ -63,7 +63,7 @@ func TestCaptureAbortedOnInjectedPanic(t *testing.T) {
 	lab, _ := diffLab(t, 0, 1)
 	enablePlan(t, "seed=1,rate=1024/1024,kinds=panic,maxfires=1,points=lab.trace.capture")
 
-	_, err := lab.StaticPass(0)
+	_, err := lab.StaticPass(context.Background(), 0, lab.P.Policy)
 	if !errors.Is(err, ErrPassPanic) {
 		t.Fatalf("err = %v, want ErrPassPanic", err)
 	}
@@ -73,7 +73,7 @@ func TestCaptureAbortedOnInjectedPanic(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := lab.StaticPassContext(ctx, 0)
+	res, err := lab.StaticPass(ctx, 0, lab.P.Policy)
 	if err != nil {
 		t.Fatalf("capture token leaked: retry failed: %v", err)
 	}
@@ -91,13 +91,13 @@ func TestCaptureAbortedOnInjectedError(t *testing.T) {
 	lab, _ := diffLab(t, 0, 1)
 	enablePlan(t, "seed=1,rate=1024/1024,kinds=error,maxfires=1,points=lab.trace.capture")
 
-	if _, err := lab.StaticPass(0); !errors.Is(err, fault.ErrInjected) {
+	if _, err := lab.StaticPass(context.Background(), 0, lab.P.Policy); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want an injected error", err)
 	}
 	if ierr := lab.TraceStore().CheckIntegrity(); ierr != nil {
 		t.Fatalf("store integrity after failed capture: %v", ierr)
 	}
-	if _, err := lab.StaticPass(0); err != nil {
+	if _, err := lab.StaticPass(context.Background(), 0, lab.P.Policy); err != nil {
 		t.Fatalf("retry after failed capture: %v", err)
 	}
 	if n := lab.TraceStore().Entries(); n != 1 {
@@ -131,11 +131,11 @@ func TestInjectedCancelNotMemoized(t *testing.T) {
 	lab, _ := diffLab(t, 0, 1)
 	enablePlan(t, "seed=1,rate=1024/1024,kinds=cancel,maxfires=1,points=lab.pass.run")
 
-	_, err := lab.StaticPass(1)
+	_, err := lab.StaticPass(context.Background(), 1, lab.P.Policy)
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want an injected cancellation", err)
 	}
-	if _, err := lab.StaticPass(1); err != nil {
+	if _, err := lab.StaticPass(context.Background(), 1, lab.P.Policy); err != nil {
 		t.Fatalf("retry after injected cancellation: %v", err)
 	}
 }

@@ -70,7 +70,7 @@ func (l *Lab) Figure3(penalty int) (*FigureResult, error) {
 	for si, size := range l.P.SizesKW {
 		var ys []float64
 		for _, b := range slots {
-			pass, err := l.StaticPass(b)
+			pass, err := l.StaticPass(context.Background(), b, l.P.Policy)
 			if err != nil {
 				return nil, err
 			}
@@ -98,7 +98,7 @@ func (l *Lab) Figure4(penalty int) (*FigureResult, error) {
 		f.X = append(f.X, float64(s))
 	}
 	for b := 0; b <= 3; b++ {
-		pass, err := l.StaticPass(b)
+		pass, err := l.StaticPass(context.Background(), b, l.P.Policy)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +120,7 @@ func (l *Lab) Figure4(penalty int) (*FigureResult, error) {
 // the cycle penalty — and so CPI — falls as the cycle time grows. One curve
 // per L1-I size, b = 2.
 func (l *Lab) Figure5() (*FigureResult, error) {
-	pass, err := l.StaticPass(2)
+	pass, err := l.StaticPass(context.Background(), 2, l.P.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func (l *Lab) Figure7() (*FigureResult, error) {
 }
 
 func (l *Lab) epsilonFigure(dynamic bool) (*FigureResult, error) {
-	pass, err := l.StaticPass(0)
+	pass, err := l.StaticPass(context.Background(), 0, l.P.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -188,7 +188,7 @@ func (l *Lab) epsilonFigure(dynamic bool) (*FigureResult, error) {
 // Figure8 reproduces "CPI versus L1-D cache size for different load delay
 // cycles" with static in-block scheduling.
 func (l *Lab) Figure8(penalty int) (*FigureResult, error) {
-	pass, err := l.StaticPass(0)
+	pass, err := l.StaticPass(context.Background(), 0, l.P.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +218,7 @@ func (l *Lab) Figure8(penalty int) (*FigureResult, error) {
 // Figure9 combines the D-side CPI at l=2 with the timing model: TPI versus
 // L1-D cache size.
 func (l *Lab) Figure9() (*FigureResult, error) {
-	pass, err := l.StaticPass(0)
+	pass, err := l.StaticPass(context.Background(), 0, l.P.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +283,7 @@ func (l *Lab) Figure11(penalty int) (*FigureResult, error) {
 
 // Figure11Context is Figure11 with cooperative cancellation.
 func (l *Lab) Figure11Context(ctx context.Context, penalty int) (*FigureResult, error) {
-	pass, err := l.StaticPassContext(ctx, 0)
+	pass, err := l.StaticPass(ctx, 0, l.P.Policy)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -60,7 +61,7 @@ func goldenOutput(t *testing.T, l *Lab, name string) string {
 			{l.P.L2TimeNs, false, cpisim.LoadDynamic},
 			{l.P.L2TimeNs * 0.6, false, cpisim.LoadStatic},
 		} {
-			opt, err := l.BestDesign(cfg.l2, cfg.scheme, cfg.symm)
+			opt, err := l.Best(context.Background(), l.queryAt(cfg.l2), cfg.scheme, cfg.symm)
 			if err != nil {
 				t.Fatalf("golden sweep: %v", err)
 			}

@@ -253,35 +253,26 @@ func (l *Lab) sizeIndex(sizeKW int) (int, error) {
 
 // StaticPass runs (or returns the memoized) simulation of the static
 // delayed-branch architecture with b branch delay slots over the full
-// cache banks. Load stalls are derived from the recorded epsilon
-// distributions afterwards, so the pass itself is load-depth-agnostic.
-func (l *Lab) StaticPass(b int) (*cpisim.Result, error) {
-	return l.StaticPassContext(context.Background(), b)
-}
-
-// StaticPassContext is StaticPass with cooperative cancellation: ctx aborts
-// both waiting for an in-flight pass and the pass's own simulation loop.
-func (l *Lab) StaticPassContext(ctx context.Context, b int) (*cpisim.Result, error) {
-	return l.StaticPassPolicyContext(ctx, b, l.P.Policy)
-}
-
-// StaticPassPolicyContext is StaticPassContext with an explicit
-// replacement policy for the cache banks, memoized per (depth, policy).
-// The serving layer uses it to answer per-request policy overrides
-// without rebuilding the lab.
-func (l *Lab) StaticPassPolicyContext(ctx context.Context, b int, pol cache.Policy) (*cpisim.Result, error) {
+// cache banks under replacement policy pol, memoized per (depth, policy).
+// Load stalls are derived from the recorded epsilon distributions
+// afterwards, so the pass itself is load-depth-agnostic. ctx aborts both
+// waiting for an in-flight pass and the pass's own simulation loop.
+func (l *Lab) StaticPass(ctx context.Context, b int, pol cache.Policy) (*cpisim.Result, error) {
 	return l.passContext(ctx, passKey{b: b, scheme: cpisim.BranchStatic, policy: pol})
 }
 
-// BTBPass runs (or returns the memoized) simulation of the BTB
-// architecture. The BTB's stall cycles scale linearly with the delay count,
-// so one pass serves every depth (Result.BTBStallPerCTIFor).
-func (l *Lab) BTBPass() (*cpisim.Result, error) {
-	return l.BTBPassContext(context.Background())
+// StaticPassPolicyContext is StaticPass. It remains only because the
+// end-to-end benchmark (perfbench/serve.go) calls it; delete it at the
+// next change to the benchmark.
+func (l *Lab) StaticPassPolicyContext(ctx context.Context, b int, pol cache.Policy) (*cpisim.Result, error) {
+	return l.StaticPass(ctx, b, pol)
 }
 
-// BTBPassContext is BTBPass with cooperative cancellation.
-func (l *Lab) BTBPassContext(ctx context.Context) (*cpisim.Result, error) {
+// BTBPass runs (or returns the memoized) simulation of the BTB
+// architecture at the lab's policy. The BTB's stall cycles scale linearly
+// with the delay count, so one pass serves every depth
+// (Result.BTBStallPerCTIFor).
+func (l *Lab) BTBPass(ctx context.Context) (*cpisim.Result, error) {
 	return l.passContext(ctx, passKey{b: 0, scheme: cpisim.BranchBTB, policy: l.P.Policy})
 }
 
@@ -617,13 +608,9 @@ func (l *Lab) workloads() []cpisim.Workload {
 }
 
 // RunPass executes an uncached custom configuration over the suite (used
-// by the block-size and associativity ablations).
-func (l *Lab) RunPass(cfg cpisim.Config) (*cpisim.Result, error) {
-	return l.RunPassContext(context.Background(), cfg)
-}
-
-// RunPassContext is RunPass with cooperative cancellation.
-func (l *Lab) RunPassContext(ctx context.Context, cfg cpisim.Config) (*cpisim.Result, error) {
+// by the block-size and associativity ablations) with cooperative
+// cancellation.
+func (l *Lab) RunPass(ctx context.Context, cfg cpisim.Config) (*cpisim.Result, error) {
 	if cfg.Quantum == 0 {
 		cfg.Quantum = l.P.Quantum
 	}

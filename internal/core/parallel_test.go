@@ -163,7 +163,7 @@ func TestBestDesignWorkerCountInvariance(t *testing.T) {
 	}
 	run := func(workers int) *Optimum {
 		lab := poolLab(t, workers)
-		opt, err := lab.BestDesign(lab.P.L2TimeNs, cpisim.LoadStatic, true)
+		opt, err := lab.Best(context.Background(), lab.Query(), cpisim.LoadStatic, true)
 		if err != nil {
 			t.Fatal(err)
 		}

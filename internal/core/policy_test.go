@@ -16,12 +16,12 @@ import (
 // bit-identical results (each from its own memo entry).
 func TestPolicyInvarianceDirectMapped(t *testing.T) {
 	lab, _ := diffLab(t, 0, 1)
-	base, err := lab.StaticPassPolicyContext(context.Background(), 1, cache.PolicyLRU)
+	base, err := lab.StaticPass(context.Background(), 1, cache.PolicyLRU)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pol := range []cache.Policy{cache.PolicyFIFO, cache.PolicyTreePLRU} {
-		got, err := lab.StaticPassPolicyContext(context.Background(), 1, pol)
+		got, err := lab.StaticPass(context.Background(), 1, pol)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,11 +39,11 @@ func TestPolicyInvarianceDirectMapped(t *testing.T) {
 // result pointer.
 func TestPolicyPassMemoKeying(t *testing.T) {
 	lab, _ := diffLab(t, 0, 1)
-	a, err := lab.StaticPassPolicyContext(context.Background(), 2, cache.PolicyFIFO)
+	a, err := lab.StaticPass(context.Background(), 2, cache.PolicyFIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := lab.StaticPassPolicyContext(context.Background(), 2, cache.PolicyFIFO)
+	b, err := lab.StaticPass(context.Background(), 2, cache.PolicyFIFO)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,16 +124,20 @@ func TestPolicyStudyWorkerInvariance(t *testing.T) {
 // matters to set-associative banks.
 func TestEvalPointPolicy(t *testing.T) {
 	lab, _ := diffLab(t, 0, 1)
-	pt, bd, err := lab.EvalPointPolicyContext(context.Background(), 1, 1, 4, 4, cpisim.LoadStatic, lab.P.L2TimeNs, cache.PolicyLRU)
+	q := lab.Query()
+	dp := DesignPoint{B: 1, L: 1, ISizeKW: 4, DSizeKW: 4, Scheme: cpisim.LoadStatic}
+	q.Policy = cache.PolicyLRU
+	ev, err := lab.EvalPoint(context.Background(), q, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, pol := range []cache.Policy{cache.PolicyFIFO, cache.PolicyTreePLRU} {
-		pt2, bd2, err := lab.EvalPointPolicyContext(context.Background(), 1, 1, 4, 4, cpisim.LoadStatic, lab.P.L2TimeNs, pol)
+		q.Policy = pol
+		ev2, err := lab.EvalPoint(context.Background(), q, dp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pt2 != pt || bd2 != bd {
+		if ev2 != ev {
 			t.Errorf("%v point differs from LRU on the direct-mapped space", pol)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -163,17 +164,17 @@ func TestReplayTierOversizeFallback(t *testing.T) {
 	liveLab, _ := diffLab(t, -1, 1)
 	tinyLab, tinyReg := diffLab(t, 1, 1) // 1-byte budget: everything is oversize
 
-	live, err := liveLab.StaticPass(1)
+	live, err := liveLab.StaticPass(context.Background(), 1, liveLab.P.Policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := tinyLab.StaticPass(1)
+	first, err := tinyLab.StaticPass(context.Background(), 1, tinyLab.P.Policy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Force a second, uncached pass over the same workloads so the
 	// tombstone path (live fallback without capture) is exercised too.
-	second, err := tinyLab.RunPass(cpisim.Config{
+	second, err := tinyLab.RunPass(context.Background(), cpisim.Config{
 		BranchSlots: 1,
 		ICaches:     tinyLab.cacheBank(tinyLab.P.Policy),
 		DCaches:     tinyLab.cacheBank(tinyLab.P.Policy),

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"pipecache/internal/cpisim"
@@ -143,7 +144,7 @@ type Table3Result struct {
 func (l *Lab) Table3() (*Table3Result, error) {
 	res := &Table3Result{}
 	for b := 1; b <= 3; b++ {
-		pass, err := l.StaticPass(b)
+		pass, err := l.StaticPass(context.Background(), b, l.P.Policy)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +195,7 @@ type Table4Result struct {
 
 // Table4 runs the BTB scheme once and scales the penalty to each depth.
 func (l *Lab) Table4() (*Table4Result, error) {
-	pass, err := l.BTBPass()
+	pass, err := l.BTBPass(context.Background())
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +253,7 @@ type Table5Result struct {
 // Table5 derives the static and dynamic load-delay costs from the epsilon
 // distributions of one pass.
 func (l *Lab) Table5() (*Table5Result, error) {
-	pass, err := l.StaticPass(0)
+	pass, err := l.StaticPass(context.Background(), 0, l.P.Policy)
 	if err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"pipecache/internal/cache"
 	"pipecache/internal/cpisim"
 	"pipecache/internal/tablefmt"
 )
@@ -30,63 +29,51 @@ func (p TPIPoint) String() string {
 
 // TPI evaluates one design point: the cycle time comes from the timing
 // model (each side pipelined to its own depth, system cycle = max), the
-// miss penalty from the constant-time L2 service at that cycle time, and
-// CPI from the memoized simulation passes.
-func (l *Lab) TPI(b, ld, iSizeKW, dSizeKW int, scheme cpisim.LoadScheme, l2TimeNs float64) (TPIPoint, error) {
-	return l.TPIContext(context.Background(), b, ld, iSizeKW, dSizeKW, scheme, l2TimeNs)
-}
-
-// TPIContext is TPI with cooperative cancellation: ctx aborts the
-// underlying simulation pass (or the wait for a concurrent one).
-func (l *Lab) TPIContext(ctx context.Context, b, ld, iSizeKW, dSizeKW int, scheme cpisim.LoadScheme, l2TimeNs float64) (TPIPoint, error) {
-	return l.TPIPolicyContext(ctx, b, ld, iSizeKW, dSizeKW, scheme, l2TimeNs, l.P.Policy)
-}
-
-// TPIPolicyContext is TPIContext with an explicit replacement policy; the
-// serving layer uses it to answer per-request policy overrides against
-// the matching memoized pass.
-func (l *Lab) TPIPolicyContext(ctx context.Context, b, ld, iSizeKW, dSizeKW int, scheme cpisim.LoadScheme, l2TimeNs float64, pol cache.Policy) (TPIPoint, error) {
-	l.obs.Counter("lab.tpi_points").Inc()
-	p := TPIPoint{B: b, L: ld, ISizeKW: iSizeKW, DSizeKW: dSizeKW, LoadScheme: scheme}
-	tcpu, err := l.P.Model.TCPUSplit(iSizeKW, b, dSizeKW, ld)
+// miss penalty from the constant-time L2 service q.L2TimeNs at that cycle
+// time, and CPI from the simulation pass memoized per (depth, q.Policy).
+// ctx aborts that pass, or the wait for a concurrent one.
+func (l *Lab) TPI(ctx context.Context, q Query, dp DesignPoint) (TPIPoint, error) {
+	pass, err := l.StaticPass(ctx, dp.B, q.Policy)
 	if err != nil {
-		return p, err
+		return TPIPoint{}, err
+	}
+	pt, _, _, err := l.tpi(pass, q, dp)
+	return pt, err
+}
+
+// tpi is the TPI arithmetic of dp over its pass. It also returns the
+// point's indices in the size bank, so EvalPoint derives the breakdown
+// and miss ratios without a second lookup.
+func (l *Lab) tpi(pass *cpisim.Result, q Query, dp DesignPoint) (p TPIPoint, iIdx, dIdx int, err error) {
+	l.obs.Counter("lab.tpi_points").Inc()
+	p = TPIPoint{B: dp.B, L: dp.L, ISizeKW: dp.ISizeKW, DSizeKW: dp.DSizeKW, LoadScheme: dp.Scheme}
+	tcpu, err := l.P.Model.TCPUSplit(dp.ISizeKW, dp.B, dp.DSizeKW, dp.L)
+	if err != nil {
+		return p, 0, 0, err
 	}
 	p.TCPUNs = tcpu
-	p.PenCycles = penaltyCyclesFor(l2TimeNs, tcpu)
-
-	pass, err := l.StaticPassPolicyContext(ctx, b, pol)
-	if err != nil {
-		return p, err
+	p.PenCycles = penaltyCyclesFor(q.L2TimeNs, tcpu)
+	if iIdx, err = l.sizeIndex(dp.ISizeKW); err != nil {
+		return p, 0, 0, err
 	}
-	iIdx, err := l.sizeIndex(iSizeKW)
-	if err != nil {
-		return p, err
+	if dIdx, err = l.sizeIndex(dp.DSizeKW); err != nil {
+		return p, 0, 0, err
 	}
-	dIdx, err := l.sizeIndex(dSizeKW)
+	cpi, err := pass.CPIFor(dp.L, dp.Scheme, iIdx, dIdx, p.PenCycles, p.PenCycles)
 	if err != nil {
-		return p, err
-	}
-	cpi, err := pass.CPIFor(ld, scheme, iIdx, dIdx, p.PenCycles, p.PenCycles)
-	if err != nil {
-		return p, err
+		return p, 0, 0, err
 	}
 	p.CPI = cpi
 	p.TPINs = cpi * tcpu
-	return p, nil
+	return p, iIdx, dIdx, nil
 }
 
 // TPISweep evaluates TPI for symmetric designs (b = l, equal split) over
-// the size bank: the curves of Figures 12 and 13.
-func (l *Lab) TPISweep(l2TimeNs float64, scheme cpisim.LoadScheme) (*FigureResult, error) {
-	return l.TPISweepContext(context.Background(), l2TimeNs, scheme)
-}
-
-// TPISweepContext is TPISweep with cooperative cancellation, checked at
-// every design point.
-func (l *Lab) TPISweepContext(ctx context.Context, l2TimeNs float64, scheme cpisim.LoadScheme) (*FigureResult, error) {
+// the size bank: the curves of Figures 12 and 13. ctx is checked at every
+// design point.
+func (l *Lab) TPISweep(ctx context.Context, q Query, scheme cpisim.LoadScheme) (*FigureResult, error) {
 	f := &FigureResult{
-		Title:  fmt.Sprintf("TPI vs total L1 size (split equally, b=l, %s loads, %.0fns miss service)", scheme, l2TimeNs),
+		Title:  fmt.Sprintf("TPI vs total L1 size (split equally, b=l, %s loads, %.0fns miss service)", scheme, q.L2TimeNs),
 		XLabel: "total L1 size (KW)",
 		YLabel: "TPI (ns)",
 	}
@@ -95,10 +82,10 @@ func (l *Lab) TPISweepContext(ctx context.Context, l2TimeNs float64, scheme cpis
 	}
 	l.progress.StartPhase("TPI sweep", int64(4*len(l.P.SizesKW)))
 	defer l.progress.Finish()
-	for depth := 0; depth <= 3; depth++ {
+	for depth := 0; depth <= maxDelaySlots; depth++ {
 		var ys []float64
 		for _, side := range l.P.SizesKW {
-			pt, err := l.TPIContext(ctx, depth, depth, side, side, scheme, l2TimeNs)
+			pt, err := l.TPI(ctx, q, DesignPoint{B: depth, L: depth, ISizeKW: side, DSizeKW: side, Scheme: scheme})
 			if err != nil {
 				return nil, err
 			}
@@ -118,7 +105,7 @@ func (l *Lab) Figure12() (*FigureResult, error) {
 
 // Figure12Context is Figure12 with cooperative cancellation.
 func (l *Lab) Figure12Context(ctx context.Context) (*FigureResult, error) {
-	f, err := l.TPISweepContext(ctx, l.P.L2TimeNs, cpisim.LoadStatic)
+	f, err := l.TPISweep(ctx, l.Query(), cpisim.LoadStatic)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +121,7 @@ func (l *Lab) Figure13() (*FigureResult, error) {
 
 // Figure13Context is Figure13 with cooperative cancellation.
 func (l *Lab) Figure13Context(ctx context.Context) (*FigureResult, error) {
-	f, err := l.TPISweepContext(ctx, l.P.L2TimeNs*0.6, cpisim.LoadStatic)
+	f, err := l.TPISweep(ctx, l.queryAt(l.P.L2TimeNs*0.6), cpisim.LoadStatic)
 	if err != nil {
 		return nil, err
 	}
@@ -148,51 +135,43 @@ type Optimum struct {
 	Evaluated int
 }
 
-// BestDesign searches all (b, l, I-size, D-size) combinations, optionally
-// restricted to symmetric designs (b = l with an equal split), and returns
-// the minimum-TPI point.
-func (l *Lab) BestDesign(l2TimeNs float64, scheme cpisim.LoadScheme, symmetric bool) (*Optimum, error) {
-	return l.BestDesignContext(context.Background(), l2TimeNs, scheme, symmetric)
+// BestCandidate reports whether dp is a candidate of the optimization Best
+// runs for scheme: a point of that load scheme, restricted when symmetric
+// to b = l with an equal split. Walking DesignSpace through it yields
+// Best's candidates in Best's order, which is how the coordinator's merged
+// /v1/best reproduces a single node's answer.
+func BestCandidate(dp DesignPoint, scheme cpisim.LoadScheme, symmetric bool) bool {
+	return dp.Scheme == scheme && (!symmetric || (dp.B == dp.L && dp.ISizeKW == dp.DSizeKW))
 }
 
-// BestDesignContext is BestDesign with cooperative cancellation, checked at
-// every design point. The candidate points are independent (the memoized
-// passes behind them are single-flighted), so they are evaluated on the
-// lab's bounded worker pool; the minimum is then reduced serially in
-// enumeration order, which preserves the serial sweep's earliest-wins
-// tie-break at every worker count.
-func (l *Lab) BestDesignContext(ctx context.Context, l2TimeNs float64, scheme cpisim.LoadScheme, symmetric bool) (*Optimum, error) {
-	return l.BestDesignPolicyContext(ctx, l2TimeNs, scheme, symmetric, l.P.Policy)
-}
-
-// BestDesignPolicyContext is BestDesignContext with an explicit
-// replacement policy for the cache banks.
-func (l *Lab) BestDesignPolicyContext(ctx context.Context, l2TimeNs float64, scheme cpisim.LoadScheme, symmetric bool, pol cache.Policy) (*Optimum, error) {
-	type candidate struct {
-		b, ld, iSize, dSize int
-	}
-	var cands []candidate
-	for b := 0; b <= 3; b++ {
-		for ld := 0; ld <= 3; ld++ {
-			if symmetric && ld != b {
-				continue
-			}
-			for _, iSize := range l.P.SizesKW {
-				for _, dSize := range l.P.SizesKW {
-					if symmetric && iSize != dSize {
-						continue
-					}
-					cands = append(cands, candidate{b, ld, iSize, dSize})
-				}
-			}
+// Best searches the design space for the minimum-TPI point among the
+// BestCandidate points. ctx is checked at every point. The candidates
+// are independent (the memoized passes behind them are single-flighted),
+// so they are evaluated on the lab's bounded worker pool; the minimum is
+// then reduced serially in enumeration order, which preserves the serial
+// sweep's earliest-wins tie-break at every worker count.
+func (l *Lab) Best(ctx context.Context, q Query, scheme cpisim.LoadScheme, symmetric bool) (*Optimum, error) {
+	var cands []DesignPoint
+	for _, dp := range DesignSpace(l.P) {
+		if BestCandidate(dp, scheme, symmetric) {
+			cands = append(cands, dp)
 		}
 	}
 	l.progress.StartPhase("design-space sweep", int64(len(cands)))
 	defer l.progress.Finish()
+	best, err := l.minTPI(ctx, q, cands)
+	if err != nil {
+		return nil, err
+	}
+	return &Optimum{Best: best, Evaluated: len(cands)}, nil
+}
+
+// minTPI evaluates cands on the lab's worker pool and returns the first
+// point of minimum TPI in cands order.
+func (l *Lab) minTPI(ctx context.Context, q Query, cands []DesignPoint) (TPIPoint, error) {
 	pts := make([]TPIPoint, len(cands))
 	err := l.forEach(ctx, len(cands), func(ctx context.Context, i int) error {
-		c := cands[i]
-		pt, err := l.TPIPolicyContext(ctx, c.b, c.ld, c.iSize, c.dSize, scheme, l2TimeNs, pol)
+		pt, err := l.TPI(ctx, q, cands[i])
 		if err != nil {
 			return err
 		}
@@ -201,7 +180,7 @@ func (l *Lab) BestDesignPolicyContext(ctx context.Context, l2TimeNs float64, sch
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return TPIPoint{}, err
 	}
 	best := TPIPoint{TPINs: math.Inf(1)}
 	for _, pt := range pts {
@@ -209,18 +188,35 @@ func (l *Lab) BestDesignPolicyContext(ctx context.Context, l2TimeNs float64, sch
 			best = pt
 		}
 	}
-	return &Optimum{Best: best, Evaluated: len(cands)}, nil
+	return best, nil
+}
+
+// BestDesign is Best at the lab's policy without cancellation. It remains
+// only because the end-to-end benchmark (perfbench/study.go) calls it;
+// delete it at the next change to the benchmark.
+func (l *Lab) BestDesign(l2TimeNs float64, scheme cpisim.LoadScheme, symmetric bool) (*Optimum, error) {
+	return l.Best(context.Background(), l.queryAt(l2TimeNs), scheme, symmetric)
+}
+
+// BestDesignContext is Best at the lab's policy. It remains only because
+// the end-to-end benchmark (perfbench/layers.go) calls it; delete it at
+// the next change to the benchmark.
+func (l *Lab) BestDesignContext(ctx context.Context, l2TimeNs float64, scheme cpisim.LoadScheme, symmetric bool) (*Optimum, error) {
+	return l.Best(ctx, l.queryAt(l2TimeNs), scheme, symmetric)
 }
 
 // DynamicBreakEven returns how much tCPU could grow (as a fraction) before
 // dynamic out-of-order load issue loses to static scheduling at the given
 // design point — the paper's ~10% figure.
 func (l *Lab) DynamicBreakEven(b, ld, iSizeKW, dSizeKW int, l2TimeNs float64) (float64, error) {
-	st, err := l.TPI(b, ld, iSizeKW, dSizeKW, cpisim.LoadStatic, l2TimeNs)
+	ctx, q := context.Background(), l.queryAt(l2TimeNs)
+	dp := DesignPoint{B: b, L: ld, ISizeKW: iSizeKW, DSizeKW: dSizeKW, Scheme: cpisim.LoadStatic}
+	st, err := l.TPI(ctx, q, dp)
 	if err != nil {
 		return 0, err
 	}
-	dy, err := l.TPI(b, ld, iSizeKW, dSizeKW, cpisim.LoadDynamic, l2TimeNs)
+	dp.Scheme = cpisim.LoadDynamic
+	dy, err := l.TPI(ctx, q, dp)
 	if err != nil {
 		return 0, err
 	}
@@ -262,6 +258,7 @@ func (l *Lab) DepthMatrix(l2TimeNs float64) (*DepthMatrixResult, error) {
 	l.progress.StartPhase("depth matrix", int64(len(depths)*len(depths)*len(l.P.SizesKW)))
 	defer l.progress.Finish()
 	res := &DepthMatrixResult{Depths: depths}
+	q := l.queryAt(l2TimeNs)
 	for _, b := range depths {
 		rowT := make([]float64, len(depths))
 		rowS := make([]int, len(depths))
@@ -269,7 +266,8 @@ func (l *Lab) DepthMatrix(l2TimeNs float64) (*DepthMatrixResult, error) {
 			best := math.Inf(1)
 			bestSize := 0
 			for _, side := range l.P.SizesKW {
-				pt, err := l.TPI(b, ld, side, side, cpisim.LoadStatic, l2TimeNs)
+				pt, err := l.TPI(context.Background(), q,
+					DesignPoint{B: b, L: ld, ISizeKW: side, DSizeKW: side, Scheme: cpisim.LoadStatic})
 				if err != nil {
 					return nil, err
 				}
@@ -356,59 +354,28 @@ func (l *Lab) AsymmetryStudy(l2TimeNs float64) (*AsymmetryStudyResult, error) {
 		{"I-heavy", func(b, ld, i, d int) bool { return b >= ld && i >= d && (b > ld || i > d) }},
 		{"D-heavy", func(b, ld, i, d int) bool { return ld >= b && d >= i && (ld > b || d > i) }},
 	}
-	res := &AsymmetryStudyResult{L2TimeNs: l2TimeNs}
-	// Pre-count the admissible points so the progress phase has a total.
+	// Collect every class's candidates first so the progress phase has a
+	// total.
+	cands := make([][]DesignPoint, len(classes))
 	var total int64
-	for _, cl := range classes {
-		for b := 0; b <= 3; b++ {
-			for ld := 0; ld <= 3; ld++ {
-				for _, iSize := range l.P.SizesKW {
-					for _, dSize := range l.P.SizesKW {
-						if cl.ok(b, ld, iSize, dSize) {
-							total++
-						}
-					}
-				}
+	for _, dp := range DesignSpace(l.P) {
+		if dp.Scheme != cpisim.LoadStatic {
+			continue
+		}
+		for c, cl := range classes {
+			if cl.ok(dp.B, dp.L, dp.ISizeKW, dp.DSizeKW) {
+				cands[c] = append(cands[c], dp)
+				total++
 			}
 		}
 	}
 	l.progress.StartPhase("asymmetry study", total)
 	defer l.progress.Finish()
-	for _, cl := range classes {
-		type candidate struct {
-			b, ld, iSize, dSize int
-		}
-		var cands []candidate
-		for b := 0; b <= 3; b++ {
-			for ld := 0; ld <= 3; ld++ {
-				for _, iSize := range l.P.SizesKW {
-					for _, dSize := range l.P.SizesKW {
-						if cl.ok(b, ld, iSize, dSize) {
-							cands = append(cands, candidate{b, ld, iSize, dSize})
-						}
-					}
-				}
-			}
-		}
-		pts := make([]TPIPoint, len(cands))
-		err := l.forEach(context.Background(), len(cands), func(ctx context.Context, i int) error {
-			c := cands[i]
-			pt, err := l.TPIContext(ctx, c.b, c.ld, c.iSize, c.dSize, cpisim.LoadStatic, l2TimeNs)
-			if err != nil {
-				return err
-			}
-			pts[i] = pt
-			l.progress.Step(1)
-			return nil
-		})
+	res := &AsymmetryStudyResult{L2TimeNs: l2TimeNs}
+	for c, cl := range classes {
+		best, err := l.minTPI(context.Background(), l.queryAt(l2TimeNs), cands[c])
 		if err != nil {
 			return nil, err
-		}
-		best := TPIPoint{TPINs: math.Inf(1)}
-		for _, pt := range pts {
-			if pt.TPINs < best.TPINs {
-				best = pt
-			}
 		}
 		res.Rows = append(res.Rows, AsymmetryRow{Class: cl.name, Best: best})
 	}

@@ -15,6 +15,7 @@ package cpisim
 
 import (
 	"fmt"
+	"strings"
 
 	"pipecache/internal/btb"
 	"pipecache/internal/cache"
@@ -63,6 +64,18 @@ func (s LoadScheme) String() string {
 		return "dynamic"
 	}
 	return fmt.Sprintf("loadscheme(%d)", uint8(s))
+}
+
+// ParseLoadScheme parses a load scheme name case-insensitively: "static"
+// or "dynamic", the spellings String returns.
+func ParseLoadScheme(s string) (LoadScheme, error) {
+	switch strings.ToLower(s) {
+	case "static":
+		return LoadStatic, nil
+	case "dynamic":
+		return LoadDynamic, nil
+	}
+	return 0, fmt.Errorf("unknown load scheme %q (want static or dynamic)", s)
 }
 
 // Config describes one simulation pass.

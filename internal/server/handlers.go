@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"pipecache/internal/core"
+	"pipecache/internal/cpisim"
 )
 
 // routes mounts every endpoint on the mux, each behind instrument.
@@ -40,6 +41,14 @@ func pointJSON(p core.TPIPoint) SimPoint {
 		B: p.B, L: p.L, ISizeKW: p.ISizeKW, DSizeKW: p.DSizeKW,
 		Loads: p.LoadScheme.String(), TCPUNs: p.TCPUNs,
 		PenaltyCycles: p.PenCycles, CPI: p.CPI, TPINs: p.TPINs,
+	}
+}
+
+// breakdownJSON is the wire form of a core.Breakdown.
+func breakdownJSON(bd core.Breakdown) CPIBreakdown {
+	return CPIBreakdown{
+		Base: bd.Base, BranchStall: bd.BranchStall, LoadStall: bd.LoadStall,
+		IMiss: bd.IMiss, DMiss: bd.DMiss,
 	}
 }
 
@@ -217,29 +226,20 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 }
 
 // simulate evaluates one design point and decomposes its CPI. The point
-// math lives in core.EvalPointContext, the single definition the surface
+// math lives in core.Lab.EvalPoint, the single definition the surface
 // baker shares, so baked and live answers cannot drift.
 func (s *Server) simulate(ctx context.Context, req DesignRequest) (*SimulateResponse, error) {
-	scheme, err := parseLoadScheme(req.Loads)
+	scheme, err := cpisim.ParseLoadScheme(req.Loads)
 	if err != nil {
 		return nil, err
 	}
-	pt, bd, err := s.lab.EvalPointPolicyContext(ctx, req.B, req.L, req.ISizeKW, req.DSizeKW, scheme, req.L2TimeNs,
-		requestPolicy(req.Policy, s.lab.P))
+	ev, err := s.lab.EvalPoint(ctx, requestQuery(req.L2TimeNs, req.Policy, s.lab.P), core.DesignPoint{
+		B: req.B, L: req.L, ISizeKW: req.ISizeKW, DSizeKW: req.DSizeKW, Scheme: scheme,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &SimulateResponse{
-		Request: req,
-		Point:   pointJSON(pt),
-		Breakdown: CPIBreakdown{
-			Base:        bd.Base,
-			BranchStall: bd.BranchStall,
-			LoadStall:   bd.LoadStall,
-			IMiss:       bd.IMiss,
-			DMiss:       bd.DMiss,
-		},
-	}, nil
+	return &SimulateResponse{Request: req, Point: pointJSON(ev.Point), Breakdown: breakdownJSON(ev.Breakdown)}, nil
 }
 
 func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
@@ -251,12 +251,11 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, RequestKey("best", req),
 		func() (any, bool) { return s.bakedBest(req) },
 		func(ctx context.Context) (any, error) {
-			scheme, err := parseLoadScheme(req.Loads)
+			scheme, err := cpisim.ParseLoadScheme(req.Loads)
 			if err != nil {
 				return nil, err
 			}
-			opt, err := s.lab.BestDesignPolicyContext(ctx, req.L2TimeNs, scheme, req.Symmetric,
-				requestPolicy(req.Policy, s.lab.P))
+			opt, err := s.lab.Best(ctx, requestQuery(req.L2TimeNs, req.Policy, s.lab.P), scheme, req.Symmetric)
 			if err != nil {
 				return nil, err
 			}
@@ -279,23 +278,13 @@ func (s *Server) handleSweepRange(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, r, RequestKey("sweep-range", req),
 		func() (any, bool) { return s.bakedSweepRange(req) },
 		func(ctx context.Context) (any, error) {
-			evals, err := s.lab.EvalDesignRangePolicyContext(ctx, req.L2TimeNs,
-				requestPolicy(req.Policy, s.lab.P), req.Lo, req.Hi)
+			evals, err := s.lab.EvalRange(ctx, requestQuery(req.L2TimeNs, req.Policy, s.lab.P), req.Lo, req.Hi)
 			if err != nil {
 				return nil, err
 			}
 			pts := make([]RangePoint, len(evals))
 			for i, ev := range evals {
-				pts[i] = RangePoint{
-					Point: pointJSON(ev.Point),
-					Breakdown: CPIBreakdown{
-						Base:        ev.Breakdown.Base,
-						BranchStall: ev.Breakdown.BranchStall,
-						LoadStall:   ev.Breakdown.LoadStall,
-						IMiss:       ev.Breakdown.IMiss,
-						DMiss:       ev.Breakdown.DMiss,
-					},
-				}
+				pts[i] = RangePoint{Point: pointJSON(ev.Point), Breakdown: breakdownJSON(ev.Breakdown)}
 			}
 			return &SweepRangeResponse{Request: req, Points: pts}, nil
 		})

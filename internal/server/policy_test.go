@@ -15,6 +15,7 @@ import (
 // policy field is validated, case/space-insensitive, and an explicit
 // spelling of the lab default collapses to "" — so a pre-policy request
 // body, an empty policy, and "lru" all share one content-addressed key.
+// The loads field is canonicalized the same way.
 func TestPolicyRequestCanonicalization(t *testing.T) {
 	p := core.DefaultParams()
 
@@ -37,6 +38,33 @@ func TestPolicyRequestCanonicalization(t *testing.T) {
 			t.Errorf("policy %q did not share the pre-policy cache key", spelled)
 		}
 	}
+	// The loads field canonicalizes too: any case of a scheme name shares
+	// the key of its canonical spelling, and "STATIC" that of the request
+	// with loads omitted.
+	for _, loads := range []struct{ spelled, canon, same string }{
+		{"STATIC", "static", `{"b":2,"l":2,"isize_kw":8,"dsize_kw":8}`},
+		{"Dynamic", "dynamic", `{"b":2,"l":2,"isize_kw":8,"dsize_kw":8,"loads":"dynamic"}`},
+	} {
+		want, err := decode(loads.same)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := decode(`{"b":2,"l":2,"isize_kw":8,"dsize_kw":8,"loads":"` + loads.spelled + `"}`)
+		if err != nil {
+			t.Fatalf("loads %q: %v", loads.spelled, err)
+		}
+		if req.Loads != loads.canon || RequestKey("simulate", req) != RequestKey("simulate", want) {
+			t.Errorf("loads %q normalized to %q, not to the key of %s", loads.spelled, req.Loads, loads.same)
+		}
+		br, err := DecodeBestRequest(strings.NewReader(`{"loads":"`+loads.spelled+`"}`), p)
+		if err != nil {
+			t.Fatalf("best loads %q: %v", loads.spelled, err)
+		}
+		if br.Loads != loads.canon {
+			t.Errorf("best loads %q normalized to %q, want %q", loads.spelled, br.Loads, loads.canon)
+		}
+	}
+
 	req, err := decode(`{"b":2,"l":2,"isize_kw":8,"dsize_kw":8,"policy":"tree-plru"}`)
 	if err != nil {
 		t.Fatal(err)
@@ -69,10 +97,10 @@ func TestPolicyRequestCanonicalization(t *testing.T) {
 		t.Errorf("sweep-range policy = %q, want \"\"", sr.Policy)
 	}
 
-	// requestPolicy resolves "" to the lab default, whatever it is.
+	// requestQuery resolves "" to the lab default, whatever it is.
 	fifoLab := p
 	fifoLab.Policy = cache.PolicyFIFO
-	if got := requestPolicy("", fifoLab); got != fifoLab.Policy {
+	if got := requestQuery(fifoLab.L2TimeNs, "", fifoLab).Policy; got != fifoLab.Policy {
 		t.Errorf("empty policy resolved to %v, want the lab default %v", got, fifoLab.Policy)
 	}
 }

@@ -85,17 +85,12 @@ func DecodeDesignRequest(r io.Reader, p core.Params) (DesignRequest, error) {
 
 // normalize applies the lab defaults and validates every field.
 func (q DesignRequest) normalize(p core.Params) (DesignRequest, error) {
-	if q.Loads == "" {
-		q.Loads = cpisim.LoadStatic.String()
-	}
-	if _, err := parseLoadScheme(q.Loads); err != nil {
+	var err error
+	if q.Loads, err = normalizeLoads(q.Loads); err != nil {
 		return q, err
 	}
-	if q.L2TimeNs == 0 {
-		q.L2TimeNs = p.L2TimeNs
-	}
-	if q.L2TimeNs < 0 || q.L2TimeNs > 1e6 {
-		return q, fmt.Errorf("l2_time_ns %g out of range", q.L2TimeNs)
+	if q.L2TimeNs, q.Policy, err = normalizeQuery(q.L2TimeNs, q.Policy, p); err != nil {
+		return q, err
 	}
 	if q.B < 0 || q.B > 3 || q.L < 0 || q.L > 3 {
 		return q, fmt.Errorf("delay slots b=%d l=%d out of the studied range 0-3", q.B, q.L)
@@ -106,46 +101,64 @@ func (q DesignRequest) normalize(p core.Params) (DesignRequest, error) {
 	if !inBank(q.DSizeKW, p.SizesKW) {
 		return q, fmt.Errorf("dsize_kw %d not in the configured bank %v", q.DSizeKW, p.SizesKW)
 	}
-	pol, err := normalizePolicy(q.Policy, p)
-	if err != nil {
-		return q, err
-	}
-	q.Policy = pol
 	return q, nil
 }
 
-// normalizePolicy canonicalizes a request's policy field against the lab
-// defaults: "" keeps meaning "the lab's policy", and an explicit spelling
-// of the lab's own policy collapses back to "", so two requests naming the
-// same effective policy share one content-addressed key and marshal
-// byte-identical bodies — and a pre-policy request keeps its pre-policy key.
-func normalizePolicy(s string, p core.Params) (string, error) {
-	if strings.TrimSpace(s) == "" {
-		return "", nil
+// normalizeLoads applies the static default to a request's loads field
+// and canonicalizes its spelling, so "STATIC", "static" and an omitted
+// field share one content-addressed key and marshal byte-identical bodies.
+func normalizeLoads(s string) (string, error) {
+	if s == "" {
+		return cpisim.LoadStatic.String(), nil
 	}
-	pol, err := cache.ParsePolicy(strings.ToLower(strings.TrimSpace(s)))
+	scheme, err := cpisim.ParseLoadScheme(s)
 	if err != nil {
-		return "", err
+		return s, err
 	}
-	if pol == p.Policy {
-		return "", nil
-	}
-	return pol.String(), nil
+	return scheme.String(), nil
 }
 
-// requestPolicy resolves a normalized policy field to the concrete policy
-// the compute path should simulate: the lab default for "", the named
-// policy otherwise. The field was validated during normalization, so a
-// parse failure here is a programming error.
-func requestPolicy(s string, p core.Params) cache.Policy {
-	if s == "" {
-		return p.Policy
+// normalizeQuery normalizes the two core.Query coordinates every request
+// carries. A zero l2_time_ns takes the lab's default and is range-checked.
+// An empty policy keeps meaning "the lab's policy", and an explicit
+// spelling of the lab's own policy collapses back to "", so two requests
+// naming the same effective policy share one content-addressed key and
+// marshal byte-identical bodies — and a pre-policy request keeps its
+// pre-policy key.
+func normalizeQuery(l2TimeNs float64, policy string, p core.Params) (float64, string, error) {
+	if l2TimeNs == 0 {
+		l2TimeNs = p.L2TimeNs
 	}
-	pol, err := cache.ParsePolicy(s)
+	if l2TimeNs < 0 || l2TimeNs > 1e6 {
+		return l2TimeNs, policy, fmt.Errorf("l2_time_ns %g out of range", l2TimeNs)
+	}
+	if strings.TrimSpace(policy) == "" {
+		return l2TimeNs, "", nil
+	}
+	pol, err := cache.ParsePolicy(strings.ToLower(strings.TrimSpace(policy)))
 	if err != nil {
-		panic(fmt.Sprintf("server: un-normalized policy %q: %v", s, err))
+		return l2TimeNs, policy, err
 	}
-	return pol
+	if pol == p.Policy {
+		return l2TimeNs, "", nil
+	}
+	return l2TimeNs, pol.String(), nil
+}
+
+// requestQuery resolves a normalized request's l2_time_ns and policy
+// fields to the core.Query the compute path runs: an empty policy is the
+// lab default. The policy was validated during normalization, so a parse
+// failure here is a programming error.
+func requestQuery(l2TimeNs float64, policy string, p core.Params) core.Query {
+	q := core.Query{L2TimeNs: l2TimeNs, Policy: p.Policy}
+	if policy != "" {
+		pol, err := cache.ParsePolicy(policy)
+		if err != nil {
+			panic(fmt.Sprintf("server: un-normalized policy %q: %v", policy, err))
+		}
+		q.Policy = pol
+	}
+	return q
 }
 
 // DecodeBestRequest parses and validates a /v1/best body, returning the
@@ -159,34 +172,12 @@ func DecodeBestRequest(r io.Reader, p core.Params) (BestRequest, error) {
 }
 
 func (q BestRequest) normalize(p core.Params) (BestRequest, error) {
-	if q.Loads == "" {
-		q.Loads = cpisim.LoadStatic.String()
-	}
-	if _, err := parseLoadScheme(q.Loads); err != nil {
+	var err error
+	if q.Loads, err = normalizeLoads(q.Loads); err != nil {
 		return q, err
 	}
-	if q.L2TimeNs == 0 {
-		q.L2TimeNs = p.L2TimeNs
-	}
-	if q.L2TimeNs < 0 || q.L2TimeNs > 1e6 {
-		return q, fmt.Errorf("l2_time_ns %g out of range", q.L2TimeNs)
-	}
-	pol, err := normalizePolicy(q.Policy, p)
-	if err != nil {
-		return q, err
-	}
-	q.Policy = pol
-	return q, nil
-}
-
-func parseLoadScheme(s string) (cpisim.LoadScheme, error) {
-	switch strings.ToLower(s) {
-	case "static":
-		return cpisim.LoadStatic, nil
-	case "dynamic":
-		return cpisim.LoadDynamic, nil
-	}
-	return 0, fmt.Errorf("unknown load scheme %q (want static or dynamic)", s)
+	q.L2TimeNs, q.Policy, err = normalizeQuery(q.L2TimeNs, q.Policy, p)
+	return q, err
 }
 
 func inBank(size int, bank []int) bool {
@@ -225,21 +216,14 @@ func DecodeSweepRangeRequest(r io.Reader, p core.Params) (SweepRangeRequest, err
 }
 
 func (q SweepRangeRequest) normalize(p core.Params) (SweepRangeRequest, error) {
-	if q.L2TimeNs == 0 {
-		q.L2TimeNs = p.L2TimeNs
-	}
-	if q.L2TimeNs < 0 || q.L2TimeNs > 1e6 {
-		return q, fmt.Errorf("l2_time_ns %g out of range", q.L2TimeNs)
+	var err error
+	if q.L2TimeNs, q.Policy, err = normalizeQuery(q.L2TimeNs, q.Policy, p); err != nil {
+		return q, err
 	}
 	n := len(core.DesignSpace(p))
 	if q.Lo < 0 || q.Hi > n || q.Lo >= q.Hi {
 		return q, fmt.Errorf("range [%d, %d) outside the %d-point design space", q.Lo, q.Hi, n)
 	}
-	pol, err := normalizePolicy(q.Policy, p)
-	if err != nil {
-		return q, err
-	}
-	q.Policy = pol
 	return q, nil
 }
 

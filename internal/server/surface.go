@@ -27,7 +27,7 @@ func (s *Server) bakedSimulate(req DesignRequest) (any, bool) {
 	if req.L2TimeNs != s.lab.P.L2TimeNs || req.Policy != "" {
 		return nil, false
 	}
-	scheme, err := parseLoadScheme(req.Loads)
+	scheme, err := cpisim.ParseLoadScheme(req.Loads)
 	if err != nil {
 		return nil, false
 	}
@@ -60,7 +60,7 @@ func (s *Server) bakedBest(req BestRequest) (any, bool) {
 	if req.L2TimeNs != s.lab.P.L2TimeNs || req.Policy != "" {
 		return nil, false
 	}
-	scheme, err := parseLoadScheme(req.Loads)
+	scheme, err := cpisim.ParseLoadScheme(req.Loads)
 	if err != nil {
 		return nil, false
 	}
@@ -82,7 +82,7 @@ func (s *Server) bakedBest(req BestRequest) (any, bool) {
 // bakedSweepRange answers /v1/sweep-range from the surface: the records
 // are stored by DesignIndex in exactly the canonical order the range
 // addresses, so the answer is a sequential read. The point math behind the
-// stored records is core.EvalPointContext — the same definition the live
+// stored records is core.Lab.EvalPoint — the same definition the live
 // range sweep uses — so the two paths marshal byte-identical bodies.
 func (s *Server) bakedSweepRange(req SweepRangeRequest) (any, bool) {
 	if req.L2TimeNs != s.lab.P.L2TimeNs || req.Policy != "" {

@@ -44,7 +44,7 @@ func Figure11Penalties(p core.Params) []int {
 func Bake(ctx context.Context, lab *core.Lab) (*Data, error) {
 	d := &Data{ParamsHash: HashParams(core.Fingerprint(lab.Suite, lab.P))}
 
-	evals, err := lab.EvalDesignSpaceContext(ctx, lab.P.L2TimeNs)
+	evals, err := lab.EvalRange(ctx, lab.Query(), 0, len(core.DesignSpace(lab.P)))
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func Bake(ctx context.Context, lab *core.Lab) (*Data, error) {
 
 	for _, scheme := range []cpisim.LoadScheme{cpisim.LoadStatic, cpisim.LoadDynamic} {
 		for _, symmetric := range []bool{false, true} {
-			opt, err := lab.BestDesignContext(ctx, lab.P.L2TimeNs, scheme, symmetric)
+			opt, err := lab.Best(ctx, lab.Query(), scheme, symmetric)
 			if err != nil {
 				return nil, err
 			}

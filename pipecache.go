@@ -26,7 +26,7 @@
 //	lab, _ := pipecache.NewLab(suite, pipecache.DefaultParams())
 //	fig12, _ := lab.Figure12()     // TPI vs total L1 size, b=l=0..3
 //	fmt.Println(fig12)
-//	opt, _ := lab.BestDesign(lab.P.L2TimeNs, pipecache.LoadStatic, false)
+//	opt, _ := lab.Best(context.Background(), lab.Query(), pipecache.LoadStatic, false)
 //	fmt.Println(opt.Best)          // the paper's 2-3 stage optimum
 //
 // All simulation is deterministic: the same inputs produce bit-identical
@@ -200,6 +200,13 @@ type (
 	// Lab owns a suite plus memoized simulation passes; its methods
 	// reproduce every table and figure of the paper.
 	Lab = core.Lab
+	// Query carries a design-space question's per-request coordinates
+	// (miss-service time, replacement policy); Lab.Query returns the
+	// lab's defaults.
+	Query = core.Query
+	// DesignPoint identifies one point of the design space (depths,
+	// per-side sizes, load scheme).
+	DesignPoint = core.DesignPoint
 	// TPIPoint is one design point of the Section 5 analysis.
 	TPIPoint = core.TPIPoint
 	// Optimum is the best design found by a sweep.

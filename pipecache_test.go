@@ -3,6 +3,7 @@ package pipecache
 // Integration tests of the public API: the paths a downstream user takes.
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -133,7 +134,7 @@ func TestPublicLabExperiments(t *testing.T) {
 	if len(fig.Labels) != 4 {
 		t.Fatalf("Figure 4 has %d series", len(fig.Labels))
 	}
-	pt, err := l.TPI(2, 2, 8, 8, LoadStatic, l.P.L2TimeNs)
+	pt, err := l.TPI(context.Background(), l.Query(), DesignPoint{B: 2, L: 2, ISizeKW: 8, DSizeKW: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
