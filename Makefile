@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-full bench-json fuzz chaos tables figures sweep ablations metrics serve bake golden ci clean
+.PHONY: all build test race race-ci vet bench bench-full bench-json fuzz chaos tables figures sweep ablations metrics serve bake golden ci clean
 
 all: build vet test
 
@@ -24,6 +24,10 @@ race:
 RACE_PKGS = ./internal/server ./internal/core ./internal/obs ./internal/trace \
 	./internal/fault ./internal/chaos ./internal/surface ./internal/cluster \
 	./internal/cpisim ./internal/cache
+
+# The race job CI runs (make ci and the workflow's race job).
+race-ci:
+	$(GO) test -race $(RACE_PKGS)
 
 # One iteration of every paper table/figure benchmark plus microbenches.
 bench:
@@ -99,7 +103,7 @@ ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -race $(RACE_PKGS)
+	$(MAKE) race-ci
 
 clean:
 	$(GO) clean ./...

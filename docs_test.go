@@ -1,0 +1,84 @@
+package pipecache
+
+import (
+	"encoding/json"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestDocsNameBenchmarks treats the docs' benchmark citations as checked
+// claims: every backticked `Benchmark…` name in README.md, DESIGN.md and
+// EXPERIMENTS.md must be a `func Benchmark…` in some _test.go file of the
+// repository (a `Name/sub` citation resolves through its top-level
+// function) or a row of BENCH_sim.json, so a renamed or deleted benchmark
+// that leaves the docs behind fails here.
+func TestDocsNameBenchmarks(t *testing.T) {
+	funcs := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			funcs[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile("BENCH_sim.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Benchmarks []struct {
+			Name string `json:"name"`
+		} `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatalf("BENCH_sim.json: %v", err)
+	}
+	rows := map[string]bool{}
+	for _, r := range report.Benchmarks {
+		rows[r.Name] = true
+	}
+
+	cite := regexp.MustCompile("`(Benchmark[^`\\s]*)`")
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllStringSubmatch(string(b), -1) {
+			name := m[1]
+			checked++
+			top, _, _ := strings.Cut(name, "/")
+			if !rows[name] && !funcs[top] {
+				t.Errorf("%s cites `%s`, which is neither a benchmark function nor a BENCH_sim.json row", doc, name)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no benchmark citations found; the docs pattern is stale")
+	}
+}

@@ -24,6 +24,7 @@ type bankMeta struct {
 	lines     int32 // number of lines (sets * assoc)
 	ci        int32 // index of the configuration in the bank
 	writeBack bool
+	fifo      bool // a hit leaves the line's age alone (see probeGeneral)
 	// Tree-PLRU only: offset of this configuration's per-set bit trees in
 	// the shared plru slab, and log2 of the associativity (the tree depth).
 	plruBase  int32
@@ -48,25 +49,23 @@ type bankMeta struct {
 type Bank struct {
 	cfgs []Config
 
-	// Lane-packed groups plus the general-kernel leftovers, routed to a
-	// policy-specific probe kernel at construction so LRU keeps its
-	// current per-probe cost and the other policies pay only their own.
+	// Lane-packed groups plus the general-kernel leftovers, routed at
+	// construction to one of two probe kernels: the age kernel (LRU and
+	// FIFO, which differ only in whether a hit refreshes the age) and the
+	// Tree-PLRU kernel.
 	packed   []*packedGroup
-	meta     []bankMeta // general LRU configurations
-	metaFIFO []bankMeta // general FIFO configurations
+	meta     []bankMeta // general LRU and FIFO configurations
 	metaPLRU []bankMeta // general Tree-PLRU configurations
 	// wtDerived marks packed write-through lanes: every write probes every
 	// lane, so Throughs is exactly the bank-level write count and is
 	// derived in Stats instead of counted per probe.
 	wtDerived []bool
 
-	// fullyPacked marks the common case of a single packed group covering
-	// every configuration: the probe path collapses to that group and a
-	// one-entry read memo becomes sound (packed hits mutate nothing, so a
-	// repeated read of the last probed block is a guaranteed all-lane hit).
-	fullyPacked bool
-	memoBlock   uint32
-	memoOK      bool
+	// solo is the single packed group when it covers every configuration
+	// (a lone direct-mapped LRU configuration, or a ladder of them sharing
+	// block size and write policy), nil otherwise: probe then collapses to
+	// that group's flattened hit path.
+	solo *packedGroup
 
 	// Shared general-kernel line state, indexed [meta.base + set*assoc +
 	// way]. A line's tag carries lineValid (bit 32) when the line holds
@@ -176,18 +175,15 @@ func NewBank(cfgs []Config) (*Bank, error) {
 			lines:     int32(lines),
 			ci:        int32(ci),
 			writeBack: cfg.WriteBack,
+			fifo:      cfg.Policy == PolicyFIFO,
 		}
-		// Route each configuration to its policy's kernel once, here, so the
-		// probe path never branches on policy.
-		switch cfg.Policy {
-		case PolicyFIFO:
-			b.metaFIFO = append(b.metaFIFO, m)
-		case PolicyTreePLRU:
+		// Route each configuration to its policy's kernel once, here.
+		if cfg.Policy == PolicyTreePLRU {
 			m.plruBase = int32(plruSets)
 			m.assocBits = uint32(bits.TrailingZeros32(uint32(cfg.Assoc)))
 			plruSets += sets
 			b.metaPLRU = append(b.metaPLRU, m)
-		default:
+		} else {
 			b.meta = append(b.meta, m)
 		}
 		total += lines
@@ -200,7 +196,9 @@ func NewBank(cfgs []Config) (*Bank, error) {
 	if plruSets > 0 {
 		b.plru = mempool.Uint64s(plruSets)
 	}
-	b.fullyPacked = b.AllPacked() && len(b.packed) == 1
+	if b.AllPacked() && len(b.packed) == 1 {
+		b.solo = b.packed[0]
+	}
 	return b, nil
 }
 
@@ -217,7 +215,7 @@ func (b *Bank) Config(i int) Config { return b.cfgs[i] }
 // AllPacked reports whether every configuration is covered by lane-packed
 // groups, with no general-kernel leftovers.
 func (b *Bank) AllPacked() bool {
-	return len(b.meta) == 0 && len(b.metaFIFO) == 0 && len(b.metaPLRU) == 0
+	return len(b.meta) == 0 && len(b.metaPLRU) == 0
 }
 
 // PackedGroups returns the number of lane-packed groups.
@@ -240,7 +238,7 @@ func (b *Bank) Release() {
 		mempool.PutUint64s(b.plru)
 		b.plru = nil
 	}
-	b.meta, b.metaFIFO, b.metaPLRU = nil, nil, nil
+	b.meta, b.metaPLRU = nil, nil
 }
 
 // Stats returns a copy of the i'th configuration's statistics.
@@ -294,14 +292,8 @@ func (b *Bank) probe(addr uint32, write bool, n uint64) uint64 {
 	} else {
 		b.reads += n
 	}
-	if b.fullyPacked {
-		g := b.packed[0]
+	if g := b.solo; g != nil {
 		block := addr >> g.blockBits
-		if !write && b.memoOK && block == b.memoBlock {
-			// The last probed block is resident in every lane (packed
-			// hits mutate no state), so a repeated read is a full hit.
-			return 0
-		}
 		// g.probe's body, flattened here to drop one call from the probe
 		// path (the dominant cost of a hit is the call overhead itself).
 		s := block & g.maskMax
@@ -315,12 +307,6 @@ func (b *Bank) probe(addr uint32, write bool, n uint64) uint64 {
 		} else {
 			miss = g.probeSlow(s, t, e, write)
 		}
-		if !write || g.writeBack {
-			// After an allocating probe every lane holds the block; a
-			// write-through write changes nothing, so the previous memo
-			// stays valid instead.
-			b.memoBlock, b.memoOK = block, true
-		}
 		return miss
 	}
 	var miss uint64
@@ -330,21 +316,21 @@ func (b *Bank) probe(addr uint32, write bool, n uint64) uint64 {
 	if len(b.meta) != 0 {
 		miss |= b.probeGeneral(addr, write)
 	}
-	if len(b.metaFIFO) != 0 {
-		miss |= b.probeFIFO(addr, write)
-	}
 	if len(b.metaPLRU) != 0 {
 		miss |= b.probePLRU(addr, write)
 	}
 	return miss
 }
 
-// probeGeneral runs the structure-of-arrays kernel over the
-// configurations the lane packing cannot express.
+// probeGeneral runs the structure-of-arrays kernel over the LRU and FIFO
+// configurations the lane packing cannot express. The lru slab holds
+// each line's age: the last-use tick under LRU, the fill tick under FIFO
+// (whose hits leave it alone), so one strict-minimum victim scan serves
+// both policies.
 func (b *Bank) probeGeneral(addr uint32, write bool) uint64 {
 	// One tick per probe (not per word): each probe touches at most one
-	// line per configuration, so relative last-use order — all LRU needs —
-	// is preserved exactly versus the per-access tick of Cache.
+	// line per configuration, so relative last-use (LRU) and fill (FIFO)
+	// order is preserved exactly versus the per-access tick of Cache.
 	b.tick++
 	var miss uint64
 	prevBits := uint32(0xffffffff)
@@ -372,7 +358,7 @@ func (b *Bank) probeGeneral(addr uint32, write bool) uint64 {
 					// the most recent line, so keeping it at way 0 makes
 					// the common hit a single compare. Pure way
 					// permutation within the set — the line's tag, dirty
-					// bit, and lru tick travel together, and LRU ties
+					// bit, and age tick travel together, and age ties
 					// arise only among invalid lines, which are
 					// interchangeable (tag 0, clean, lru 0) — so every
 					// observable (miss masks, stats) is unchanged.
@@ -381,7 +367,9 @@ func (b *Bank) probeGeneral(addr uint32, write bool) uint64 {
 					b.lru[i], b.lru[base] = b.lru[base], b.lru[i]
 					i = base
 				}
-				b.lru[i] = b.tick
+				if !m.fifo {
+					b.lru[i] = b.tick
+				}
 				if write {
 					if m.writeBack {
 						b.dirty[i] = true
@@ -430,84 +418,9 @@ func (b *Bank) probeGeneral(addr uint32, write bool) uint64 {
 	return miss
 }
 
-// probeFIFO is probeGeneral for FIFO configurations: the lru slab holds
-// the fill tick instead of the last-use tick, so a hit refreshes nothing
-// and the strict-minimum victim scan evicts the oldest-filled way. The
-// move-to-front swap stays sound for the same reason as in probeGeneral —
-// the fill tick travels with the line, resident ticks are unique, and
-// ties arise only among interchangeable invalid lines.
-func (b *Bank) probeFIFO(addr uint32, write bool) uint64 {
-	b.tick++
-	var miss uint64
-	prevBits := uint32(0xffffffff)
-	var block uint32
-	for mi := range b.metaFIFO {
-		m := &b.metaFIFO[mi]
-		if m.blockBits != prevBits {
-			block = addr >> m.blockBits
-			prevBits = m.blockBits
-		}
-		set := block & m.setMask
-		vtag := uint64(block>>m.tagShift) | lineValid
-		ci := m.ci
-
-		base := int(m.base) + int(set)*int(m.assoc)
-		hit := false
-		for w := 0; w < int(m.assoc); w++ {
-			i := base + w
-			if b.tags[i] == vtag {
-				if w != 0 {
-					b.tags[i], b.tags[base] = b.tags[base], b.tags[i]
-					b.dirty[i], b.dirty[base] = b.dirty[base], b.dirty[i]
-					b.lru[i], b.lru[base] = b.lru[base], b.lru[i]
-					i = base
-				}
-				// FIFO: age is the fill time, so the hit leaves lru alone.
-				if write {
-					if m.writeBack {
-						b.dirty[i] = true
-					} else {
-						b.stats[ci].Throughs++
-					}
-				}
-				hit = true
-				break
-			}
-		}
-		if hit {
-			continue
-		}
-		miss |= 1 << uint(ci)
-		st := &b.stats[ci]
-		if write {
-			st.WriteMisses++
-			if !m.writeBack {
-				st.Throughs++
-				continue
-			}
-		} else {
-			st.ReadMisses++
-		}
-		victim := base
-		for w := 1; w < int(m.assoc); w++ {
-			i := base + w
-			if b.lru[i] < b.lru[victim] {
-				victim = i
-			}
-		}
-		if b.dirty[victim] {
-			st.Writebacks++
-		}
-		b.dirty[victim] = write
-		b.tags[victim] = vtag
-		b.lru[victim] = b.tick
-	}
-	return miss
-}
-
 // probePLRU runs the Tree-PLRU kernel. No move-to-front here: the bit
 // tree addresses ways by position, so the permutation the LRU/FIFO
-// kernels rely on would desynchronize tree and contents.
+// kernel relies on would desynchronize tree and contents.
 func (b *Bank) probePLRU(addr uint32, write bool) uint64 {
 	var miss uint64
 	prevBits := uint32(0xffffffff)
@@ -584,8 +497,7 @@ func (b *Bank) Flush() {
 	for _, g := range b.packed {
 		g.flush()
 	}
-	b.memoOK = false
-	for _, metas := range [][]bankMeta{b.meta, b.metaFIFO, b.metaPLRU} {
+	for _, metas := range [][]bankMeta{b.meta, b.metaPLRU} {
 		for mi := range metas {
 			m := &metas[mi]
 			for i := int(m.base); i < int(m.base+m.lines); i++ {

@@ -272,10 +272,10 @@ func TestPolicyIdentityDirectMapped(t *testing.T) {
 	}
 }
 
-// TestPackedGatePolicies pins the lane-packing gate (the satellite-2
-// hardening): only direct-mapped LRU configurations pack; non-LRU
-// policies fall back to the general kernels (so AllPacked is false and
-// the Direct view is unavailable) until packed variants exist.
+// TestPackedGatePolicies pins the lane-packing gate: only direct-mapped
+// LRU configurations pack; FIFO and Tree-PLRU configurations go to the
+// general kernels, even alone in a bank, so every policy-labeled result
+// is answered by that policy's own code path (see packable).
 func TestPackedGatePolicies(t *testing.T) {
 	direct := func(pol Policy) []Config {
 		var cfgs []Config
@@ -293,14 +293,12 @@ func TestPackedGatePolicies(t *testing.T) {
 		if b.AllPacked() || b.PackedGroups() != 0 {
 			t.Fatalf("%v ladder packed: allPacked=%v groups=%d", pol, b.AllPacked(), b.PackedGroups())
 		}
-		single := mustBank(t, direct(pol)[:1])
-		if single.Direct() != nil {
-			t.Fatalf("%v single-config bank exposed a Direct view", pol)
+		if single := mustBank(t, direct(pol)[:1]); single.AllPacked() {
+			t.Fatalf("%v single-config bank packed", pol)
 		}
 	}
-	lruSingle := mustBank(t, direct(PolicyLRU)[:1])
-	if lruSingle.Direct() == nil {
-		t.Fatal("LRU single-config bank lost its Direct view")
+	if lruSingle := mustBank(t, direct(PolicyLRU)[:1]); !lruSingle.AllPacked() || lruSingle.PackedGroups() != 1 {
+		t.Fatal("LRU single-config bank not packed")
 	}
 }
 

@@ -49,7 +49,7 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 
 // TestSimReleaseRecycles pins the construction side of the arena
 // guarantee: building and releasing simulators in a steady loop recycles
-// the pooled slabs (bank tables, Direct views) instead of growing the
+// the pooled slabs (bank tables and packed groups) instead of growing the
 // heap per pass. The translation is rebuilt per Sim (it is cheap and
 // proportional to the program, not the pass), so the bound is loose —
 // the point is that it does not scale with the instruction budget.

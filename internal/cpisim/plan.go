@@ -293,9 +293,7 @@ func (h *benchSink) planFor(aux *sync.Map, kinds []uint8, as, bvals []uint32) *c
 }
 
 // applyPlan books one compiled chunk: counter additions, histogram
-// merges, the load-stall weighting, and the two probe streams, through
-// the inlined single-configuration views when every bank has one and
-// through the full bank kernels otherwise.
+// merges, the load-stall weighting, and the two probe streams.
 func (h *benchSink) applyPlan(p *chunkPlan) {
 	b := h.b
 	res := &b.res
@@ -316,61 +314,14 @@ func (h *benchSink) applyPlan(p *chunkPlan) {
 	res.LoadStall += p.loadStall(h.s.cfg.LoadSlots, h.s.cfg.LoadScheme == LoadDynamic)
 	b.skip = int(p.skipOut)
 
-	if h.s.direct {
-		h.probePlanDirect(p)
-	} else {
-		h.probePlanBanks(p)
-	}
+	h.probePlan(p)
 }
 
-// probePlanDirect streams the plan's probes through the inlined
-// single-configuration views.
-func (h *benchSink) probePlanDirect(p *chunkPlan) {
-	res := &h.b.res
-	if ibd := h.s.ibd; ibd != nil {
-		// One probe per block touched by the range: a single-configuration
-		// probe is exactly one block wide, so the probe split collapses to
-		// iterating block numbers (never empty — zero-length ranges are
-		// not planned).
-		bb := ibd.BlockBits()
-		for _, f := range p.fetches {
-			addr := uint32(f >> 16)
-			last := (addr + uint32(f&0xffff) - 1) >> bb
-			for blk := addr >> bb; ; blk++ {
-				if !ibd.ReadHitBlock(blk) {
-					ibd.ReadMissBlock(blk)
-					res.IMisses[0]++
-				}
-				if blk >= last {
-					break
-				}
-			}
-		}
-		ibd.AddAccesses(uint64(p.ifetches), 0)
-	}
-	if dbd := h.s.dbd; dbd != nil {
-		for _, r := range p.drefs {
-			addr := uint32(r >> 1)
-			if r&1 != 0 {
-				if !dbd.WriteHit(addr) {
-					dbd.WriteMiss(addr)
-					res.DWriteMisses[0]++
-				}
-			} else {
-				if !dbd.ReadHit(addr) {
-					dbd.ReadMiss(addr)
-					res.DReadMisses[0]++
-				}
-			}
-		}
-		dbd.AddAccesses(uint64(p.dreads), uint64(p.dwrites))
-	}
-}
-
-// probePlanBanks streams the plan's probes through the full bank kernels
-// (multi-configuration ladders); miss masks book per-configuration
-// counters exactly as the per-event path does (fetchRange, mem).
-func (h *benchSink) probePlanBanks(p *chunkPlan) {
+// probePlan streams the plan's probes through the bank kernels, whether
+// a bank holds a ladder or a single configuration; miss masks book
+// per-configuration counters exactly as the per-event path does
+// (fetchRange, mem).
+func (h *benchSink) probePlan(p *chunkPlan) {
 	if ib := h.s.ibank; ib != nil {
 		probe := ib.ProbeWords()
 		probeM := probe - 1

@@ -103,7 +103,7 @@ func checkLiveAndReplay(t *testing.T, cfg Config, ws []Workload, insts int64, tr
 // a live run of the same configuration — across branch schemes, delay
 // depths, cache geometries, and even a quantum different from the
 // capturing pass's. The configurations cover both replay paths: compiled
-// chunk plans probing single-configuration views, packed ladders, and
+// chunk plans probing single-configuration banks, packed ladders, and
 // mixed packed/set-associative ladders, and the generic dispatch the BTB
 // scheme takes.
 func TestReplayBitIdentical(t *testing.T) {

@@ -33,7 +33,8 @@ type Workload struct {
 //
 // Each cache level is a fused cache.Bank: every candidate configuration
 // of the level is evaluated by one probe returning a miss bitmask, rather
-// than by a separate Cache probed per configuration. The interpreter
+// than by a separate Cache probed per configuration; a single
+// configuration is a one-entry bank. The interpreter
 // drives the banks through its compact event stream (interp.RunEvents),
 // so the per-event work is a direct switch dispatch instead of interface
 // calls.
@@ -46,13 +47,6 @@ type Sim struct {
 	benches []*benchState
 	evbuf   []interp.Event
 	obs     *obs.Registry
-
-	// Call-free single-configuration probe views (plan.go); non-nil only
-	// when the corresponding bank is a single direct-mapped configuration.
-	// direct gates the inlined plan probe loops: every configured bank
-	// must have a view.
-	ibd, dbd *cache.Direct
-	direct   bool
 
 	// replayAux is the active trace's plan cache (plan.go) while a replay
 	// is running; nil during live runs, where no columns arrive anyway.
@@ -170,13 +164,6 @@ func New(cfg Config, ws []Workload) (*Sim, error) {
 				bs.ctis = cachedBlockMeta(bs.prog, bs.xlat, bs.slots, bs.prof)
 			}
 		}
-		if s.ibank != nil {
-			s.ibd = s.ibank.Direct()
-		}
-		if s.dbank != nil {
-			s.dbd = s.dbank.Direct()
-		}
-		s.direct = (s.ibank == nil || s.ibd != nil) && (s.dbank == nil || s.dbd != nil)
 	}
 	return s, nil
 }
@@ -200,14 +187,6 @@ func (s *Sim) Release() {
 	// the references.
 	for _, b := range s.benches {
 		b.ctis = nil
-	}
-	if s.ibd != nil {
-		s.ibd.Release()
-		s.ibd = nil
-	}
-	if s.dbd != nil {
-		s.dbd.Release()
-		s.dbd = nil
 	}
 }
 

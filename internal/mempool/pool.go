@@ -64,7 +64,6 @@ func (p *pools[T]) put(s []T) {
 
 var (
 	u64Pools  pools[uint64]
-	u32Pools  pools[uint32]
 	i32Pools  pools[int32]
 	boolPools pools[bool]
 )
@@ -74,12 +73,6 @@ func Uint64s(n int) []uint64 { return u64Pools.get(n) }
 
 // PutUint64s recycles a slab obtained from Uint64s.
 func PutUint64s(s []uint64) { u64Pools.put(s) }
-
-// Uint32s returns a zeroed []uint32 of length n from the pool.
-func Uint32s(n int) []uint32 { return u32Pools.get(n) }
-
-// PutUint32s recycles a slab obtained from Uint32s.
-func PutUint32s(s []uint32) { u32Pools.put(s) }
 
 // Int32s returns a zeroed []int32 of length n from the pool.
 func Int32s(n int) []int32 { return i32Pools.get(n) }
