@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
@@ -305,17 +306,15 @@ func policyStudyBench(insts int64) (func(b *testing.B) int64, error) {
 	}, nil
 }
 
-// coordinatorBench stands up `shards` backend servers over fresh labs plus a
-// coordinator fanning merged reductions across them. Each iteration issues a
-// /v1/best with a fresh l2_time_ns, which misses every result cache on the
-// path; the simulation passes themselves are l2-independent and prewarmed
-// out of the loop, so the measured op is the distributed sub-range sweep —
-// fan-out, per-point recompute on each shard, canonical-order merge. The
-// in-process shards share this host's GOMAXPROCS: with cores to spare the
-// 1/2/4 ladder shows the sweep wall-time splitting across the fleet, and at
-// GOMAXPROCS=1 it isolates the coordinator's pure fan-out overhead instead
-// (read the ladder against the report's gomaxprocs field).
-func coordinatorBench(insts int64, shards int) (func(b *testing.B) int64, error) {
+// bestBench times a stream of /v1/best requests, each at a fresh
+// l2_time_ns so it misses every result cache on the path. shards == 0
+// sends the stream straight to one server's handler; otherwise a
+// coordinator fronts that many backend servers over loopback HTTP and
+// proxies each request to the shard its key routes to. The simulation
+// passes are l2-independent and prewarmed on every backend out of the
+// loop, so the measured op is one backend's fresh-L2 optimization plus,
+// behind a coordinator, the proxy hop.
+func bestBench(insts int64, shards int) (func(b *testing.B) int64, error) {
 	var specs []pipecache.Spec
 	for _, name := range []string{"gcc", "yacc"} {
 		s, ok := pipecache.LookupBenchmark(name)
@@ -330,8 +329,15 @@ func coordinatorBench(insts int64, shards int) (func(b *testing.B) int64, error)
 	}
 	p := pipecache.DefaultParams()
 	p.Insts = insts
+	post := func(h http.Handler, body string) (int, string) {
+		req := httptest.NewRequest("POST", "/v1/best", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code, rec.Body.String()
+	}
+	var h http.Handler
 	var urls []string
-	for i := 0; i < shards; i++ {
+	for i := 0; i < max(shards, 1); i++ {
 		lab, err := pipecache.NewLab(suite, p)
 		if err != nil {
 			return nil, err
@@ -341,39 +347,37 @@ func coordinatorBench(insts int64, shards int) (func(b *testing.B) int64, error)
 		if err != nil {
 			return nil, err
 		}
-		urls = append(urls, httptest.NewServer(srv.Handler()).URL)
+		h = srv.Handler()
+		// One optimization warms every (b, scheme) pass the stream needs.
+		if code, body := post(h, `{"loads":"dynamic","l2_time_ns":34.5}`); code != 200 {
+			return nil, fmt.Errorf("server warmup: status %d: %s", code, body)
+		}
+		if shards > 0 {
+			urls = append(urls, httptest.NewServer(h).URL)
+		}
 	}
-	coord, err := pipecache.NewCoordinator(pipecache.CoordinatorConfig{
-		Shards:    urls,
-		Params:    p,
-		AccessLog: io.Discard,
-		// A hedge firing mid-iteration would double a shard's work and
-		// measure the policy, not the fan-out.
-		HedgeAfter: time.Minute,
-	})
-	if err != nil {
-		return nil, err
-	}
-	h := coord.Handler()
-	post := func(body string) (int, string) {
-		req := httptest.NewRequest("POST", "/v1/best", strings.NewReader(body))
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec.Code, rec.Body.String()
-	}
-	// The first full-space fan-out warms every (b, scheme) pass each shard's
-	// deterministic sub-range needs.
-	if code, body := post(`{"loads":"dynamic","l2_time_ns":34.5}`); code != 200 {
-		return nil, fmt.Errorf("coordinator warmup (%d shards): status %d: %s", shards, code, body)
+	if len(urls) > 0 {
+		coord, err := pipecache.NewCoordinator(pipecache.CoordinatorConfig{
+			Shards:    urls,
+			Params:    p,
+			AccessLog: io.Discard,
+			// A hedge firing mid-iteration would double a shard's work and
+			// measure the policy, not the proxy.
+			HedgeAfter: time.Minute,
+		})
+		if err != nil {
+			return nil, err
+		}
+		h = coord.Handler()
 	}
 	// seq outlives the closure so re-runs at larger b.N never repeat an
-	// l2_time_ns and sneak a coordinator cache hit into the timings.
+	// l2_time_ns and sneak a result-cache hit into the timings.
 	var seq int64
 	return func(b *testing.B) int64 {
 		for i := 0; i < b.N; i++ {
 			seq++
 			body := fmt.Sprintf(`{"loads":"dynamic","l2_time_ns":%.6f}`, 35+float64(seq)*1e-6)
-			if code, rb := post(body); code != 200 {
+			if code, rb := post(h, body); code != 200 {
 				b.Fatalf("status %d: %s", code, rb)
 			}
 		}
@@ -532,26 +536,26 @@ func main() {
 	bankRec.NsPerProbeConfig = bankRec.NsPerOp / float64(len(ladder))
 	rep.Benchmarks = append(rep.Benchmarks, bankRec)
 
-	var fanoutBase benchRecord
-	for _, shards := range []int{1, 2, 4} {
-		fn, err := coordinatorBench(*insts, shards)
+	var bestRecs []benchRecord
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"BenchmarkServerBest", 0}, {"BenchmarkCoordinatorBest", 2}} {
+		fn, err := bestBench(*insts, c.shards)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}
-		rec := run(fmt.Sprintf("BenchmarkCoordinatorFanout/shards=%d", shards), fn)
-		rep.Benchmarks = append(rep.Benchmarks, rec)
-		if shards == 1 {
-			fanoutBase = rec
-			continue
-		}
-		rep.Speedups = append(rep.Speedups, speedupRecord{
-			Name:     fmt.Sprintf("coordinator_fanout_%d_shards_vs_1", shards),
-			Baseline: fanoutBase.Name,
-			Against:  rec.Name,
-			Speedup:  fanoutBase.NsPerOp / rec.NsPerOp,
-		})
+		bestRecs = append(bestRecs, run(c.name, fn))
 	}
+	rep.Benchmarks = append(rep.Benchmarks, bestRecs...)
+	// The coordinator's proxy overhead: below 1 by the cost of its hop.
+	rep.Speedups = append(rep.Speedups, speedupRecord{
+		Name:     "coordinator_vs_single_node",
+		Baseline: bestRecs[0].Name,
+		Against:  bestRecs[1].Name,
+		Speedup:  bestRecs[0].NsPerOp / bestRecs[1].NsPerOp,
+	})
 
 	f, err := os.Create(*out)
 	if err != nil {

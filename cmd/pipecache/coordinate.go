@@ -15,9 +15,8 @@ import (
 )
 
 // runCoordinate starts the sharded coordinator tier: a front that
-// consistent-hashes single-point requests across backend replicas and fans
-// design-space reductions out as contiguous sub-range sweeps, merging the
-// results into bodies byte-identical to a single backend's.
+// consistent-hashes every request onto one backend replica and relays its
+// answer, so bodies are byte-identical to a single backend's.
 func runCoordinate(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
@@ -29,7 +28,6 @@ func runCoordinate(args []string) error {
 	hedgeAfter := fs.Duration("hedge-after", 100*time.Millisecond, "hedging delay floor")
 	hedgeQuantile := fs.Float64("hedge-quantile", 0.95, "latency quantile that arms the hedge timer")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-shard-request deadline")
-	cacheEntries := fs.Int("cache-entries", 256, "merged-body result cache bound")
 	grace := fs.Duration("shutdown-grace", 10*time.Second, "in-flight drain bound on shutdown")
 	fs.Parse(args)
 
@@ -43,11 +41,11 @@ func runCoordinate(args []string) error {
 		}
 	}
 
-	// The coordinator carries no lab: routing keys and the canonical
-	// enumeration derive from the default parameters, which every backend
-	// built by this CLI shares (-insts and -benchmarks shape the suite, not
-	// the design space; a true mismatch fails loudly at the backends'
-	// /v1/sweep-range validation).
+	// The coordinator carries no lab: request normalization and routing
+	// keys derive from the default parameters, which every backend built by
+	// this CLI shares (-insts and -benchmarks shape the suite, not the
+	// design space; a request outside a backend's space fails loudly at that
+	// backend's validation).
 	coord, err := cluster.New(cluster.Config{
 		Addr:           *addr,
 		Shards:         urls,
@@ -58,7 +56,6 @@ func runCoordinate(args []string) error {
 		HedgeAfter:     *hedgeAfter,
 		HedgeQuantile:  *hedgeQuantile,
 		RequestTimeout: *reqTimeout,
-		CacheEntries:   *cacheEntries,
 		ShutdownGrace:  *grace,
 		Params:         core.DefaultParams(),
 	})

@@ -12,8 +12,8 @@
 //	pipecache serve    [flags]   serve the design space over HTTP/JSON with
 //	                             result caching and live metrics
 //	pipecache coordinate [flags] front a fleet of serve backends: consistent-
-//	                             hash routing, sub-range fan-out, and merged
-//	                             reductions byte-identical to a single node
+//	                             hash routing with hedging and failover,
+//	                             answers byte-identical to a single node
 //	pipecache bake     [flags]   precompute the design-space surface into a
 //	                             PSF1 artifact for O(1) serving
 //	pipecache tracegen [flags]   write a multiprogrammed reference trace
@@ -101,8 +101,8 @@ commands:
   simulate   evaluate one design point
   serve      HTTP/JSON design-space service (caching, backpressure,
              /metrics, graceful drain)
-  coordinate sharded coordinator tier: consistent-hash fan-out over serve
-             backends with bit-identical merged reductions
+  coordinate sharded coordinator tier: consistent-hash proxy over serve
+             backends with byte-identical answers
   bake       precompute the design-space surface into a PSF1 artifact
              for O(1) serving (pipecache serve -surface)
   version    print the binary's build identity

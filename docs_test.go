@@ -2,10 +2,13 @@ package pipecache
 
 import (
 	"encoding/json"
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -80,5 +83,90 @@ func TestDocsNameBenchmarks(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no benchmark citations found; the docs pattern is stale")
+	}
+}
+
+// TestDocsNameMetrics treats the docs' metric and fault-point citations as
+// checked claims: every backticked `ns.name` in README.md, DESIGN.md and
+// EXPERIMENTS.md, with ns one of lab, cluster, server, surface, trace or
+// cpisim and the name all lower case (Go identifiers such as
+// `server.RequestKey` are TestDocsNameCoreDeclarations' business), must be
+// a string literal in the module's non-test Go — a registry name or a
+// fault.NewPoint name. A literal ending in "." that the code concatenates
+// onto (`"cluster.req." + name`) covers every name it prefixes. Shorthand
+// citations (`trace.store.*`, `cluster.hedge.fired/won`) are not checked.
+func TestDocsNameMetrics(t *testing.T) {
+	literals := map[string]bool{}
+	var prefixes []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			// A nested module (perfbench) names its own metrics.
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fset := token.NewFileSet()
+		var sc scanner.Scanner
+		sc.Init(fset.AddFile(path, -1, len(src)), src, nil, 0)
+		for {
+			_, tok, lit := sc.Scan()
+			if tok == token.EOF {
+				return nil
+			}
+			if tok != token.STRING {
+				continue
+			}
+			v, err := strconv.Unquote(lit)
+			if err != nil {
+				continue
+			}
+			literals[v] = true
+			if strings.HasSuffix(v, ".") {
+				prefixes = append(prefixes, v)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cite := regexp.MustCompile("`((?:lab|cluster|server|surface|trace|cpisim)\\.[a-z0-9_.]+)`")
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllStringSubmatch(string(b), -1) {
+			name := m[1]
+			checked++
+			found := literals[name]
+			for _, p := range prefixes {
+				found = found || strings.HasPrefix(name, p)
+			}
+			if !found {
+				t.Errorf("%s cites `%s`, which no non-test Go string literal names", doc, name)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no metric citations found; the docs pattern is stale")
 	}
 }

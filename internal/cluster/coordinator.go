@@ -1,33 +1,21 @@
 // Package cluster is the coordinator tier of the pipecache service: a
-// front that fans design-space work out across N backend replicas (shards)
-// while answering with bodies and ETags byte-identical to a single-node
-// server.
+// front that spreads requests across N backend replicas (shards) while
+// answering with bodies and ETags byte-identical to a single-node server.
 //
-// Routing comes in two shapes:
-//
-//   - single-key endpoints (/v1/simulate, /v1/figures/{n}, /v1/tables/{n})
-//     are proxied whole. The coordinator derives the same content-addressed
-//     request key the backend uses (server.RequestKey over the normalized
-//     request) and consistent-hashes it onto a shard, so each shard's
-//     result cache, overlay, and trace store stay hot on a stable slice of
-//     the key space;
-//
-//   - reductions (/v1/best, /v1/sweep-range) are fanned out as contiguous
-//     sub-ranges of the canonical design-space enumeration via the backend
-//     /v1/sweep-range endpoint, then merged in enumeration order. The
-//     single-node sweep and optimizer walk the same order with the same
-//     strict-less reduction, and JSON transport of float64 values
-//     round-trips exactly, so the merged body is byte-for-byte what one
-//     backend would have served — the property the differential suite
-//     (cluster diff tests) pins.
+// Routing has one shape: every /v1 request is proxied whole to one shard.
+// The coordinator derives the same content-addressed request key the
+// backend uses (server.RequestKey over the normalized request) and
+// consistent-hashes it onto the fleet, so repeats of a request land on the
+// same shard and its result cache, overlay, and trace store stay hot on a
+// stable slice of the key space. The shard's body is relayed unchanged, so
+// it is byte-for-byte what a single backend serves — the property the
+// differential suite (cluster diff tests) pins.
 //
 // Robustness: requests hedge onto the next shard in ring order after a
-// latency-percentile delay; transport failures drain a shard immediately
-// and a /healthz probe loop re-includes it; a sub-range lost to a dying
-// shard is deterministically re-partitioned across the survivors; and
-// shard backpressure aggregates — the coordinator answers 429 with the
-// maximum Retry-After over the shards it asked, clamped to the same 1..30s
-// contract the backends honor.
+// latency-percentile delay; transport failures and 5xx answers fail over
+// to the next shard, and a transport failure drains its shard until a
+// /healthz probe re-includes it; and a shard's 429 is relayed with its
+// Retry-After clamped to the same 1..30s contract the backends honor.
 package cluster
 
 import (
@@ -38,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -49,21 +36,16 @@ import (
 	"time"
 
 	"pipecache/internal/core"
-	"pipecache/internal/cpisim"
 	"pipecache/internal/fault"
 	"pipecache/internal/obs"
 	"pipecache/internal/server"
 )
 
-// Fault points of the coordinator's shard-facing paths. ptShardRequest sits
-// on proxied single-key requests, ptShardRange on sub-range fan-out legs;
-// both simulate a shard that errors, hangs, or drops the connection, and
-// the differential chaos suite asserts the merged responses stay
-// byte-identical underneath them.
-var (
-	ptShardRequest = fault.NewPoint("cluster.shard.request")
-	ptShardRange   = fault.NewPoint("cluster.shard.range")
-)
+// ptShardRequest is the fault point of the coordinator's proxied shard
+// requests: it simulates a shard that errors, hangs, or drops the
+// connection, and the differential chaos suite asserts the relayed
+// responses stay byte-identical underneath it.
+var ptShardRequest = fault.NewPoint("cluster.shard.request")
 
 // errNoShards means every shard is draining (or none were configured).
 var errNoShards = errors.New("cluster: no healthy shards")
@@ -71,16 +53,6 @@ var errNoShards = errors.New("cluster: no healthy shards")
 // maxShardResponse bounds one shard response body (a full design-space
 // sweep is a few hundred KB; anything near this is a broken shard).
 const maxShardResponse = 64 << 20
-
-// backpressureError aggregates shard 429s: retryAfter is the maximum
-// Retry-After observed across the shards that pushed back.
-type backpressureError struct {
-	retryAfter int
-}
-
-func (e *backpressureError) Error() string {
-	return fmt.Sprintf("cluster: shards saturated (retry after %ds)", e.retryAfter)
-}
 
 // Shard-advertised backoffs are re-bounded with server.ClampRetryAfter —
 // the single definition of the 1..30s Retry-After contract the backend
@@ -115,17 +87,14 @@ type Config struct {
 	HedgeQuantile float64
 	// RequestTimeout bounds each shard-facing request (default 120s).
 	RequestTimeout time.Duration
-	// CacheEntries bounds the coordinator's merged-body result cache
-	// (default 256).
-	CacheEntries int
 	// ShutdownGrace bounds the drain on shutdown (default 10s).
 	ShutdownGrace time.Duration
 	// AccessLog receives one line per request (default os.Stderr;
 	// io.Discard silences it).
 	AccessLog io.Writer
 	// Params must match the backends' lab parameters; it defines the
-	// canonical enumeration the coordinator partitions and the request
-	// normalization behind its routing keys (default core.DefaultParams()).
+	// request normalization behind the coordinator's routing keys (default
+	// core.DefaultParams()).
 	Params core.Params
 	// Client is the shard-facing HTTP client (default http.DefaultClient
 	// semantics with no global timeout; per-request contexts bound it).
@@ -157,9 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 120 * time.Second
 	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 256
-	}
 	if c.ShutdownGrace <= 0 {
 		c.ShutdownGrace = 10 * time.Second
 	}
@@ -180,12 +146,10 @@ func (c Config) withDefaults() Config {
 type Coordinator struct {
 	cfg    Config
 	params core.Params
-	space  []core.DesignPoint
 	shards []*Shard
 	ring   *Ring
 	reg    *obs.Registry
 	client *http.Client
-	cache  *server.ResultCache
 	mux    *http.ServeMux
 	log    *log.Logger
 	start  time.Time
@@ -224,12 +188,10 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:    cfg,
 		params: cfg.Params,
-		space:  core.DesignSpace(cfg.Params),
 		shards: shards,
 		ring:   NewRing(names, cfg.Replicas),
 		reg:    reg,
 		client: cfg.Client,
-		cache:  server.NewResultCache(cfg.CacheEntries, reg),
 		mux:    http.NewServeMux(),
 		log:    log.New(cfg.AccessLog, "", log.LstdFlags|log.Lmicroseconds),
 		start:  time.Now(),
@@ -410,12 +372,12 @@ type shardResult struct {
 	cacheTier  string
 }
 
-// doShard issues one request against s through the given fault point,
-// recording per-shard and fleet-wide accounting. A returned error is a
-// transport-level failure (the shard did not answer); any HTTP status is a
-// successful exchange and comes back as a shardResult.
-func (c *Coordinator) doShard(ctx context.Context, pt *fault.Point, s *Shard, method, path string, body []byte) (*shardResult, error) {
-	if err := pt.Inject(); err != nil {
+// doShard issues one request against s through the ptShardRequest fault
+// point, recording per-shard and fleet-wide accounting. A returned error is
+// a transport-level failure (the shard did not answer); any HTTP status is
+// a successful exchange and comes back as a shardResult.
+func (c *Coordinator) doShard(ctx context.Context, s *Shard, method, path string, body []byte) (*shardResult, error) {
+	if err := ptShardRequest.Inject(); err != nil {
 		s.errors.Add(1)
 		c.reg.Counter("cluster.shard.errors").Inc()
 		return nil, err
@@ -465,13 +427,10 @@ func (c *Coordinator) doShard(ctx context.Context, pt *fault.Point, s *Shard, me
 }
 
 // raceShards runs do against shards[0], hedging onto the next shard each
-// time the hedge timer fires before an answer arrives, and — when failover
-// is set — advancing to the next shard on transport errors and 5xx. The
-// first completed exchange wins (a hedged win is counted); transport
-// failures drain the failing shard. With failover off, errors are not
-// retried here — the caller's re-partition loop is the recovery path — but
-// hedging still applies.
-func (c *Coordinator) raceShards(ctx context.Context, shards []*Shard, failover bool, do func(ctx context.Context, s *Shard) (*shardResult, error)) (*shardResult, error) {
+// time the hedge timer fires before an answer arrives, and advancing to the
+// next shard on transport errors and 5xx. The first completed exchange wins
+// (a hedged win is counted); transport failures drain the failing shard.
+func (c *Coordinator) raceShards(ctx context.Context, shards []*Shard, do func(ctx context.Context, s *Shard) (*shardResult, error)) (*shardResult, error) {
 	if len(shards) == 0 {
 		return nil, errNoShards
 	}
@@ -517,13 +476,13 @@ func (c *Coordinator) raceShards(ctx context.Context, shards []*Shard, failover 
 				if rctx.Err() == nil {
 					c.markUnhealthy(o.s, o.err)
 				}
-				if failover && launched < len(shards) {
+				if launched < len(shards) {
 					launch(false)
 					outstanding++
 				}
 				continue
 			}
-			if failover && o.res.status >= http.StatusInternalServerError {
+			if o.res.status >= http.StatusInternalServerError {
 				// A shard answered but could not serve (shutdown drain, an
 				// injected abort): try the next one, keeping this answer as
 				// the fallback if the whole sequence fails the same way.
@@ -566,11 +525,11 @@ func (c *Coordinator) routeSequence(key string) []*Shard {
 	return append(healthy, draining...)
 }
 
-// proxy forwards one single-key request along the key's shard sequence and
-// relays the winning answer.
+// proxy forwards one request along its key's shard sequence and relays the
+// winning answer.
 func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, key, method, path string, body []byte) {
-	res, err := c.raceShards(r.Context(), c.routeSequence(key), true, func(ctx context.Context, s *Shard) (*shardResult, error) {
-		return c.doShard(ctx, ptShardRequest, s, method, path, body)
+	res, err := c.raceShards(r.Context(), c.routeSequence(key), func(ctx context.Context, s *Shard) (*shardResult, error) {
+		return c.doShard(ctx, s, method, path, body)
 	})
 	if err != nil {
 		c.writeUpstreamError(w, err)
@@ -579,55 +538,46 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, key, method,
 	c.relay(w, r, res)
 }
 
-// relay writes a shard's answer to the client. 200 bodies are re-served
-// through writeBody (recomputing the ETag over the same bytes, so it equals
-// the shard's tag); other statuses pass through, with 429 Retry-After
-// re-clamped to the 1..30s contract.
+// relay writes a shard's answer to the client. A 200 is finished exactly
+// as the backend does — same ETag derivation (recomputed over the same
+// bytes, so it equals the shard's tag), same If-None-Match handling, same
+// trailing newline — so coordinator and single-node responses are
+// byte-identical on the wire. Other statuses pass through, with a 429's
+// Retry-After re-clamped to the 1..30s contract.
 func (c *Coordinator) relay(w http.ResponseWriter, r *http.Request, res *shardResult) {
+	h := w.Header()
 	if res.status == http.StatusOK {
+		body := bytes.TrimSuffix(res.body, []byte("\n"))
+		etag := server.StrongETag(body)
 		tier := res.cacheTier
 		if tier == "" {
 			tier = "upstream"
 		}
-		c.writeBody(w, r, bytes.TrimSuffix(res.body, []byte("\n")), tier)
+		h.Set("Content-Type", "application/json")
+		h.Set("ETag", etag)
+		h.Set("X-Cache", tier)
+		if inm := r.Header.Get("If-None-Match"); inm != "" && server.ETagMatch(inm, etag) {
+			c.reg.Counter("cluster.requests_not_modified").Inc()
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		w.Write(body)
+		w.Write([]byte("\n"))
 		return
 	}
 	if res.status == http.StatusTooManyRequests {
 		c.reg.Counter("cluster.backpressure").Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(server.ClampRetryAfter(res.retryAfter)))
+		h.Set("Retry-After", strconv.Itoa(server.ClampRetryAfter(res.retryAfter)))
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	h.Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(res.status)
 	w.Write(res.body)
 }
 
-// writeBody finishes a successful /v1 response exactly as the backend
-// does — same ETag derivation, same If-None-Match handling, same trailing
-// newline — so coordinator and single-node responses are byte-identical on
-// the wire and carry equal tags.
-func (c *Coordinator) writeBody(w http.ResponseWriter, r *http.Request, body []byte, provenance string) {
-	etag := server.StrongETag(body)
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("ETag", etag)
-	h.Set("X-Cache", provenance)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && server.ETagMatch(inm, etag) {
-		c.reg.Counter("cluster.requests_not_modified").Inc()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Write(body)
-	w.Write([]byte("\n"))
-}
-
-// writeUpstreamError maps fan-out failures onto HTTP semantics.
+// writeUpstreamError maps a request that no shard answered onto HTTP
+// semantics.
 func (c *Coordinator) writeUpstreamError(w http.ResponseWriter, err error) {
-	var bp *backpressureError
 	switch {
-	case errors.As(err, &bp):
-		c.reg.Counter("cluster.backpressure").Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(server.ClampRetryAfter(bp.retryAfter)))
-		http.Error(w, "shards saturated; retry later", http.StatusTooManyRequests)
 	case errors.Is(err, errNoShards):
 		http.Error(w, "no healthy shards", http.StatusServiceUnavailable)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -643,12 +593,19 @@ func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad design request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, merr := json.Marshal(req)
-	if merr != nil {
-		http.Error(w, merr.Error(), http.StatusInternalServerError)
+	c.proxyJSON(w, r, "simulate", "/v1/simulate", req)
+}
+
+// proxyJSON forwards a normalized POST request to path, routed by its
+// content-addressed key under endpoint — the key the backend's result
+// cache uses, so repeats of a request find that cache hot.
+func (c *Coordinator) proxyJSON(w http.ResponseWriter, r *http.Request, endpoint, path string, req any) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	c.proxy(w, r, server.RequestKey("simulate", req), http.MethodPost, "/v1/simulate", body)
+	c.proxy(w, r, server.RequestKey(endpoint, req), http.MethodPost, path, body)
 }
 
 func (c *Coordinator) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -688,63 +645,18 @@ func (c *Coordinator) handleBest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad optimization request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, outcome, err := c.cache.Do(r.Context(), server.RequestKey("best", req), func(ctx context.Context) ([]byte, error) {
-		return c.mergedBest(ctx, req)
-	})
-	if err != nil {
-		c.writeUpstreamError(w, err)
-		return
-	}
-	c.writeBody(w, r, body, "merge-"+string(outcome))
+	c.proxyJSON(w, r, "best", "/v1/best", req)
 }
 
+// handleSweepRange proxies a design-space sub-range sweep whole to the
+// shard its key routes to.
 func (c *Coordinator) handleSweepRange(w http.ResponseWriter, r *http.Request) {
 	req, err := server.DecodeSweepRangeRequest(r.Body, c.params)
 	if err != nil {
 		http.Error(w, "bad sweep-range request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, outcome, err := c.cache.Do(r.Context(), server.RequestKey("sweep-range", req), func(ctx context.Context) ([]byte, error) {
-		pts, ferr := c.fanoutPoints(ctx, req, req.Lo, req.Hi)
-		if ferr != nil {
-			return nil, ferr
-		}
-		return json.Marshal(&server.SweepRangeResponse{Request: req, Points: pts})
-	})
-	if err != nil {
-		c.writeUpstreamError(w, err)
-		return
-	}
-	c.writeBody(w, r, body, "merge-"+string(outcome))
-}
-
-// mergedBest reproduces the single-node /v1/best body from fanned-out
-// sub-range sweeps. The canonical enumeration filtered through
-// core.BestCandidate is exactly the optimizer's candidate order, and the
-// strict-less reduction below is the optimizer's earliest-wins minimum, so
-// the winning point, the Evaluated count, and therefore the marshaled
-// bytes match a backend's answer exactly.
-func (c *Coordinator) mergedBest(ctx context.Context, req server.BestRequest) ([]byte, error) {
-	scheme, err := cpisim.ParseLoadScheme(req.Loads)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := c.fanoutPoints(ctx, server.SweepRangeRequest{L2TimeNs: req.L2TimeNs, Policy: req.Policy}, 0, len(c.space))
-	if err != nil {
-		return nil, err
-	}
-	best := server.SimPoint{TPINs: math.Inf(1)}
-	evaluated := 0
-	for i, dp := range c.space {
-		if !core.BestCandidate(dp, scheme, req.Symmetric) {
-			continue
-		}
-		evaluated++
-		if pts[i].Point.TPINs < best.TPINs {
-			best = pts[i].Point
-		}
-	}
-	return json.Marshal(&server.BestResponse{Request: req, Best: best, Evaluated: evaluated})
+	c.proxyJSON(w, r, "sweep-range", "/v1/sweep-range", req)
 }
 
 // ShardHealth is one shard's block in the coordinator's /healthz.

@@ -3,8 +3,8 @@
 // backend replicas of the same lab, replay the endpoint cross-product
 // through both, and require byte-identical bodies and equal ETags — then
 // keep requiring it under a chaos schedule on the coordinator's shard
-// seams, and after a backend is killed mid-sweep and its sub-range
-// re-fanned out across the survivors.
+// seams, and after a backend is killed and its requests fail over to the
+// survivors.
 package cluster_test
 
 import (
@@ -151,10 +151,9 @@ func do(t *testing.T, base string, q apiRequest) (*http.Response, []byte) {
 }
 
 // TestCoordinatorDifferential is the tier's headline test: byte-identity of
-// the coordinator's fan-out-and-merge against a single-node server over the
+// the coordinator's proxied answers against a single-node server over the
 // endpoint cross-product, revalidation parity, survival of a chaos schedule
-// on the shard seams, and deterministic re-fan-out after a backend dies
-// mid-sweep.
+// on the shard seams, and failover after a backend dies.
 func TestCoordinatorDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coordinator differential runs full design-space sweeps; skipped in -short")
@@ -225,13 +224,13 @@ func TestCoordinatorDifferential(t *testing.T) {
 	})
 
 	t.Run("chaos_on_shard_seams", func(t *testing.T) {
-		// Fault every coordinator-to-shard seam — proxied requests, range
-		// legs, probes — with a finite budget so the run converges. While
-		// the budget lasts the coordinator may shed load (429/5xx), but a
-		// 200 must never carry bytes that differ from the single-node
-		// answer; once the budget is spent, every request must succeed and
-		// match again. Distinct l2_time_ns values bypass the coordinator's
-		// merged-body cache so the fan-out itself runs under fire.
+		// Fault every coordinator-to-shard seam — proxied requests and
+		// probes — with a finite budget so the run converges. While the
+		// budget lasts the coordinator may shed load (429/5xx), but a 200
+		// must never carry bytes that differ from the single-node answer;
+		// once the budget is spent, every request must succeed and match
+		// again. Distinct l2_time_ns values miss the shards' result caches
+		// so live computation runs under fire.
 		plan, err := fault.ParsePlan("seed=29,rate=192/1024,kinds=error+cancel+delay,maxfires=120,points=cluster.")
 		if err != nil {
 			t.Fatal(err)
@@ -290,15 +289,31 @@ func TestCoordinatorDifferential(t *testing.T) {
 		}
 	})
 
-	t.Run("shard_killed_mid_sweep_refans", func(t *testing.T) {
-		// Kill one backend for real, then ask for a merge the coordinator
-		// has never cached (fresh l2_time_ns): the fan-out loses that
-		// shard's sub-range at the transport level, drains it, deterministic-
-		// ally re-partitions across the survivors, and still produces the
-		// single-node bytes.
+	t.Run("shard_killed_fails_over", func(t *testing.T) {
+		// Kill one backend for real, then ask for an answer no shard has
+		// cached, at a fresh l2_time_ns whose route starts at the dead
+		// backend: the coordinator's first try fails at the transport
+		// level, drains that shard, fails over to the next shard in ring
+		// order, and still produces the single-node bytes.
 		backends[2].CloseClientConnections()
 		backends[2].Close()
-		q := apiRequest{http.MethodPost, "/v1/best", `{"loads":"dynamic","l2_time_ns":28}`}
+		urls := []string{backends[0].URL, backends[1].URL, backends[2].URL}
+		ring := cluster.NewRing(urls, 64)
+		var q apiRequest
+		for l2 := 28; ; l2++ {
+			if l2 > 1000 {
+				t.Fatal("no l2_time_ns routes to the killed backend first")
+			}
+			body := fmt.Sprintf(`{"loads":"dynamic","l2_time_ns":%d}`, l2)
+			req, err := server.DecodeBestRequest(strings.NewReader(body), clusterParams())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ring.Sequence(server.RequestKey("best", req))[0] == 2 {
+				q = apiRequest{http.MethodPost, "/v1/best", body}
+				break
+			}
+		}
 		rresp, rbody := do(t, ref.URL, q)
 		if rresp.StatusCode != http.StatusOK {
 			t.Fatalf("reference status %d: %s", rresp.StatusCode, rbody)
@@ -308,28 +323,28 @@ func TestCoordinatorDifferential(t *testing.T) {
 			t.Fatalf("coordinator status %d after shard death: %s", cresp.StatusCode, cbody)
 		}
 		if !bytes.Equal(rbody, cbody) {
-			t.Fatalf("merged body differs from single node after re-fan-out\nsingle: %s\ncoord:  %s", rbody, cbody)
+			t.Fatalf("body differs from single node after failover\nsingle: %s\ncoord:  %s", rbody, cbody)
 		}
 		if re, ce := rresp.Header.Get("ETag"), cresp.Header.Get("ETag"); re != ce {
-			t.Fatalf("ETags differ after re-fan-out: single %q, coordinator %q", re, ce)
+			t.Fatalf("ETags differ after failover: single %q, coordinator %q", re, ce)
 		}
 		if coord.Shards()[2].Healthy() {
 			t.Error("killed shard still marked healthy")
 		}
 		snap := coord.Registry().Snapshot().Counters
-		if snap["cluster.refanout"] < 1 {
-			t.Errorf("cluster.refanout = %d, want >= 1 after a mid-sweep shard loss", snap["cluster.refanout"])
+		if snap["cluster.shard.errors"] < 1 {
+			t.Errorf("cluster.shard.errors = %d, want >= 1 after a shard loss", snap["cluster.shard.errors"])
 		}
 
-		// The fleet keeps serving the full cross-product from the two
-		// survivors, still byte-identical.
+		// The fleet keeps serving from the two survivors, still
+		// byte-identical.
 		for _, q := range reqs[len(reqs)-4:] { // the sweep-range block
 			resp, body := do(t, cts.URL, q)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: status %d on the surviving fleet: %s", q, resp.StatusCode, body)
 			}
 			if !bytes.Equal(body, refBodies[q.String()]) {
-				t.Fatalf("%s: survivors' merge differs from single node", q)
+				t.Fatalf("%s: survivors' answer differs from single node", q)
 			}
 		}
 	})

@@ -15,13 +15,14 @@ import (
 // must drain and re-include shards without ever corrupting a response.
 var ptShardProbe = fault.NewPoint("cluster.shard.probe")
 
-// Shard is one backend replica the coordinator fans out to. Health is a
-// simple two-state machine: healthy shards receive routed keys and
-// sub-range fan-outs; draining shards receive only probes, and rejoin the
-// rotation on the first successful probe. Transitions come from the probe
-// loop and, passively, from transport errors on forwarded requests — a
-// connection refused mid-sweep drains the shard immediately instead of
-// waiting out a probe interval.
+// Shard is one backend replica the coordinator routes to. Health is a
+// simple two-state machine: healthy shards receive routed keys; draining
+// shards move to the back of every key's shard sequence (tried only after
+// every healthy shard) and rejoin the rotation on the first successful
+// probe. Transitions come from the probe loop and, passively, from
+// transport errors on forwarded requests — a connection refused
+// mid-request drains the shard immediately instead of waiting out a probe
+// interval.
 type Shard struct {
 	// Name is the shard's display name ("shard0", ...).
 	Name string
@@ -78,18 +79,6 @@ func (c *Coordinator) publishHealthGauges() {
 	}
 	c.reg.Gauge("cluster.shards.healthy").Set(float64(healthy))
 	c.reg.Gauge("cluster.shards.draining").Set(float64(len(c.shards) - healthy))
-}
-
-// healthyShards returns the shards currently in rotation, in shard-index
-// order — the deterministic order every fan-out partition uses.
-func (c *Coordinator) healthyShards() []*Shard {
-	out := make([]*Shard, 0, len(c.shards))
-	for _, s := range c.shards {
-		if s.Healthy() {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // ProbeAll probes every shard once, synchronously: draining shards whose

@@ -25,8 +25,8 @@ type DesignPoint struct {
 
 // Query carries the per-request coordinates of a design-space question:
 // the ones that are not dimensions of the DesignSpace enumeration. The
-// enumeration, and so the coordinator's sub-range merge, has the same
-// shape at every Query; only the per-point results differ.
+// enumeration has the same shape at every Query; only the per-point
+// results differ.
 type Query struct {
 	// L2TimeNs is the constant-time L1 miss service (Params.L2TimeNs is
 	// the lab's default).
@@ -167,11 +167,10 @@ func (l *Lab) EvalPoint(ctx context.Context, q Query, dp DesignPoint) (PointEval
 // whole space a surface bakes. The points behind a fixed b share one
 // memoized simulation pass, so a sweep costs a handful of passes plus
 // cheap per-point arithmetic, and the output is bit-identical at any
-// Params.SweepWorkers setting. It is also the backend entry point of the
-// coordinator tier's fan-out (/v1/sweep-range): because each shard's
-// output is a slice of the same canonical order, a coordinator that
-// concatenates sub-range results in range order reconstructs exactly the
-// single-node sweep, point for point and bit for bit.
+// Params.SweepWorkers setting. It backs /v1/sweep-range: each range's
+// output is a slice of the same canonical order, so concatenating the
+// results of a partition in range order reconstructs exactly the full
+// sweep, point for point and bit for bit.
 func (l *Lab) EvalRange(ctx context.Context, q Query, lo, hi int) ([]PointEval, error) {
 	pts := DesignSpace(l.P)
 	if lo < 0 || hi > len(pts) || lo > hi {

@@ -135,25 +135,17 @@ type Optimum struct {
 	Evaluated int
 }
 
-// BestCandidate reports whether dp is a candidate of the optimization Best
-// runs for scheme: a point of that load scheme, restricted when symmetric
-// to b = l with an equal split. Walking DesignSpace through it yields
-// Best's candidates in Best's order, which is how the coordinator's merged
-// /v1/best reproduces a single node's answer.
-func BestCandidate(dp DesignPoint, scheme cpisim.LoadScheme, symmetric bool) bool {
-	return dp.Scheme == scheme && (!symmetric || (dp.B == dp.L && dp.ISizeKW == dp.DSizeKW))
-}
-
 // Best searches the design space for the minimum-TPI point among the
-// BestCandidate points. ctx is checked at every point. The candidates
-// are independent (the memoized passes behind them are single-flighted),
-// so they are evaluated on the lab's bounded worker pool; the minimum is
-// then reduced serially in enumeration order, which preserves the serial
-// sweep's earliest-wins tie-break at every worker count.
+// points of scheme, restricted when symmetric to b = l with an equal
+// split. ctx is checked at every point. The candidates are independent
+// (the memoized passes behind them are single-flighted), so they are
+// evaluated on the lab's bounded worker pool; the minimum is then reduced
+// serially in enumeration order, which preserves the serial sweep's
+// earliest-wins tie-break at every worker count.
 func (l *Lab) Best(ctx context.Context, q Query, scheme cpisim.LoadScheme, symmetric bool) (*Optimum, error) {
 	var cands []DesignPoint
 	for _, dp := range DesignSpace(l.P) {
-		if BestCandidate(dp, scheme, symmetric) {
+		if dp.Scheme == scheme && (!symmetric || (dp.B == dp.L && dp.ISizeKW == dp.DSizeKW)) {
 			cands = append(cands, dp)
 		}
 	}

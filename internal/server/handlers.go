@@ -263,12 +263,12 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// handleSweepRange serves the coordinator tier's fan-out unit: evaluate one
-// contiguous sub-range of the canonical design-space enumeration. It rides
-// the same serving tiers as every other endpoint — baked surface, overlay,
-// result cache, live compute — so a shard that already answered a range
-// serves the repeat from cache, which is what the coordinator's
-// consistent-hash routing is designed to exploit.
+// handleSweepRange evaluates one contiguous sub-range of the canonical
+// design-space enumeration. It rides the same serving tiers as every other
+// endpoint — baked surface, overlay, result cache, live compute — so a
+// shard that already answered a range serves the repeat from cache, which
+// is what the coordinator's consistent-hash routing is designed to
+// exploit.
 func (s *Server) handleSweepRange(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeSweepRangeRequest(r.Body, s.lab.P)
 	if err != nil {

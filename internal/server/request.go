@@ -191,10 +191,8 @@ func inBank(size int, bank []int) bool {
 
 // SweepRangeRequest is the body of POST /v1/sweep-range: the contiguous
 // sub-range [lo, hi) of the canonical design-space enumeration
-// (core.DesignSpace order), evaluated at one miss-service time. It is the
-// internal fan-out endpoint of the coordinator tier: a coordinator
-// partitions [0, N) across backend shards and concatenates the responses in
-// range order to reconstruct the single-node sweep bit for bit.
+// (core.DesignSpace order), evaluated at one miss-service time and policy.
+// The coordinator tier proxies it whole to the shard its key routes to.
 type SweepRangeRequest struct {
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`

@@ -135,8 +135,8 @@ func (s *Server) bakedTable(n int) (any, bool) {
 // truncated hex SHA-256 of the exact bytes served. Baked and live paths
 // produce byte-identical bodies, so their tags match by construction, and
 // the tag survives server restarts and bake/no-bake deployments alike.
-// The coordinator tier derives its tags with the same function, so a
-// merged body that matches a single-node body carries the same ETag.
+// The coordinator tier re-derives the tag of a relayed body with the same
+// function, so it equals the shard's.
 func StrongETag(body []byte) string {
 	sum := sha256.Sum256(body)
 	return `"` + hex.EncodeToString(sum[:])[:32] + `"`

@@ -116,9 +116,9 @@ func crossProduct() []apiRequest {
 	for n := 1; n <= 6; n++ {
 		rs = append(rs, apiRequest{http.MethodGet, fmt.Sprintf("/v1/tables/%d", n), ""})
 	}
-	// Sub-range sweeps (the coordinator tier's fan-out unit): a single
-	// point, an aligned prefix, and a straddling tail of the 1152-point
-	// canonical enumeration.
+	// Sub-range sweeps (/v1/sweep-range): a single point, an aligned
+	// prefix, and a straddling tail of the 1152-point canonical
+	// enumeration.
 	for _, r := range [][2]int{{0, 1}, {0, 96}, {100, 1152}} {
 		rs = append(rs, apiRequest{http.MethodPost, "/v1/sweep-range",
 			fmt.Sprintf(`{"lo":%d,"hi":%d}`, r[0], r[1])})

@@ -350,11 +350,11 @@ func NewServer(lab *Lab, cfg ServerConfig) (*Server, error) { return server.New(
 
 // Sharded coordinator tier (internal/cluster).
 type (
-	// Coordinator fronts a fleet of Server backends: single-point requests
-	// are consistent-hashed onto a shard (keeping each shard's caches hot on
-	// a stable slice of the key space) and design-space reductions are
-	// fanned out as contiguous sub-range sweeps whose merge is byte-identical
-	// to a single backend's answer (the `pipecache coordinate` subsystem).
+	// Coordinator fronts a fleet of Server backends: every request is
+	// consistent-hashed onto one shard (keeping each shard's caches hot on
+	// a stable slice of the key space) and the shard's answer is relayed
+	// byte-identical to a single backend's (the `pipecache coordinate`
+	// subsystem).
 	Coordinator = cluster.Coordinator
 	// CoordinatorConfig tunes the coordinator; zero values take the
 	// defaults.
