@@ -31,11 +31,11 @@ race-ci:
 
 # One iteration of every paper table/figure benchmark plus microbenches.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run xxx .
+	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
 
 # Full-fidelity benchmark run (longer traces).
 bench-full:
-	PIPECACHE_BENCH_INSTS=2000000 $(GO) test -bench=. -benchmem -benchtime=1x -run xxx .
+	PIPECACHE_BENCH_INSTS=2000000 $(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
 
 # Machine-readable simulator benchmark summary (archived by CI per commit).
 # The floor is the pre-lane-pack replay throughput: dipping below it means
@@ -60,7 +60,7 @@ fuzz:
 PIPECACHE_CHAOS_SEEDS ?= 1,2,3
 chaos:
 	PIPECACHE_CHAOS_SEEDS=$(PIPECACHE_CHAOS_SEEDS) $(GO) test -race -count=1 -v ./internal/chaos
-	$(GO) test -race -count=1 -run 'TestSurfaceDifferential|TestSurfaceBackfillFault|TestSurfacePolicyFallback' ./internal/surface ./internal/server
+	$(GO) test -race -count=1 -run 'TestSurfaceDifferential|TestSurfacePolicyFallback' ./internal/surface ./internal/server
 
 tables:
 	$(GO) run ./cmd/pipecache tables

@@ -33,7 +33,6 @@ func runServe(args []string) error {
 	grace := fs.Duration("shutdown-grace", 30*time.Second, "in-flight drain bound on shutdown")
 	prewarm := fs.Bool("prewarm", false, "run all simulation passes before listening")
 	surfacePath := fs.String("surface", "", "baked PSF1 surface to serve /v1/* from (see pipecache bake)")
-	overlayEntries := fs.Int("overlay-entries", 0, "backfill overlay bound above the surface (default 1024)")
 	fs.Parse(args)
 
 	// Build the lab without the eager prewarm of the batch subcommands:
@@ -85,7 +84,6 @@ func runServe(args []string) error {
 		CacheEntries:   *cacheEntries,
 		ShutdownGrace:  *grace,
 		Surface:        sf,
-		OverlayEntries: *overlayEntries,
 	})
 	if err != nil {
 		return err

@@ -86,6 +86,101 @@ func TestDocsNameBenchmarks(t *testing.T) {
 	}
 }
 
+// TestMakefileRunPatternsNameTests guards the make targets that select
+// tests by name: `go test -run` passes silently when its pattern matches
+// nothing, so a renamed or deleted test would quietly empty the target.
+// Every alternative of the top level of a Makefile -run pattern must match
+// a `func Test…` in the packages its command line names (./... means the
+// module; no package means the root). The bare `^$` selects no test on
+// purpose, for benchmark-only runs.
+func TestMakefileRunPatternsNameTests(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFlag := regexp.MustCompile(`-run\s+('[^']*'|\S+)`)
+	decl := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
+	testsIn := func(root string, recursive bool) []string {
+		var names []string
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path == root {
+					return nil
+				}
+				if !recursive || strings.HasPrefix(d.Name(), ".") {
+					return filepath.SkipDir
+				}
+				// A nested module (perfbench) is not part of ./...
+				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+				names = append(names, m[1])
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+
+	checked := 0
+	for _, line := range strings.Split(string(mk), "\n") {
+		m := runFlag.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		pattern := strings.ReplaceAll(strings.Trim(m[1], "'"), "$$", "$") // make's escape
+		if pattern == "^$" {
+			continue
+		}
+		var tests []string
+		for _, f := range strings.Fields(line) {
+			switch {
+			case f == "./...":
+				tests = append(tests, testsIn(".", true)...)
+			case f == "." || strings.HasPrefix(f, "./"):
+				tests = append(tests, testsIn(f, false)...)
+			}
+		}
+		if tests == nil {
+			tests = testsIn(".", false)
+		}
+		top, _, _ := strings.Cut(pattern, "/")
+		for _, alt := range strings.Split(top, "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("Makefile -run %q: %v", pattern, err)
+				continue
+			}
+			checked++
+			found := false
+			for _, name := range tests {
+				found = found || re.MatchString(name)
+			}
+			if !found {
+				t.Errorf("Makefile -run %q: %q matches no func Test… in the packages of %q", pattern, alt, strings.TrimSpace(line))
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no Makefile -run patterns found; the pattern is stale")
+	}
+}
+
 // TestDocsNameMetrics treats the docs' metric and fault-point citations as
 // checked claims: every backticked `ns.name` in README.md, DESIGN.md and
 // EXPERIMENTS.md, with ns one of lab, cluster, server, surface, trace or

@@ -6,8 +6,8 @@
 // The coordinator derives the same content-addressed request key the
 // backend uses (server.RequestKey over the normalized request) and
 // consistent-hashes it onto the fleet, so repeats of a request land on the
-// same shard and its result cache, overlay, and trace store stay hot on a
-// stable slice of the key space. The shard's body is relayed unchanged, so
+// same shard and its result cache and trace store stay hot on a stable
+// slice of the key space. The shard's body is relayed unchanged, so
 // it is byte-for-byte what a single backend serves — the property the
 // differential suite (cluster diff tests) pins.
 //
@@ -205,7 +205,6 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) routes() {
 	c.mux.Handle("POST /v1/simulate", c.instrument("simulate", c.handleSimulate))
 	c.mux.Handle("POST /v1/best", c.instrument("best", c.handleBest))
-	c.mux.Handle("POST /v1/sweep-range", c.instrument("sweep_range", c.handleSweepRange))
 	c.mux.Handle("GET /v1/figures/{n}", c.instrument("figures", c.handleFigure))
 	c.mux.Handle("GET /v1/tables/{n}", c.instrument("tables", c.handleTable))
 	c.mux.Handle("GET /healthz", c.instrument("healthz", c.handleHealthz))
@@ -646,17 +645,6 @@ func (c *Coordinator) handleBest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.proxyJSON(w, r, "best", "/v1/best", req)
-}
-
-// handleSweepRange proxies a design-space sub-range sweep whole to the
-// shard its key routes to.
-func (c *Coordinator) handleSweepRange(w http.ResponseWriter, r *http.Request) {
-	req, err := server.DecodeSweepRangeRequest(r.Body, c.params)
-	if err != nil {
-		http.Error(w, "bad sweep-range request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	c.proxyJSON(w, r, "sweep-range", "/v1/sweep-range", req)
 }
 
 // ShardHealth is one shard's block in the coordinator's /healthz.

@@ -80,8 +80,8 @@ type apiRequest struct {
 func (q apiRequest) String() string { return q.method + " " + q.path + " " + q.body }
 
 // crossProduct enumerates the API surface both tiers serve: a simulate
-// grid, the four optimizations, figures, tables, and sub-range sweeps
-// covering a single point, a prefix, and the full enumeration.
+// grid, the four optimizations, figures, tables, the policy axis, and a
+// block of live computations off the default miss service and policy.
 func crossProduct() []apiRequest {
 	var rs []apiRequest
 	for _, b := range []int{0, 2, 3} {
@@ -117,12 +117,15 @@ func crossProduct() []apiRequest {
 		apiRequest{http.MethodPost, "/v1/simulate", `{"b":2,"l":3,"isize_kw":4,"dsize_kw":4,"policy":"lru"}`},
 		apiRequest{http.MethodPost, "/v1/best", `{"loads":"static","policy":"fifo"}`},
 	)
-	for _, r := range [][2]int{{0, 1}, {0, 96}, {100, 1152}, {0, 1152}} {
-		rs = append(rs, apiRequest{http.MethodPost, "/v1/sweep-range",
-			fmt.Sprintf(`{"lo":%d,"hi":%d}`, r[0], r[1])})
-	}
+	// The live-compute block the survivors replay after a shard dies:
+	// whole-space optimizations and single points off the default miss
+	// service and policy.
 	rs = append(rs,
-		apiRequest{http.MethodPost, "/v1/sweep-range", `{"lo":0,"hi":96,"policy":"plru"}`})
+		apiRequest{http.MethodPost, "/v1/best", `{"loads":"dynamic","symmetric":true,"policy":"plru"}`},
+		apiRequest{http.MethodPost, "/v1/best", `{"loads":"static","l2_time_ns":60}`},
+		apiRequest{http.MethodPost, "/v1/simulate", `{"b":0,"l":0,"isize_kw":1,"dsize_kw":1,"l2_time_ns":60}`},
+		apiRequest{http.MethodPost, "/v1/simulate", `{"b":3,"l":1,"isize_kw":32,"dsize_kw":2,"loads":"dynamic","policy":"plru"}`},
+	)
 	return rs
 }
 
@@ -242,7 +245,7 @@ func TestCoordinatorDifferential(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			for _, q := range append(chaosReqs,
 				apiRequest{http.MethodPost, "/v1/best", fmt.Sprintf(`{"loads":"static","l2_time_ns":%d}`, 30+round)},
-				apiRequest{http.MethodPost, "/v1/sweep-range", fmt.Sprintf(`{"lo":0,"hi":200,"l2_time_ns":%d}`, 30+round)},
+				apiRequest{http.MethodPost, "/v1/simulate", fmt.Sprintf(`{"b":1,"l":2,"isize_kw":8,"dsize_kw":16,"l2_time_ns":%d}`, 30+round)},
 			) {
 				resp, body := do(t, cts.URL, q)
 				switch resp.StatusCode {
@@ -338,7 +341,7 @@ func TestCoordinatorDifferential(t *testing.T) {
 
 		// The fleet keeps serving from the two survivors, still
 		// byte-identical.
-		for _, q := range reqs[len(reqs)-4:] { // the sweep-range block
+		for _, q := range reqs[len(reqs)-4:] { // the live-compute block
 			resp, body := do(t, cts.URL, q)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: status %d on the surviving fleet: %s", q, resp.StatusCode, body)

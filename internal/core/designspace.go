@@ -161,27 +161,20 @@ func (l *Lab) EvalPoint(ctx context.Context, q Query, dp DesignPoint) (PointEval
 	}, nil
 }
 
-// EvalRange evaluates the contiguous sub-range [lo, hi) of the canonical
-// enumeration DesignSpace(l.P) on the lab's bounded sweep pool, returning
-// hi-lo results in enumeration order; [0, len(DesignSpace(l.P))) is the
-// whole space a surface bakes. The points behind a fixed b share one
-// memoized simulation pass, so a sweep costs a handful of passes plus
-// cheap per-point arithmetic, and the output is bit-identical at any
-// Params.SweepWorkers setting. It backs /v1/sweep-range: each range's
-// output is a slice of the same canonical order, so concatenating the
-// results of a partition in range order reconstructs exactly the full
-// sweep, point for point and bit for bit.
-func (l *Lab) EvalRange(ctx context.Context, q Query, lo, hi int) ([]PointEval, error) {
+// EvalSpace evaluates every point of the canonical enumeration
+// DesignSpace(l.P) on the lab's bounded sweep pool, returning the results
+// in enumeration order: the whole space a surface bakes. The points behind
+// a fixed b share one memoized simulation pass, so a sweep costs a handful
+// of passes plus cheap per-point arithmetic, and the output is
+// bit-identical at any Params.SweepWorkers setting.
+func (l *Lab) EvalSpace(ctx context.Context, q Query) ([]PointEval, error) {
 	pts := DesignSpace(l.P)
-	if lo < 0 || hi > len(pts) || lo > hi {
-		return nil, fmt.Errorf("core: design range [%d, %d) outside the %d-point space", lo, hi, len(pts))
-	}
-	// Run the range's passes first, one per worker. The enumeration puts b
+	// Run the passes first, one per worker. The enumeration puts b
 	// outermost and every point behind one b shares a memoized pass, so a
 	// cold point sweep would park all workers on the same pass, one depth
 	// at a time, while each pass runs on a single core.
 	var depths []int
-	for _, dp := range pts[lo:hi] {
+	for _, dp := range pts {
 		if len(depths) == 0 || depths[len(depths)-1] != dp.B {
 			depths = append(depths, dp.B)
 		}
@@ -193,11 +186,11 @@ func (l *Lab) EvalRange(ctx context.Context, q Query, lo, hi int) ([]PointEval, 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]PointEval, hi-lo)
-	l.progress.StartPhase("design-space range", int64(hi-lo))
+	out := make([]PointEval, len(pts))
+	l.progress.StartPhase("design space", int64(len(pts)))
 	defer l.progress.Finish()
-	err = l.forEach(ctx, hi-lo, func(ctx context.Context, i int) error {
-		ev, err := l.EvalPoint(ctx, q, pts[lo+i])
+	err = l.forEach(ctx, len(pts), func(ctx context.Context, i int) error {
+		ev, err := l.EvalPoint(ctx, q, pts[i])
 		if err != nil {
 			return err
 		}

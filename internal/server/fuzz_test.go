@@ -29,6 +29,8 @@ func FuzzDesignRequest(f *testing.F) {
 		`{"l2_time_ns":1e300}`,
 		`{"loads":"quantum"}`,
 		`{"b":1e999}`,
+		`{"b":2,"l":2,"isize_kw":8,"dsize_kw":8}}`,
+		`{"b":2,"l":2,"isize_kw":8,"dsize_kw":8}]`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -16,7 +16,6 @@ import (
 func (s *Server) routes() {
 	s.mux.Handle("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
 	s.mux.Handle("POST /v1/best", s.instrument("best", s.handleBest))
-	s.mux.Handle("POST /v1/sweep-range", s.instrument("sweep_range", s.handleSweepRange))
 	s.mux.Handle("GET /v1/figures/{n}", s.instrument("figures", s.handleFigure))
 	s.mux.Handle("GET /v1/tables/{n}", s.instrument("tables", s.handleTable))
 	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
@@ -78,22 +77,6 @@ type BestResponse struct {
 	Evaluated int         `json:"evaluated"`
 }
 
-// RangePoint is one evaluated point of a /v1/sweep-range response: the
-// design point plus its CPI breakdown.
-type RangePoint struct {
-	Point     SimPoint     `json:"point"`
-	Breakdown CPIBreakdown `json:"breakdown"`
-}
-
-// SweepRangeResponse is the body of POST /v1/sweep-range: the evaluated
-// points of one contiguous sub-range of the canonical enumeration, in
-// enumeration order. Concatenating the responses of a partition of [0, N)
-// in range order reconstructs the full single-node sweep exactly.
-type SweepRangeResponse struct {
-	Request SweepRangeRequest `json:"request"`
-	Points  []RangePoint      `json:"points"`
-}
-
 // FigureJSON is the body of GET /v1/figures/{n}: one family of curves.
 type FigureJSON struct {
 	Title  string      `json:"title"`
@@ -129,12 +112,9 @@ type HealthResponse struct {
 
 // serveCached answers the request from the cheapest tier that has it:
 // the baked surface (an index-and-read with zero simulation), then the
-// backfill overlay above it, then the content-addressed result cache and
-// the live compute path — cache hits return immediately, concurrent
-// identical requests collapse onto one computation, and fresh work
-// competes for a pool slot. Live results on a surface-backed server are
-// backfilled into the overlay so the next identical request is a lookup
-// again.
+// content-addressed result cache and the live compute path — cache hits
+// return immediately, concurrent identical requests collapse onto one
+// computation, and fresh work competes for a pool slot.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, baked func() (any, bool), compute func(context.Context) (any, error)) {
 	if s.surface != nil && baked != nil {
 		if v, ok := baked(); ok {
@@ -148,10 +128,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 			return
 		}
 		s.reg.Counter("surface.misses").Inc()
-		if body, ok := s.overlay.Get(key); ok {
-			s.writeBody(w, r, body, "overlay")
-			return
-		}
 	}
 	body, outcome, err := s.cache.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
 		var out []byte
@@ -169,12 +145,6 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string,
 	if err != nil {
 		s.writeComputeError(w, r, err)
 		return
-	}
-	if s.overlay != nil {
-		// Best-effort: a fault injected at the backfill seam loses the
-		// backfill (the next identical request recomputes), never the
-		// response — and never leaves a partial entry behind.
-		s.overlay.Backfill(key, body)
 	}
 	s.writeBody(w, r, body, string(outcome))
 }
@@ -260,33 +230,6 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 				return nil, err
 			}
 			return &BestResponse{Request: req, Best: pointJSON(opt.Best), Evaluated: opt.Evaluated}, nil
-		})
-}
-
-// handleSweepRange evaluates one contiguous sub-range of the canonical
-// design-space enumeration. It rides the same serving tiers as every other
-// endpoint — baked surface, overlay, result cache, live compute — so a
-// shard that already answered a range serves the repeat from cache, which
-// is what the coordinator's consistent-hash routing is designed to
-// exploit.
-func (s *Server) handleSweepRange(w http.ResponseWriter, r *http.Request) {
-	req, err := DecodeSweepRangeRequest(r.Body, s.lab.P)
-	if err != nil {
-		http.Error(w, "bad sweep-range request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.serveCached(w, r, RequestKey("sweep-range", req),
-		func() (any, bool) { return s.bakedSweepRange(req) },
-		func(ctx context.Context) (any, error) {
-			evals, err := s.lab.EvalRange(ctx, requestQuery(req.L2TimeNs, req.Policy, s.lab.P), req.Lo, req.Hi)
-			if err != nil {
-				return nil, err
-			}
-			pts := make([]RangePoint, len(evals))
-			for i, ev := range evals {
-				pts[i] = RangePoint{Point: pointJSON(ev.Point), Breakdown: breakdownJSON(ev.Breakdown)}
-			}
-			return &SweepRangeResponse{Request: req, Points: pts}, nil
 		})
 }
 

@@ -89,14 +89,6 @@ func TestPolicyRequestCanonicalization(t *testing.T) {
 	if br.Policy != "fifo" {
 		t.Errorf("best policy = %q, want fifo", br.Policy)
 	}
-	sr, err := DecodeSweepRangeRequest(strings.NewReader(`{"lo":0,"hi":4,"policy":"Lru"}`), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Policy != "" {
-		t.Errorf("sweep-range policy = %q, want \"\"", sr.Policy)
-	}
-
 	// requestQuery resolves "" to the lab default, whatever it is.
 	fifoLab := p
 	fifoLab.Policy = cache.PolicyFIFO
@@ -175,7 +167,7 @@ func TestPolicyEndpointServing(t *testing.T) {
 // TestSurfacePolicyFallback: the baked surface answers only its own
 // (default) policy. An explicit "lru" canonicalizes onto the baked space
 // and stays a pure lookup; a non-default policy bypasses the surface and
-// computes live, then serves the repeat from the overlay.
+// computes live, then serves the repeat from the result cache.
 func TestSurfacePolicyFallback(t *testing.T) {
 	sf := bakedSurface(t)
 	lab := testLab(t, 20_000)
@@ -202,10 +194,13 @@ func TestSurfacePolicyFallback(t *testing.T) {
 		t.Fatalf("fifo on a baked server X-Cache = %q, want miss (live compute)", xc)
 	}
 	resp2, body2 := postJSON(t, ts.URL+"/v1/simulate", fifo)
-	if xc := resp2.Header.Get("X-Cache"); xc != "overlay" {
-		t.Fatalf("repeat fifo X-Cache = %q, want overlay", xc)
+	if xc := resp2.Header.Get("X-Cache"); xc != string(OutcomeHit) {
+		t.Fatalf("repeat fifo X-Cache = %q, want hit", xc)
 	}
 	if !bytes.Equal(body1, body2) {
-		t.Fatal("fifo bodies drifted between live and overlay tiers")
+		t.Fatal("fifo bodies drifted between live and cached tiers")
+	}
+	if e1, e2 := resp1.Header.Get("ETag"), resp2.Header.Get("ETag"); e1 == "" || e1 != e2 {
+		t.Fatalf("fifo ETag changed across tiers: live %q, cached %q", e1, e2)
 	}
 }

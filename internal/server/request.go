@@ -67,7 +67,9 @@ func decodeJSON(r io.Reader, v any) error {
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	// More reports false before a stray '}' or ']', so only io.EOF from the
+	// next token proves the body held exactly one value.
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("trailing data after JSON body")
 	}
 	return nil
@@ -187,42 +189,6 @@ func inBank(size int, bank []int) bool {
 		}
 	}
 	return false
-}
-
-// SweepRangeRequest is the body of POST /v1/sweep-range: the contiguous
-// sub-range [lo, hi) of the canonical design-space enumeration
-// (core.DesignSpace order), evaluated at one miss-service time and policy.
-// The coordinator tier proxies it whole to the shard its key routes to.
-type SweepRangeRequest struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// L2TimeNs overrides the constant-time L1 miss service; 0 means the
-	// lab's default.
-	L2TimeNs float64 `json:"l2_time_ns,omitempty"`
-	// Policy overrides the cache replacement policy; see DesignRequest.
-	Policy string `json:"policy,omitempty"`
-}
-
-// DecodeSweepRangeRequest parses and validates a /v1/sweep-range body
-// against the lab's design space, returning the normalized request.
-func DecodeSweepRangeRequest(r io.Reader, p core.Params) (SweepRangeRequest, error) {
-	var req SweepRangeRequest
-	if err := decodeJSON(r, &req); err != nil {
-		return req, err
-	}
-	return req.normalize(p)
-}
-
-func (q SweepRangeRequest) normalize(p core.Params) (SweepRangeRequest, error) {
-	var err error
-	if q.L2TimeNs, q.Policy, err = normalizeQuery(q.L2TimeNs, q.Policy, p); err != nil {
-		return q, err
-	}
-	n := len(core.DesignSpace(p))
-	if q.Lo < 0 || q.Hi > n || q.Lo >= q.Hi {
-		return q, fmt.Errorf("range [%d, %d) outside the %d-point design space", q.Lo, q.Hi, n)
-	}
-	return q, nil
 }
 
 // RequestKey derives the content address of one request: the endpoint name

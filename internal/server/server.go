@@ -60,13 +60,10 @@ type Config struct {
 	AccessLog io.Writer
 	// Surface is an optional baked design-space surface (see
 	// internal/surface): when set, the /v1 endpoints answer from it as
-	// O(1) lookups, falling back to live simulation — and backfilling the
-	// overlay — for anything outside the baked space. New rejects a
-	// surface baked for a different lab.
+	// O(1) lookups, falling back to the result cache and live simulation
+	// for anything outside the baked space. New rejects a surface baked
+	// for a different lab.
 	Surface *surface.Surface
-	// OverlayEntries bounds the backfill overlay above the surface
-	// (default surface.DefaultOverlayEntries); unused without Surface.
-	OverlayEntries int
 }
 
 func (c Config) withDefaults() Config {
@@ -106,10 +103,6 @@ type Server struct {
 	start   time.Time
 	build   BuildInfo
 	surface *surface.Surface // nil when serving live-only
-	overlay *surface.Overlay // nil without a surface
-	// space is the lab's canonical design-space enumeration, computed once
-	// so the sweep-range paths do not re-enumerate per request.
-	space []core.DesignPoint
 }
 
 // New wraps lab with the HTTP service. The server shares the lab's metric
@@ -135,14 +128,12 @@ func New(lab *core.Lab, cfg Config) (*Server, error) {
 		log:   log.New(cfg.AccessLog, "", log.LstdFlags|log.Lmicroseconds),
 		start: time.Now(),
 		build: VersionInfo(),
-		space: core.DesignSpace(lab.P),
 	}
 	if cfg.Surface != nil {
 		if err := validateSurface(cfg.Surface, lab); err != nil {
 			return nil, err
 		}
 		s.surface = cfg.Surface
-		s.overlay = surface.NewOverlay(cfg.OverlayEntries, reg)
 	}
 	s.routes()
 	return s, nil

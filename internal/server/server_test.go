@@ -259,6 +259,8 @@ func TestEndpoints(t *testing.T) {
 			{"POST", "/v1/simulate", `{"unknown_field":1}`, http.StatusBadRequest},
 			{"POST", "/v1/simulate", `not json`, http.StatusBadRequest},
 			{"POST", "/v1/simulate", simBody + `{"b":1}`, http.StatusBadRequest},
+			{"POST", "/v1/simulate", simBody + `}`, http.StatusBadRequest},
+			{"POST", "/v1/simulate", simBody + `]`, http.StatusBadRequest},
 			{"POST", "/v1/best", `{"loads":"quantum"}`, http.StatusBadRequest},
 			{"GET", "/v1/figures/7", "", http.StatusNotFound},
 			{"GET", "/v1/figures/12?penalty=zero", "", http.StatusBadRequest},

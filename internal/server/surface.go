@@ -17,12 +17,12 @@ import (
 // the differential tier (internal/surface/diff_test.go) pins. Each
 // returns ok=false when the request lies outside the baked space (custom
 // L2 time, un-baked figure penalty), which routes the request to the
-// overlay-and-live fallback.
+// result cache and live compute.
 
 // bakedSimulate answers /v1/simulate from the surface. A non-empty
 // normalized policy names a policy other than the one the surface was
 // baked under (the lab's default, part of its params-hash), so those
-// requests fall through to the overlay-and-live tiers.
+// requests fall through to the result cache and live compute.
 func (s *Server) bakedSimulate(req DesignRequest) (any, bool) {
 	if req.L2TimeNs != s.lab.P.L2TimeNs || req.Policy != "" {
 		return nil, false
@@ -77,37 +77,6 @@ func (s *Server) bakedBest(req BestRequest) (any, bool) {
 		},
 		Evaluated: rec.Evaluated,
 	}, true
-}
-
-// bakedSweepRange answers /v1/sweep-range from the surface: the records
-// are stored by DesignIndex in exactly the canonical order the range
-// addresses, so the answer is a sequential read. The point math behind the
-// stored records is core.Lab.EvalPoint — the same definition the live
-// range sweep uses — so the two paths marshal byte-identical bodies.
-func (s *Server) bakedSweepRange(req SweepRangeRequest) (any, bool) {
-	if req.L2TimeNs != s.lab.P.L2TimeNs || req.Policy != "" {
-		return nil, false
-	}
-	pts := make([]RangePoint, 0, req.Hi-req.Lo)
-	for idx := req.Lo; idx < req.Hi; idx++ {
-		rec, ok := s.surface.Point(idx)
-		if !ok {
-			return nil, false
-		}
-		dp := s.space[idx]
-		pts = append(pts, RangePoint{
-			Point: SimPoint{
-				B: dp.B, L: dp.L, ISizeKW: dp.ISizeKW, DSizeKW: dp.DSizeKW,
-				Loads: dp.Scheme.String(), TCPUNs: rec.TCPUNs,
-				PenaltyCycles: rec.PenCycles, CPI: rec.CPI, TPINs: rec.TPINs,
-			},
-			Breakdown: CPIBreakdown{
-				Base: rec.Base, BranchStall: rec.BranchStall, LoadStall: rec.LoadStall,
-				IMiss: rec.IMiss, DMiss: rec.DMiss,
-			},
-		})
-	}
-	return &SweepRangeResponse{Request: req, Points: pts}, true
 }
 
 // bakedFigure answers /v1/figures/{n} from the surface.
@@ -180,10 +149,9 @@ func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, body []byte, 
 
 // SurfaceInfo is the surface block of /healthz on a surface-backed server.
 type SurfaceInfo struct {
-	Hash           string `json:"hash"`
-	Points         int    `json:"points"`
-	SizeBytes      int    `json:"size_bytes"`
-	OverlayEntries int    `json:"overlay_entries"`
+	Hash      string `json:"hash"`
+	Points    int    `json:"points"`
+	SizeBytes int    `json:"size_bytes"`
 }
 
 func (s *Server) surfaceInfo() *SurfaceInfo {
@@ -191,18 +159,8 @@ func (s *Server) surfaceInfo() *SurfaceInfo {
 		return nil
 	}
 	return &SurfaceInfo{
-		Hash:           s.surface.Hash(),
-		Points:         s.surface.NumPoints(),
-		SizeBytes:      s.surface.Size(),
-		OverlayEntries: s.overlay.Len(),
+		Hash:      s.surface.Hash(),
+		Points:    s.surface.NumPoints(),
+		SizeBytes: s.surface.Size(),
 	}
-}
-
-// OverlayLen returns the number of backfilled overlay entries (0 without
-// a surface); the fallback regression tests assert against it.
-func (s *Server) OverlayLen() int {
-	if s.overlay == nil {
-		return 0
-	}
-	return s.overlay.Len()
 }

@@ -44,7 +44,7 @@ func Figure11Penalties(p core.Params) []int {
 func Bake(ctx context.Context, lab *core.Lab) (*Data, error) {
 	d := &Data{ParamsHash: HashParams(core.Fingerprint(lab.Suite, lab.P))}
 
-	evals, err := lab.EvalRange(ctx, lab.Query(), 0, len(core.DesignSpace(lab.P)))
+	evals, err := lab.EvalSpace(ctx, lab.Query())
 	if err != nil {
 		return nil, err
 	}

@@ -80,23 +80,16 @@ type apiRequest struct {
 
 func (q apiRequest) String() string { return q.method + " " + q.path + " " + q.body }
 
-// crossProduct enumerates the baked-eligible API surface: a simulate grid
-// across both schemes, all four optimizations, every baked figure (plus a
-// penalty-carrying spelling of a penalty-insensitive figure), and all six
-// tables.
+// crossProduct enumerates the baked-eligible API surface: /v1/simulate at
+// every point of the canonical design-space enumeration (so every baked
+// record is compared against live), all four optimizations, every baked
+// figure (plus a penalty-carrying spelling of a penalty-insensitive
+// figure), and all six tables.
 func crossProduct() []apiRequest {
 	var rs []apiRequest
-	for _, b := range []int{0, 1, 2, 3} {
-		for _, l := range []int{0, 3} {
-			for _, is := range []int{1, 8, 32} {
-				for _, ds := range []int{4, 32} {
-					for _, loads := range []string{"static", "dynamic"} {
-						rs = append(rs, apiRequest{http.MethodPost, "/v1/simulate", fmt.Sprintf(
-							`{"b":%d,"l":%d,"isize_kw":%d,"dsize_kw":%d,"loads":%q}`, b, l, is, ds, loads)})
-					}
-				}
-			}
-		}
+	for _, dp := range core.DesignSpace(core.DefaultParams()) {
+		rs = append(rs, apiRequest{http.MethodPost, "/v1/simulate", fmt.Sprintf(
+			`{"b":%d,"l":%d,"isize_kw":%d,"dsize_kw":%d,"loads":%q}`, dp.B, dp.L, dp.ISizeKW, dp.DSizeKW, dp.Scheme)})
 	}
 	for _, loads := range []string{"static", "dynamic"} {
 		for _, sym := range []string{"false", "true"} {
@@ -115,13 +108,6 @@ func crossProduct() []apiRequest {
 	}
 	for n := 1; n <= 6; n++ {
 		rs = append(rs, apiRequest{http.MethodGet, fmt.Sprintf("/v1/tables/%d", n), ""})
-	}
-	// Sub-range sweeps (/v1/sweep-range): a single point, an aligned
-	// prefix, and a straddling tail of the 1152-point canonical
-	// enumeration.
-	for _, r := range [][2]int{{0, 1}, {0, 96}, {100, 1152}} {
-		rs = append(rs, apiRequest{http.MethodPost, "/v1/sweep-range",
-			fmt.Sprintf(`{"lo":%d,"hi":%d}`, r[0], r[1])})
 	}
 	return rs
 }
@@ -262,8 +248,8 @@ func TestSurfaceDifferential(t *testing.T) {
 
 	t.Run("baked_path_immune_to_chaos", func(t *testing.T) {
 		// Fault every seam the live path crosses — pass runs, sweep items,
-		// trace capture, pool admission, cache leadership, overlay
-		// backfill. The baked path touches none of them, so every response
+		// trace capture, pool admission, cache leadership. The baked path
+		// touches none of them, so every response
 		// must stay 200 and byte-identical to the fault-free run.
 		p, err := fault.ParsePlan("seed=11,rate=768/1024,kinds=error+cancel+panic,points=lab.+server.+trace.+surface.")
 		if err != nil {
