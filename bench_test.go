@@ -511,7 +511,7 @@ func BenchmarkInterp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := NewCollector(8)
+	c := NewCollector(prog, 8)
 	b.ResetTimer()
 	it.Run(int64(b.N), c)
 }

@@ -497,7 +497,7 @@ func writeHeapProfile(path string) error {
 		return err
 	}
 	defer f.Close()
-	runtime.GC() // materialize up-to-date allocation statistics
+	runtime.GC() // bring the allocation statistics up to date
 	if err := pprof.WriteHeapProfile(f); err != nil {
 		return err
 	}

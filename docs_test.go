@@ -2,6 +2,8 @@ package pipecache
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
 	"go/scanner"
 	"go/token"
 	"io/fs"
@@ -185,7 +187,7 @@ func TestMakefileRunPatternsNameTests(t *testing.T) {
 // checked claims: every backticked `ns.name` in README.md, DESIGN.md and
 // EXPERIMENTS.md, with ns one of lab, cluster, server, surface, trace or
 // cpisim and the name all lower case (Go identifiers such as
-// `server.RequestKey` are TestDocsNameCoreDeclarations' business), must be
+// `server.RequestKey` are TestDocsNameInternalDeclarations' business), must be
 // a string literal in the module's non-test Go — a registry name or a
 // fault.NewPoint name. A literal ending in "." that the code concatenates
 // onto (`"cluster.req." + name`) covers every name it prefixes. Shorthand
@@ -263,5 +265,122 @@ func TestDocsNameMetrics(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no metric citations found; the docs pattern is stale")
+	}
+}
+
+// TestDocsNameInternalDeclarations treats the docs' Go identifiers as
+// checked claims: every backticked `pkg.X` or `pkg.T.m` in README.md,
+// DESIGN.md and EXPERIMENTS.md whose pkg is an internal/* package must name
+// a declaration of that package's non-test Go (a func, type or var X, or a
+// method or field m of type T), so a rename or deletion that leaves the
+// docs behind fails here. Constants do not count: the docs cite APIs, and
+// an enum value that shares a stale name (trace.Store, the reference kind)
+// must not vouch for it. A bare `Lab.m` is the docs' shorthand for a
+// core.Lab method and is checked the same way. All-lower-case dotted names
+// are metric and fault-point names, TestDocsNameMetrics' business.
+func TestDocsNameInternalDeclarations(t *testing.T) {
+	dirs, err := os.ReadDir("internal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]map[string]bool{} // package -> "X" or "T.m"
+	var pkgs []string
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		decls := map[string]bool{}
+		fset := token.NewFileSet()
+		parsed, err := parser.ParseDir(fset, filepath.Join("internal", d.Name()), func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range parsed {
+			for _, f := range pkg.Files {
+				collectDecls(f, decls)
+			}
+		}
+		declared[d.Name()] = decls
+		pkgs = append(pkgs, d.Name())
+	}
+
+	ref := regexp.MustCompile(`(?:^|[^.\w])(?:(` + strings.Join(pkgs, "|") + `)\.)?(\w+)(?:\.(\w+))?`)
+	span := regexp.MustCompile("`[^`\n]+`")
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, code := range span.FindAllString(string(b), -1) {
+			for _, m := range ref.FindAllStringSubmatch(code, -1) {
+				pkg, name, member := m[1], m[2], m[3]
+				if pkg == "" {
+					if name != "Lab" || member == "" {
+						continue
+					}
+					pkg = "core"
+				}
+				if strings.ToLower(m[0]) == m[0] {
+					continue
+				}
+				if member != "" && declared[pkg][name+"."] {
+					name += "." + member
+				}
+				checked++
+				if !declared[pkg][name] {
+					t.Errorf("%s: %s names no declaration of internal/%s", doc, code, pkg)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no internal package references in the docs")
+	}
+}
+
+// collectDecls adds f's top-level names to decls: "X" for funcs, types and
+// vars, "T.m" for methods and struct fields, and "T." marking each type as
+// one that can have members.
+func collectDecls(f *ast.File, decls map[string]bool) {
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			name := d.Name.Name
+			if d.Recv != nil {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if gen, ok := recv.(*ast.IndexExpr); ok {
+					recv = gen.X
+				}
+				name = recv.(*ast.Ident).Name + "." + name
+			}
+			decls[name] = true
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					decls[s.Name.Name] = true
+					decls[s.Name.Name+"."] = true
+					if st, ok := s.Type.(*ast.StructType); ok {
+						for _, fld := range st.Fields.List {
+							for _, n := range fld.Names {
+								decls[s.Name.Name+"."+n.Name] = true
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					if d.Tok == token.VAR {
+						for _, n := range s.Names {
+							decls[n.Name] = true
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -42,7 +42,7 @@ func (l *Lab) Table1() (*Table1Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := interp.NewCollector(8)
+		c := interp.NewCollector(p, 8)
 		it.Run(probe, c)
 		row := Table1Row{
 			Name:     spec.Name,

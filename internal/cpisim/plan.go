@@ -70,7 +70,7 @@ func cachedBlockMeta(prog *program.Program, xlat *sched.Translation, slots int, 
 	if v, ok := blockMetaCache.Load(key); ok {
 		return v.([]blockMeta)
 	}
-	ms := buildBlockMeta(prog, xlat)
+	ms := buildBlockMeta(xlat)
 	v, _ := blockMetaCache.LoadOrStore(key, ms)
 	return v.([]blockMeta)
 }
@@ -90,33 +90,19 @@ func blockMetaFits(xlat *sched.Translation) bool {
 
 // buildBlockMeta tabulates every block's fetch geometry and static-scheme
 // CTI consequences from one workload's translation.
-func buildBlockMeta(prog *program.Program, xlat *sched.Translation) []blockMeta {
+func buildBlockMeta(xlat *sched.Translation) []blockMeta {
 	ms := make([]blockMeta, len(xlat.Blocks))
 	for id := range xlat.Blocks {
 		x := &xlat.Blocks[id]
 		m := &ms[id]
 		m.newAddr = x.NewAddr
 		m.newLen = uint16(x.NewLen)
-		if !x.HasCTI {
-			continue
-		}
+		m.squashAddr = x.SquashAddr
+		m.squashN = uint8(x.SquashN)
+		m.skip = uint8(x.Skip)
 		m.predTaken = x.PredTaken
 		m.wastedTaken = uint8(xlat.WastedSlots(id, true))
 		m.wastedNT = uint8(xlat.WastedSlots(id, false))
-		if x.PredTaken && !x.Indirect {
-			m.skip = uint8(x.S)
-		}
-		if !x.PredTaken {
-			if ft := prog.Block(id).Fallthrough; ft != program.None {
-				fx := &xlat.Blocks[ft]
-				n := x.S
-				if n > fx.NewLen {
-					n = fx.NewLen
-				}
-				m.squashAddr = fx.NewAddr
-				m.squashN = uint8(n)
-			}
-		}
 	}
 	return ms
 }

@@ -58,7 +58,7 @@ func (s *Sim) ReplaySharded(instsPerBench int64, tr *trace.EventTrace, workers i
 // ReplayContext runs the pass from a captured event trace instead of the
 // interpreters: per-benchmark cursors re-interleave the stored streams
 // round-robin at this simulator's quantum, delivering whole blocks until
-// each turn's target is met — exactly the rule interp.RunEvents applies —
+// each turn's target is met — exactly the rule interp.Run applies —
 // so the sequence of state transitions, the Result, and the published
 // counters are bit-identical to a live run of the same configuration.
 //
@@ -68,9 +68,6 @@ func (s *Sim) ReplaySharded(instsPerBench int64, tr *trace.EventTrace, workers i
 // exhaustion error leaves the simulator in an undefined intermediate
 // state; build a fresh Sim to fall back to live interpretation.
 func (s *Sim) ReplayContext(ctx context.Context, instsPerBench int64, tr *trace.EventTrace) (*Result, error) {
-	if instsPerBench <= 0 {
-		return nil, fmt.Errorf("cpisim: non-positive instruction budget")
-	}
 	if err := checkTraceLive(tr); err != nil {
 		return nil, err
 	}
@@ -92,44 +89,21 @@ func (s *Sim) ReplayContext(ctx context.Context, instsPerBench int64, tr *trace.
 	// does not pin a released trace's memory.
 	s.replayAux = tr.Aux()
 	defer func() { s.replayAux = nil }()
-	remaining := make([]int64, len(s.benches))
-	for i := range remaining {
-		remaining[i] = instsPerBench
+	quantum := s.cfg.Quantum
+	if len(s.benches) == 1 {
+		// A single workload has no interleaving: its turns concatenate
+		// into the same event sequence whatever the quantum, so one
+		// whole-stream turn replaces the per-quantum loop and lets Turn
+		// deliver whole chunks wholesale.
+		quantum = instsPerBench
 	}
-	active := len(s.benches)
-	for active > 0 {
-		for i, b := range s.benches {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if remaining[i] <= 0 {
-				continue
-			}
-			q := s.cfg.Quantum
-			if len(s.benches) == 1 {
-				// A single workload has no interleaving: its turns
-				// concatenate into the same event sequence whatever the
-				// quantum, so one whole-stream turn replaces the per-quantum
-				// loop and lets Turn deliver whole chunks wholesale.
-				q = remaining[i]
-			} else if q > remaining[i] {
-				q = remaining[i]
-			}
-			ran := cursors[i].Turn(q, s.evbuf, b.sink)
-			if ran == 0 {
-				return nil, fmt.Errorf("cpisim: trace %q exhausted for %s with %d instructions remaining",
-					tr.Key(), b.prog.Name, remaining[i])
-			}
-			remaining[i] -= ran
-			if remaining[i] <= 0 {
-				active--
-			}
+	return s.multiprogram(ctx, instsPerBench, quantum, func(i int, q, remaining int64) (int64, error) {
+		b := s.benches[i]
+		ran := cursors[i].Turn(q, b.sink)
+		if ran == 0 {
+			return 0, fmt.Errorf("cpisim: trace %q exhausted for %s with %d instructions remaining",
+				tr.Key(), b.prog.Name, remaining)
 		}
-	}
-	res := &Result{Config: s.cfg}
-	for _, b := range s.benches {
-		res.Benches = append(res.Benches, b.res)
-	}
-	s.publish(res)
-	return res, nil
+		return ran, nil
+	})
 }

@@ -35,7 +35,7 @@ type Workload struct {
 // of the level is evaluated by one probe returning a miss bitmask, rather
 // than by a separate Cache probed per configuration; a single
 // configuration is a one-entry bank. The interpreter
-// drives the banks through its compact event stream (interp.RunEvents),
+// drives the banks through its column-encoded event stream (interp.Run),
 // so the per-event work is a direct switch dispatch instead of interface
 // calls.
 type Sim struct {
@@ -45,7 +45,6 @@ type Sim struct {
 	l2bank  *cache.Bank // nil when no two-level hierarchy is configured
 	btb     *btb.BTB
 	benches []*benchState
-	evbuf   []interp.Event
 	obs     *obs.Registry
 
 	// replayAux is the active trace's plan cache (plan.go) while a replay
@@ -203,13 +202,21 @@ func (s *Sim) Run(instsPerBench int64) (*Result, error) {
 // without a result once it is cancelled. A cancelled pass leaves the
 // simulator in an undefined intermediate state; build a fresh Sim to retry.
 func (s *Sim) RunContext(ctx context.Context, instsPerBench int64) (*Result, error) {
+	return s.multiprogram(ctx, instsPerBench, s.cfg.Quantum, func(i int, q, _ int64) (int64, error) {
+		b := s.benches[i]
+		return b.it.Run(q, b.drive), nil
+	})
+}
+
+// multiprogram is the round-robin loop shared by live runs and replays:
+// every workload in turn runs one turn of at most quantum of its remaining
+// instsPerBench instructions until all budgets are spent, polling ctx
+// before each turn. turn runs workload i for q instructions, given the
+// remaining budget, and returns how many it ran. The per-workload results
+// are then assembled and published.
+func (s *Sim) multiprogram(ctx context.Context, instsPerBench, quantum int64, turn func(i int, q, remaining int64) (int64, error)) (*Result, error) {
 	if instsPerBench <= 0 {
 		return nil, fmt.Errorf("cpisim: non-positive instruction budget")
-	}
-	if s.evbuf == nil {
-		// Allocated on first live run only: replays stream stored columns
-		// through the zero-copy path and never touch the buffer.
-		s.evbuf = make([]interp.Event, 4096)
 	}
 	remaining := make([]int64, len(s.benches))
 	for i := range remaining {
@@ -217,18 +224,17 @@ func (s *Sim) RunContext(ctx context.Context, instsPerBench int64) (*Result, err
 	}
 	active := len(s.benches)
 	for active > 0 {
-		for i, b := range s.benches {
+		for i := range s.benches {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			if remaining[i] <= 0 {
 				continue
 			}
-			q := s.cfg.Quantum
-			if q > remaining[i] {
-				q = remaining[i]
+			ran, err := turn(i, min(quantum, remaining[i]), remaining[i])
+			if err != nil {
+				return nil, err
 			}
-			ran := b.it.RunEvents(q, s.evbuf, b.drive)
 			remaining[i] -= ran
 			if remaining[i] <= 0 {
 				active--
@@ -251,35 +257,11 @@ type benchSink struct {
 	b *benchState
 }
 
-// Events consumes one batch of interpreter events in program order.
-func (h *benchSink) Events(evs []interp.Event) {
-	for i := range evs {
-		ev := evs[i]
-		switch ev.Kind {
-		case interp.EvBlock:
-			h.block(int(ev.A), int64(ev.B))
-		case interp.EvLoadUse:
-			h.loadUse(int(ev.A), int(ev.B))
-		case interp.EvMemLoad:
-			h.mem(ev.A, false)
-		case interp.EvMemStore:
-			h.mem(ev.A, true)
-		case interp.EvCTITaken:
-			h.cti(int(ev.A), true)
-		case interp.EvCTINotTaken:
-			h.cti(int(ev.A), false)
-		}
-	}
-}
-
-// EventColumns consumes one replayed batch in columnar form
-// (interp.ColumnSink): trace chunks are stored as parallel kind/A/B
-// arrays, read in place instead of materialized as Event records. A
-// configuration the compiled plans cover (plan.go) books the batch
-// through its chunk plan; any other runs the switch below, whose bodies
-// are identical to Events, so live and replayed streams drive exactly the
-// same state transitions.
-func (h *benchSink) EventColumns(kinds []uint8, as, bs []uint32) {
+// Events consumes one batch of the event stream, live or replayed. A
+// configuration the compiled plans cover (plan.go) books a replayed batch
+// through its chunk plan; everything else runs the switch below, so live
+// and replayed streams drive exactly the same state transitions.
+func (h *benchSink) Events(kinds []uint8, as, bs []uint32) {
 	if aux := h.s.replayAux; aux != nil && h.b.ctis != nil && len(kinds) > 0 {
 		h.applyPlan(h.planFor(aux, kinds, as, bs))
 		return
@@ -435,21 +417,11 @@ func (h *benchSink) cti(id int, taken bool) {
 	switch h.s.cfg.BranchScheme {
 	case BranchStatic:
 		b.res.BranchStall += int64(b.xlat.WastedSlots(id, taken))
-		if !x.PredTaken && taken {
-			// Predicted not-taken but taken: the s sequential delay-slot
-			// instructions were fetched (and squashed) from the
-			// fall-through block before control transferred.
-			if ft := b.prog.Block(id).Fallthrough; ft != program.None {
-				fx := &b.xlat.Blocks[ft]
-				n := x.S
-				if n > fx.NewLen {
-					n = fx.NewLen
-				}
-				h.fetchRange(fx.NewAddr, n)
-			}
-		}
-		if x.PredTaken && taken && !x.Indirect {
-			b.skip = x.S
+		if taken {
+			// Squashed fall-through fetches after a not-taken prediction,
+			// or the delay-slot skip into the target after a taken one.
+			h.fetchRange(x.SquashAddr, x.SquashN)
+			b.skip = x.Skip
 		}
 	case BranchBTB:
 		// Defer resolution until the target address is known (the next

@@ -100,7 +100,7 @@ func DynamicMix(p *program.Program, seed uint64) (Mix, error) {
 	if err != nil {
 		return Mix{}, err
 	}
-	c := interp.NewCollector(4)
+	c := interp.NewCollector(p, 4)
 	const probe = 120_000
 	it.Run(probe, c)
 	return Mix{

@@ -6,9 +6,9 @@ import (
 	"pipecache/internal/stats"
 )
 
-// Collector is a Handler that accumulates the workload statistics the paper
-// reports: the dynamic instruction mix (Table 1), CTI kind and outcome
-// counts, and the epsilon distributions of Figures 6 and 7.
+// Collector is an EventSink that accumulates the workload statistics the
+// paper reports: the dynamic instruction mix (Table 1), CTI kind and
+// outcome counts, and the epsilon distributions of Figures 6 and 7.
 type Collector struct {
 	Insts  int64
 	Loads  int64
@@ -27,38 +27,48 @@ type Collector struct {
 	// with epsilon == i; the overflow bin is ">= bins".
 	Eps      *stats.Hist
 	EpsBlock *stats.Hist
+
+	prog *program.Program // resolves block IDs for the syscall and CTI kinds
 }
 
-// NewCollector returns a Collector with epsilon histograms of the given bin
-// count (the paper plots 0..7+).
-func NewCollector(epsBins int) *Collector {
+// NewCollector returns a Collector for p's event stream with epsilon
+// histograms of the given bin count (the paper plots 0..7+).
+func NewCollector(p *program.Program, epsBins int) *Collector {
 	return &Collector{
 		Eps:      stats.NewHist(epsBins),
 		EpsBlock: stats.NewHist(epsBins),
+		prog:     p,
 	}
 }
 
-// Block implements Handler.
-func (c *Collector) Block(b *program.Block) {
-	c.Insts += int64(len(b.Insts))
-	for i := range b.Insts {
-		if b.Insts[i].Op.Class() == isa.ClassSyscall {
-			c.Syscalls++
+// Events implements EventSink.
+func (c *Collector) Events(kind []uint8, a, b []uint32) {
+	a = a[:len(kind)]
+	b = b[:len(kind)]
+	for i := range kind {
+		switch EventKind(kind[i]) {
+		case EvBlock:
+			c.Insts += int64(b[i])
+			blk := c.prog.Blocks[a[i]]
+			for j := range blk.Insts {
+				if blk.Insts[j].Op.Class() == isa.ClassSyscall {
+					c.Syscalls++
+				}
+			}
+		case EvLoadUse:
+			c.Eps.Add(int(a[i]))
+			c.EpsBlock.Add(int(b[i]))
+		case EvMemLoad:
+			c.Loads++
+		case EvMemStore:
+			c.Stores++
+		case EvCTITaken, EvCTINotTaken:
+			c.cti(c.prog.Blocks[a[i]], EventKind(kind[i]) == EvCTITaken)
 		}
 	}
 }
 
-// Mem implements Handler.
-func (c *Collector) Mem(b *program.Block, idx int, addr uint32, isStore bool) {
-	if isStore {
-		c.Stores++
-	} else {
-		c.Loads++
-	}
-}
-
-// CTI implements Handler.
-func (c *Collector) CTI(b *program.Block, taken bool) {
+func (c *Collector) cti(b *program.Block, taken bool) {
 	c.CTIs++
 	term, _ := b.Terminator()
 	switch term.Op.Class() {
@@ -72,12 +82,6 @@ func (c *Collector) CTI(b *program.Block, taken bool) {
 	case isa.ClassJumpReg:
 		c.IndirectCTIs++
 	}
-}
-
-// LoadUse implements Handler.
-func (c *Collector) LoadUse(eps, epsBlock int) {
-	c.Eps.Add(eps)
-	c.EpsBlock.Add(epsBlock)
 }
 
 // LoadFrac returns the dynamic load fraction.

@@ -5,14 +5,11 @@ import (
 	"pipecache/internal/program"
 )
 
-// The event-stream execution path. RunEvents produces the same dynamic
-// stream as Run, but encoded as a flat buffer of compact Event records
-// delivered in batches instead of one interface method call per event.
-// Consumers decode the batch with a switch and call their own concrete
-// methods directly, so the per-event work inlines; only one indirect call
-// is paid per batch. The interpreter logic is intentionally duplicated
-// from step/execInst/advance — TestRunEventsMatchesHandler pins the two
-// paths to the identical stream (including RNG evolution).
+// The event stream. Run encodes every dynamic event as one row of three
+// parallel columns (kind, A, B) and hands the columns to its sink in
+// batches, one indirect call per batch. Consumers decode a batch with a
+// switch over the kind column and call their own concrete methods, so the
+// per-event work inlines.
 //
 // Stream invariance contract: the event stream of one interpreter is a
 // pure function of (program, seed, instruction budget). Delay-slot
@@ -24,7 +21,8 @@ import (
 // any change that makes the stream depend on consumer configuration must
 // also invalidate trace.EventTrace keys.
 
-// EventKind discriminates Event records.
+// EventKind is the kind column's value. The meaning of A and B depends on
+// it.
 type EventKind uint8
 
 const (
@@ -32,48 +30,29 @@ const (
 	// block's instruction count (saving the consumer the block lookup).
 	EvBlock EventKind = iota
 	// EvLoadUse: a load's value was first consumed; A is the unrestricted
-	// epsilon, B the block-restricted epsilon.
+	// epsilon = c + d (Figure 6), B the same truncated at basic-block
+	// boundaries (Figure 7). Loads whose values are never consumed are not
+	// reported.
 	EvLoadUse
 	// EvMemLoad / EvMemStore: one data reference at word address A.
 	EvMemLoad
 	EvMemStore
 	// EvCTITaken / EvCTINotTaken: block A's terminating control transfer
-	// resolved taken or not taken.
+	// resolved taken or not taken (unconditional transfers are taken).
 	EvCTITaken
 	EvCTINotTaken
 )
 
-// Event is one record of the compact stream. The meaning of A and B
-// depends on Kind.
-type Event struct {
-	Kind EventKind
-	A, B uint32
-}
-
-// EventSink consumes batches of events in program order. The slice is
-// reused between calls; implementations must not retain it.
+// EventSink consumes the event stream in program order, one batch of
+// parallel columns per call: row i is the event (kind[i], a[i], b[i]).
+// Batch boundaries carry no meaning. The columns are reused between calls;
+// implementations must not retain them.
 type EventSink interface {
-	Events([]Event)
-}
-
-// EventSinkFunc adapts a function to the EventSink interface.
-type EventSinkFunc func([]Event)
-
-// Events implements EventSink.
-func (f EventSinkFunc) Events(evs []Event) { f(evs) }
-
-// ColumnSink is an optional fast path for sinks that can consume a batch
-// in columnar form (parallel kind/A/B arrays) without materializing Event
-// records. Replay from a columnar trace probes for it and, when present,
-// delivers zero-copy sub-slices of the stored columns. The same batching
-// and retention rules as EventSink apply: slices are only valid for the
-// duration of the call.
-type ColumnSink interface {
-	EventColumns(kind []uint8, a, b []uint32)
+	Events(kind []uint8, a, b []uint32)
 }
 
 // instMeta is the per-instruction static decode: the class-derived flags,
-// single def register and source registers that step would otherwise
+// single def register and source registers that the loop would otherwise
 // re-derive from opcode tables on every dynamic execution.
 type instMeta struct {
 	flags uint8
@@ -89,8 +68,7 @@ const (
 )
 
 // blockMeta caches one block's decode: its instructions and the class of
-// its terminator (ClassNop when the block is straight-line code, which
-// advance treats identically).
+// its terminator (ClassNop when the block is straight-line code).
 type blockMeta struct {
 	insts []instMeta
 	term  isa.Class
@@ -98,7 +76,7 @@ type blockMeta struct {
 }
 
 // decode builds the static decode table for the whole program. It runs
-// once per interpreter, on the first RunEvents call.
+// once per interpreter, on the first Run call.
 func (it *Interp) decode() {
 	it.meta = make([]blockMeta, len(it.prog.Blocks))
 	for i, b := range it.prog.Blocks {
@@ -130,22 +108,17 @@ func (it *Interp) decode() {
 	}
 }
 
-// defaultEventBuf is the batch size allocated when the caller does not
-// supply a buffer.
-const defaultEventBuf = 4096
+// batchEvents is the capacity of the batch columns.
+const batchEvents = 4096
 
-// RunEvents is Run on the event-stream path: it executes at least n
-// further instructions (stopping at the first block boundary at or past
-// the target), delivering the stream to sink in batches written into buf
-// (allocated internally when nil or too small). It returns the number of
-// instructions executed by this call.
-func (it *Interp) RunEvents(n int64, buf []Event, sink EventSink) int64 {
+// Run executes at least n further instructions (stopping at the first
+// block boundary at or past the target), delivering the event stream to
+// sink in batches. It returns the number of instructions executed by this
+// call.
+func (it *Interp) Run(n int64, sink EventSink) int64 {
 	if it.meta == nil {
 		it.decode()
-	}
-	evs := buf[:0]
-	if cap(evs) < 64 {
-		evs = make([]Event, 0, defaultEventBuf)
+		it.grow(batchEvents)
 	}
 	start := it.icount
 	target := start + n
@@ -153,30 +126,47 @@ func (it *Interp) RunEvents(n int64, buf []Event, sink EventSink) int64 {
 		b := it.prog.Blocks[it.cur]
 		// A block emits at most one Block, one CTI and three events per
 		// instruction (two load-uses + one memory reference); flush ahead
-		// of the block so the per-event appends never check capacity.
+		// of the block so the per-event appends never reallocate.
 		need := 3*len(b.Insts) + 2
-		if cap(evs)-len(evs) < need {
-			if len(evs) > 0 {
-				sink.Events(evs)
-				evs = evs[:0]
-			}
-			if cap(evs) < need {
-				evs = make([]Event, 0, 2*need)
+		if cap(it.kind)-len(it.kind) < need {
+			it.flush(sink)
+			if cap(it.kind) < need {
+				it.grow(2 * need)
 			}
 		}
-		evs = it.stepEvents(b, evs)
+		it.step(b)
 	}
-	if len(evs) > 0 {
-		sink.Events(evs)
-	}
+	it.flush(sink)
 	return it.icount - start
 }
 
-// stepEvents executes block b, appending its events to evs, and advances
-// to the successor. It mirrors step/execInst/advance exactly, with the
-// static per-instruction facts read from the decode table.
-func (it *Interp) stepEvents(b *program.Block, evs []Event) []Event {
-	evs = append(evs, Event{Kind: EvBlock, A: uint32(b.ID), B: uint32(len(b.Insts))})
+// grow replaces the batch columns with empty ones of capacity n.
+func (it *Interp) grow(n int) {
+	it.kind = make([]uint8, 0, n)
+	it.a = make([]uint32, 0, n)
+	it.b = make([]uint32, 0, n)
+}
+
+// flush hands the pending batch to sink and empties the columns.
+func (it *Interp) flush(sink EventSink) {
+	if len(it.kind) > 0 {
+		sink.Events(it.kind, it.a, it.b)
+		it.kind, it.a, it.b = it.kind[:0], it.a[:0], it.b[:0]
+	}
+}
+
+// emit appends one event row to the batch columns.
+func (it *Interp) emit(k EventKind, a, b uint32) {
+	it.kind = append(it.kind, uint8(k))
+	it.a = append(it.a, a)
+	it.b = append(it.b, b)
+}
+
+// step executes block b, appending its events to the batch columns, and
+// advances to the successor, with the static per-instruction facts read
+// from the decode table.
+func (it *Interp) step(b *program.Block) {
+	it.emit(EvBlock, uint32(b.ID), uint32(len(b.Insts)))
 	bm := &it.meta[b.ID]
 	blockLen := len(b.Insts)
 	for idx := range bm.insts {
@@ -206,7 +196,7 @@ func (it *Interp) stepEvents(b *program.Block, evs []Event) []Event {
 				if cBlk > rec.maxC {
 					cBlk = rec.maxC
 				}
-				evs = append(evs, Event{Kind: EvLoadUse, A: uint32(eps), B: uint32(capEps(cBlk + dBlk))})
+				it.emit(EvLoadUse, uint32(eps), uint32(capEps(cBlk+dBlk)))
 			}
 		}
 
@@ -214,9 +204,9 @@ func (it *Interp) stepEvents(b *program.Block, evs []Event) []Event {
 			in := &b.Insts[idx]
 			addr := it.dataAddr(in)
 			if m.flags&metaIsStore != 0 {
-				evs = append(evs, Event{Kind: EvMemStore, A: addr})
+				it.emit(EvMemStore, addr, 0)
 			} else {
-				evs = append(evs, Event{Kind: EvMemLoad, A: addr})
+				it.emit(EvMemLoad, addr, 0)
 				if in.Rd != isa.Zero {
 					c := int(now - it.lastDef[in.Rs] - 1)
 					if c > EpsCap {
@@ -238,6 +228,8 @@ func (it *Interp) stepEvents(b *program.Block, evs []Event) []Event {
 			}
 		}
 
+		// Record the definition; a redefinition kills an unconsumed load
+		// (dead value, no interlock stall would occur).
 		if m.flags&metaHasDef != 0 {
 			d := m.def
 			it.lastDef[d] = now
@@ -250,16 +242,15 @@ func (it *Interp) stepEvents(b *program.Block, evs []Event) []Event {
 
 	switch bm.term {
 	case isa.ClassBranch:
-		taken := it.rng.Bool(b.TakenProb)
-		if taken {
-			evs = append(evs, Event{Kind: EvCTITaken, A: uint32(b.ID)})
+		if it.rng.Bool(b.TakenProb) {
+			it.emit(EvCTITaken, uint32(b.ID), 0)
 			it.cur = b.Taken
 		} else {
-			evs = append(evs, Event{Kind: EvCTINotTaken, A: uint32(b.ID)})
+			it.emit(EvCTINotTaken, uint32(b.ID), 0)
 			it.cur = b.Fallthrough
 		}
 	case isa.ClassJump:
-		evs = append(evs, Event{Kind: EvCTITaken, A: uint32(b.ID)})
+		it.emit(EvCTITaken, uint32(b.ID), 0)
 		if bm.isJAL {
 			it.stack = append(it.stack, frame{returnBlock: b.Fallthrough, proc: it.curProc})
 			it.curProc = b.CallProc
@@ -268,12 +259,15 @@ func (it *Interp) stepEvents(b *program.Block, evs []Event) []Event {
 			it.cur = b.Taken
 		}
 	case isa.ClassJumpReg:
-		evs = append(evs, Event{Kind: EvCTITaken, A: uint32(b.ID)})
+		it.emit(EvCTITaken, uint32(b.ID), 0)
 		if b.IsReturn {
 			if len(it.stack) == 0 {
+				// Returning from the entry procedure: restart it. The
+				// generator's driver never returns, but hand-built
+				// programs may.
 				it.curProc = it.prog.Entry
 				it.cur = it.prog.Procs[it.curProc].Entry
-				return evs
+				return
 			}
 			f := it.stack[len(it.stack)-1]
 			it.stack = it.stack[:len(it.stack)-1]
@@ -285,5 +279,4 @@ func (it *Interp) stepEvents(b *program.Block, evs []Event) []Event {
 	default:
 		it.cur = b.Fallthrough
 	}
-	return evs
 }

@@ -27,7 +27,7 @@ func TestGeneratedBenchmarkDynamicMix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := interp.NewCollector(8)
+		c := interp.NewCollector(p, 8)
 		it.Run(400_000, c)
 		if math.Abs(c.LoadFrac()-spec.LoadFrac) > 0.05 {
 			t.Errorf("%s: dynamic load fraction %.3f, target %.3f", name, c.LoadFrac(), spec.LoadFrac)
@@ -53,7 +53,7 @@ func TestEpsilonDistributionsShapedLikePaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	it, _ := interp.New(p, 99)
-	c := interp.NewCollector(8)
+	c := interp.NewCollector(p, 8)
 	it.Run(400_000, c)
 	un := c.Eps.FracAtLeast(3)
 	re := c.EpsBlock.FracAtLeast(3)

@@ -13,6 +13,11 @@
 // fetch address streams using the translation tables from the sched
 // package, exactly as the paper's translation files were applied to its
 // traces.
+//
+// Run is the one execution loop. It delivers the stream to an EventSink in
+// batches of parallel kind/A/B columns (events.go), the encoding the trace
+// package stores, so live and replayed streams reach every consumer in the
+// same shape.
 package interp
 
 import (
@@ -28,25 +33,6 @@ import (
 // (the paper's histograms top out at ">= 3").
 const EpsCap = 64
 
-// Handler receives the dynamic event stream. Methods are called in program
-// order. Implementations must not retain the *program.Block pointers past
-// the call.
-type Handler interface {
-	// Block reports that the instructions of b are about to execute.
-	Block(b *program.Block)
-	// Mem reports one data reference (the instruction is b.Insts[idx]).
-	Mem(b *program.Block, idx int, addr uint32, isStore bool)
-	// CTI reports the outcome of b's terminating control transfer.
-	// For unconditional transfers taken is true.
-	CTI(b *program.Block, taken bool)
-	// LoadUse reports the resolved dependency distances of one executed
-	// load at the moment of its first use: eps is the unrestricted
-	// epsilon = c + d (Figure 6), epsBlock is the same truncated at basic
-	// block boundaries (Figure 7). Loads whose values are never consumed
-	// are not reported.
-	LoadUse(eps, epsBlock int)
-}
-
 // Interp executes one program.
 type Interp struct {
 	prog *program.Program
@@ -58,9 +44,12 @@ type Interp struct {
 	stack   []frame
 	cursors []uint32 // per-region array walk positions
 
-	// meta is the static per-block decode used by the event-stream path,
-	// built lazily by the first RunEvents call.
+	// meta is the static per-block decode, built lazily by the first Run.
 	meta []blockMeta
+	// kind, a and b are the batch columns Run fills and hands to its sink,
+	// allocated by the first Run.
+	kind []uint8
+	a, b []uint32
 
 	lastDef [isa.NumRegs]int64
 	pending [isa.NumRegs]loadRec
@@ -110,94 +99,6 @@ func New(p *program.Program, seed uint64) (*Interp, error) {
 // Executed returns the number of instructions executed so far.
 func (it *Interp) Executed() int64 { return it.icount }
 
-// Run executes at least n further instructions (stopping at the first block
-// boundary at or past the target) and reports events to h. It returns the
-// number of instructions executed by this call.
-func (it *Interp) Run(n int64, h Handler) int64 {
-	start := it.icount
-	target := start + n
-	for it.icount < target {
-		it.step(h)
-	}
-	return it.icount - start
-}
-
-// step executes the current block and advances to its successor.
-func (it *Interp) step(h Handler) {
-	b := it.prog.Block(it.cur)
-	h.Block(b)
-	blockLen := len(b.Insts)
-	for idx := range b.Insts {
-		it.execInst(b, idx, blockLen, h)
-	}
-	it.advance(b, h)
-}
-
-func (it *Interp) execInst(b *program.Block, idx, blockLen int, h Handler) {
-	in := &b.Insts[idx]
-	it.icount++
-	now := it.icount
-
-	// Resolve pending loads on first use of their destinations.
-	if it.nPending != 0 {
-		srcs, ns := in.SrcRegs()
-		for _, u := range srcs[:ns] {
-			rec := &it.pending[u]
-			if !rec.active {
-				continue
-			}
-			rec.active = false
-			it.nPending--
-			d := int(now - rec.at - 1)
-			if d > EpsCap {
-				d = EpsCap
-			}
-			eps := capEps(rec.c + d)
-			dBlk := d
-			if dBlk > rec.maxD {
-				dBlk = rec.maxD
-			}
-			cBlk := rec.c
-			if cBlk > rec.maxC {
-				cBlk = rec.maxC
-			}
-			h.LoadUse(eps, capEps(cBlk+dBlk))
-		}
-	}
-
-	if in.Op.IsMem() {
-		addr := it.dataAddr(in)
-		h.Mem(b, idx, addr, in.Op.IsStore())
-		if in.Op.IsLoad() && in.Rd != isa.Zero {
-			aReg, _ := in.AddrReg()
-			c := int(now - it.lastDef[aReg] - 1)
-			if c > EpsCap {
-				c = EpsCap
-			}
-			if !it.pending[in.Rd].active {
-				it.nPending++
-			}
-			it.pending[in.Rd] = loadRec{
-				active: true,
-				at:     now,
-				c:      c,
-				maxC:   idx,
-				maxD:   blockLen - idx - 1,
-			}
-		}
-	}
-
-	// Record the definition; a redefinition kills an unconsumed load
-	// (dead value, no interlock stall would occur).
-	if d, ok := in.Def(); ok {
-		it.lastDef[d] = now
-		if !(in.Op.IsLoad() && d == in.Rd) && it.pending[d].active {
-			it.pending[d].active = false
-			it.nPending--
-		}
-	}
-}
-
 func capEps(e int) int {
 	if e > EpsCap {
 		return EpsCap
@@ -236,53 +137,5 @@ func (it *Interp) dataAddr(in *program.Inst) uint32 {
 	default:
 		// Validation prevents this.
 		panic(fmt.Sprintf("interp: memory op %q without behaviour", in.Inst))
-	}
-}
-
-// advance follows the block's outgoing edge.
-func (it *Interp) advance(b *program.Block, h Handler) {
-	term, ok := b.Terminator()
-	if !ok {
-		it.cur = b.Fallthrough
-		return
-	}
-	switch term.Op.Class() {
-	case isa.ClassBranch:
-		taken := it.rng.Bool(b.TakenProb)
-		h.CTI(b, taken)
-		if taken {
-			it.cur = b.Taken
-		} else {
-			it.cur = b.Fallthrough
-		}
-	case isa.ClassJump:
-		h.CTI(b, true)
-		if term.Op == isa.JAL {
-			it.stack = append(it.stack, frame{returnBlock: b.Fallthrough, proc: it.curProc})
-			it.curProc = b.CallProc
-			it.cur = it.prog.Procs[b.CallProc].Entry
-		} else {
-			it.cur = b.Taken
-		}
-	case isa.ClassJumpReg:
-		h.CTI(b, true)
-		if b.IsReturn {
-			if len(it.stack) == 0 {
-				// Returning from the entry procedure: restart it. The
-				// generator's driver never returns, but hand-built
-				// programs may.
-				it.curProc = it.prog.Entry
-				it.cur = it.prog.Procs[it.curProc].Entry
-				return
-			}
-			f := it.stack[len(it.stack)-1]
-			it.stack = it.stack[:len(it.stack)-1]
-			it.curProc = f.proc
-			it.cur = f.returnBlock
-		} else {
-			it.cur = b.Taken
-		}
-	default:
-		it.cur = b.Fallthrough
 	}
 }

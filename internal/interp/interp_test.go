@@ -20,20 +20,25 @@ type eventLog struct {
 	epsBlock []int
 }
 
-func (l *eventLog) Block(b *program.Block) { l.blocks = append(l.blocks, b.ID) }
-func (l *eventLog) Mem(b *program.Block, idx int, addr uint32, isStore bool) {
-	l.memAddrs = append(l.memAddrs, addr)
-	l.stores = append(l.stores, isStore)
-}
-func (l *eventLog) CTI(b *program.Block, taken bool) {
-	l.ctis = append(l.ctis, struct {
-		block int
-		taken bool
-	}{b.ID, taken})
-}
-func (l *eventLog) LoadUse(eps, epsBlock int) {
-	l.eps = append(l.eps, eps)
-	l.epsBlock = append(l.epsBlock, epsBlock)
+// Events implements EventSink, decoding each row into the log's fields.
+func (l *eventLog) Events(kind []uint8, a, b []uint32) {
+	for i, k := range kind {
+		switch EventKind(k) {
+		case EvBlock:
+			l.blocks = append(l.blocks, int(a[i]))
+		case EvMemLoad, EvMemStore:
+			l.memAddrs = append(l.memAddrs, a[i])
+			l.stores = append(l.stores, EventKind(k) == EvMemStore)
+		case EvCTITaken, EvCTINotTaken:
+			l.ctis = append(l.ctis, struct {
+				block int
+				taken bool
+			}{int(a[i]), EventKind(k) == EvCTITaken})
+		case EvLoadUse:
+			l.eps = append(l.eps, int(a[i]))
+			l.epsBlock = append(l.epsBlock, int(b[i]))
+		}
+	}
 }
 
 // buildTestProgram constructs a program with a counted loop and a call.
@@ -293,7 +298,7 @@ func TestDeadLoadNotReported(t *testing.T) {
 func TestCollectorCounts(t *testing.T) {
 	p := buildTestProgram(t, 0.5)
 	it, _ := New(p, 5)
-	c := NewCollector(8)
+	c := NewCollector(p, 8)
 	n := it.Run(1000, c)
 	if n < 1000 {
 		t.Fatalf("Run executed %d", n)

@@ -7,12 +7,12 @@ import (
 	"pipecache/internal/program"
 )
 
-// Apply materializes the delay-slot schedule as actual code: it returns a
+// Apply writes the delay-slot schedule out as actual code: it returns a
 // transformed copy of the program in which every CTI has been hoisted over
 // its r independent predecessors and followed by its delay-slot
 // instructions — replicas of the predicted path for predicted-taken CTIs,
 // explicit noops for register-indirect jumps. Predicted-not-taken CTIs get
-// no materialized slots (their delay slots are the sequential instructions
+// no written-out slots (their delay slots are the sequential instructions
 // already laid out after them).
 //
 // The translation tables (Translate) describe this transformation without
@@ -66,7 +66,7 @@ func Apply(p *program.Program, b int) (*program.Program, *Translation, error) {
 			}
 		}
 		if len(blk.Insts) != x.NewLen {
-			return nil, nil, fmt.Errorf("sched: block %d materialized to %d words, translation says %d",
+			return nil, nil, fmt.Errorf("sched: block %d rewritten to %d words, translation says %d",
 				id, len(blk.Insts), x.NewLen)
 		}
 	}

@@ -32,18 +32,21 @@ func (pr *Profile) TakenFrac(id int) (float64, bool) {
 	return float64(pr.Takens[id]) / float64(pr.Executions[id]), true
 }
 
-// profileCollector adapts the interpreter event stream.
+// profileCollector counts CTI outcomes per block from the interpreter's
+// event stream.
 type profileCollector struct {
 	prof *Profile
 }
 
-func (c *profileCollector) Block(b *program.Block)                              {}
-func (c *profileCollector) Mem(b *program.Block, idx int, a uint32, store bool) {}
-func (c *profileCollector) LoadUse(eps, epsBlock int)                           {}
-func (c *profileCollector) CTI(b *program.Block, taken bool) {
-	c.prof.Executions[b.ID]++
-	if taken {
-		c.prof.Takens[b.ID]++
+func (c *profileCollector) Events(kind []uint8, a, _ []uint32) {
+	for i, k := range kind {
+		switch interp.EventKind(k) {
+		case interp.EvCTITaken:
+			c.prof.Executions[a[i]]++
+			c.prof.Takens[a[i]]++
+		case interp.EvCTINotTaken:
+			c.prof.Executions[a[i]]++
+		}
 	}
 }
 
@@ -116,8 +119,8 @@ func translateProfiled(p *program.Program, b int, prof *Profile) (*Translation, 
 	if err != nil {
 		return nil, err
 	}
-	// Re-resolve conditional branch predictions, then redo the layout
-	// pass since predicted-taken branches replicate target instructions.
+	// Re-resolve conditional branch predictions, then redo the layout,
+	// since predicted-taken branches replicate target instructions.
 	for id, blk := range p.Blocks {
 		x := &t.Blocks[id]
 		if !x.HasCTI || x.Indirect {
@@ -151,25 +154,11 @@ func translateProfiled(p *program.Program, b int, prof *Profile) (*Translation, 
 		// replicated words, predicted-not-taken none.
 		if newPred {
 			x.NewLen += x.S
-			t.NewWords += x.S
 		} else {
 			x.NewLen -= x.S
-			t.NewWords -= x.S
 		}
 		x.PredTaken = newPred
 	}
-	// Recompute the translated layout with the adjusted lengths.
-	addr := p.Base
-	for _, proc := range p.Procs {
-		for _, id := range proc.Blocks {
-			x := &t.Blocks[id]
-			x.NewAddr = addr
-			if x.HasCTI {
-				origLen := len(p.Blocks[id].Insts)
-				x.CTIAddr = addr + uint32(origLen-1-x.R)
-			}
-			addr += uint32(x.NewLen)
-		}
-	}
+	t.layout(p)
 	return t, nil
 }

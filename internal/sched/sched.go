@@ -56,6 +56,18 @@ type BlockXlat struct {
 	Indirect bool
 	// CTIAddr is the translated address of the CTI itself.
 	CTIAddr uint32
+
+	// The fetch consequences of a taken outcome, the translation-file rule
+	// every consumer of the fetch stream applies. SquashN words from
+	// SquashAddr are fetched and squashed when a CTI predicted not taken is
+	// taken: the s delay slots hold the first fall-through instructions
+	// (clipped to the fall-through block's length). Skip is how many
+	// leading target instructions a correctly predicted taken direct CTI
+	// already executed in its delay slots; Fetches drops them from the
+	// target's fetches.
+	SquashAddr uint32
+	SquashN    int
+	Skip       int
 }
 
 // Translation maps a program onto an architecture with B branch delay
@@ -152,29 +164,49 @@ func translate(p *program.Program, b int) (*Translation, error) {
 			x.Noops = rest
 			x.NewLen += x.Noops
 		}
-		t.NewWords += x.NewLen - len(blk.Insts)
 	}
-	t.NewWords += t.OrigWords
+	t.layout(p)
+	return t, nil
+}
 
-	// Pass 2: translated layout, following the original procedure order.
+// layout places the translated blocks in the original procedure order and
+// derives everything that depends on the placement: the block and CTI
+// addresses, the static code size, and each CTI's taken-path fetch
+// consequences. It runs once the per-block lengths and predictions are
+// final.
+func (t *Translation) layout(p *program.Program) {
 	addr := p.Base
 	for _, proc := range p.Procs {
 		for _, id := range proc.Blocks {
 			x := &t.Blocks[id]
 			x.NewAddr = addr
 			if x.HasCTI {
-				// The CTI sits before its delay-slot instructions: at
-				// origLen-1 + (slots hoisted over stay put)... after
-				// hoisting by R the CTI occupies position origLen-1-R,
-				// with the R hoisted instructions and then the S/noop
-				// slots after it.
+				// Hoisting by R moves the CTI to position origLen-1-R,
+				// followed by the R hoisted instructions and then the
+				// S/noop slots.
 				origLen := len(p.Blocks[id].Insts)
 				x.CTIAddr = addr + uint32(origLen-1-x.R)
 			}
 			addr += uint32(x.NewLen)
 		}
 	}
-	return t, nil
+	t.NewWords = 0
+	for id := range t.Blocks {
+		x := &t.Blocks[id]
+		t.NewWords += x.NewLen
+		x.SquashAddr, x.SquashN, x.Skip = 0, 0, 0
+		switch {
+		case !x.HasCTI:
+		case !x.PredTaken:
+			if ft := p.Blocks[id].Fallthrough; ft != program.None {
+				fx := &t.Blocks[ft]
+				x.SquashAddr = fx.NewAddr
+				x.SquashN = min(x.S, fx.NewLen)
+			}
+		case !x.Indirect:
+			x.Skip = x.S
+		}
+	}
 }
 
 // WastedSlots returns the delay cycles wasted by the CTI of block id given

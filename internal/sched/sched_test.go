@@ -342,7 +342,7 @@ func TestFirstSlotFillRate(t *testing.T) {
 }
 
 func TestApplyMatchesTranslation(t *testing.T) {
-	// The materialized code and the translation tables are two
+	// The rewritten code and the translation tables are two
 	// implementations of the same transformation: every block's length
 	// and address must agree, as must the whole-program size.
 	p := buildBranchy(t)
@@ -381,9 +381,9 @@ func TestApplyHoistsCTI(t *testing.T) {
 	if b0.Insts[2].IsCTI() || b0.Insts[3].IsCTI() {
 		t.Fatal("delay slots contain CTIs")
 	}
-	// CTIAddr agrees with the materialized position.
+	// CTIAddr agrees with the rewritten position.
 	if tr.Blocks[0].CTIAddr != b0.Addr+1 {
-		t.Fatalf("CTIAddr 0x%x vs materialized 0x%x", tr.Blocks[0].CTIAddr, b0.Addr+1)
+		t.Fatalf("CTIAddr 0x%x vs rewritten 0x%x", tr.Blocks[0].CTIAddr, b0.Addr+1)
 	}
 }
 
@@ -455,5 +455,42 @@ func TestApplyOnGeneratedBenchmark(t *testing.T) {
 		if q.NumInsts() != tr.NewWords {
 			t.Fatalf("b=%d: %d vs %d", b, q.NumInsts(), tr.NewWords)
 		}
+	}
+}
+
+func TestTakenFetchConsequences(t *testing.T) {
+	// At b=4: b0 (backward, predicted taken) hoists 3 and replicates 1
+	// target word, so a taken outcome skips 1; b1 (forward, predicted not
+	// taken) has 4 squashable slots but its fall-through b2 holds only 2
+	// words; b2 has no CTI and b3 returns (indirect, never skips).
+	p := buildBranchy(t)
+	tr, err := Translate(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type conseq struct {
+		squashAddr    uint32
+		squashN, skip int
+	}
+	got := func(tr *Translation, id int) conseq {
+		x := tr.Blocks[id]
+		return conseq{x.SquashAddr, x.SquashN, x.Skip}
+	}
+	want := []conseq{{0, 0, 1}, {tr.Blocks[2].NewAddr, 2, 0}, {0, 0, 0}, {0, 0, 0}}
+	for id, w := range want {
+		if g := got(tr, id); g != w {
+			t.Errorf("block %d: %+v, want %+v", id, g, w)
+		}
+	}
+
+	// A profile that flips b1 to predicted taken moves it from squashing
+	// to skipping: its 4 slots now replicate the target.
+	prof := &Profile{Executions: []int64{0, 10, 0, 0}, Takens: []int64{0, 9, 0, 0}}
+	pt, err := TranslateProfiled(p, 4, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := got(pt, 1), (conseq{0, 0, 4}); g != w {
+		t.Errorf("profiled block 1: %+v, want %+v", g, w)
 	}
 }

@@ -1,12 +1,12 @@
 package trace
 
 import (
-	"pipecache/internal/program"
+	"pipecache/internal/interp"
 	"pipecache/internal/sched"
 )
 
-// Capture is an interp.Handler that records a process's reference stream —
-// instruction fetches through a delay-slot translation, plus data
+// Capture is an interp.EventSink that records a process's reference
+// stream — instruction fetches through a delay-slot translation, plus data
 // references — into a Writer.
 type Capture struct {
 	W    *Writer
@@ -21,55 +21,38 @@ type Capture struct {
 // channel so captures fail quietly and report here.
 func (c *Capture) Err() error { return c.err }
 
-func (c *Capture) write(r Ref) {
+func (c *Capture) write(k Kind, addr uint32) {
 	if c.err != nil {
 		return
 	}
-	c.err = c.W.Write(r)
+	c.err = c.W.Write(Ref{Kind: k, PID: c.PID, Addr: addr})
 }
 
-// Block implements interp.Handler.
-func (c *Capture) Block(b *program.Block) {
-	skip := c.skip
-	c.skip = 0
-	addr, n := c.Xlat.Fetches(b.ID, skip)
+func (c *Capture) fetch(addr uint32, n int) {
 	for i := 0; i < n; i++ {
-		c.write(Ref{Kind: IFetch, PID: c.PID, Addr: addr + uint32(i)})
+		c.write(IFetch, addr+uint32(i))
 	}
 }
 
-// Mem implements interp.Handler.
-func (c *Capture) Mem(b *program.Block, idx int, addr uint32, isStore bool) {
-	k := Load
-	if isStore {
-		k = Store
-	}
-	c.write(Ref{Kind: k, PID: c.PID, Addr: addr})
-}
-
-// CTI implements interp.Handler, reproducing the translation-file fetch
-// semantics: extra squashed fetches on a not-taken-predicted taken CTI, and
-// a delay-slot skip into the target of a correctly predicted taken CTI.
-func (c *Capture) CTI(b *program.Block, taken bool) {
-	x := &c.Xlat.Blocks[b.ID]
-	if !x.HasCTI {
-		return
-	}
-	if !x.PredTaken && taken && b.Fallthrough != program.None {
-		fx := &c.Xlat.Blocks[b.Fallthrough]
-		n := x.S
-		if n > fx.NewLen {
-			n = fx.NewLen
-		}
-		for i := 0; i < n; i++ {
-			c.write(Ref{Kind: IFetch, PID: c.PID, Addr: fx.NewAddr + uint32(i)})
+// Events implements interp.EventSink. Block entries become fetches of the
+// translated block, and taken CTIs apply the translation-file rule
+// (sched.BlockXlat): squashed fetches after a not-taken prediction, a
+// delay-slot skip into the target after a taken one. Dependency distances
+// are not part of an address trace.
+func (c *Capture) Events(kind []uint8, a, _ []uint32) {
+	for i, k := range kind {
+		switch interp.EventKind(k) {
+		case interp.EvBlock:
+			c.fetch(c.Xlat.Fetches(int(a[i]), c.skip))
+			c.skip = 0
+		case interp.EvMemLoad:
+			c.write(Load, a[i])
+		case interp.EvMemStore:
+			c.write(Store, a[i])
+		case interp.EvCTITaken:
+			x := &c.Xlat.Blocks[a[i]]
+			c.fetch(x.SquashAddr, x.SquashN)
+			c.skip = x.Skip
 		}
 	}
-	if x.PredTaken && taken && !x.Indirect {
-		c.skip = x.S
-	}
 }
-
-// LoadUse implements interp.Handler; dependency distances are not part of
-// an address trace.
-func (c *Capture) LoadUse(eps, epsBlock int) {}

@@ -9,9 +9,9 @@ import (
 	"pipecache/internal/interp"
 )
 
-// The in-memory event-trace tier: a capture-once/replay-many encoding of
-// the interpreter's compact event stream (interp.Event). The paper drove
-// cacheSIM from pre-captured multiprogrammed traces precisely so one
+// The in-memory event-trace tier: a capture-once/replay-many store of the
+// interpreter's column-encoded event stream (interp.EventSink). The paper
+// drove cacheSIM from pre-captured multiprogrammed traces precisely so one
 // expensive trace could be amortized over many cache configurations; this
 // is the same idea applied to the reproduction's own execution engine.
 //
@@ -24,12 +24,11 @@ import (
 // benchmark, and Cursor re-interleaves them at replay time with the same
 // block-granular scheduling rule the live simulator uses.
 //
-// Storage is columnar (parallel kind/A/B arrays) in fixed-size chunks
-// drawn from a package-level pool: 9 bytes per event for the columns (vs
-// the 12 of a padded []interp.Event) plus a block-boundary index, no large
-// contiguous allocations, and chunk reuse across capture/evict cycles.
-// Replay hands zero-copy column sub-slices to sinks implementing
-// interp.ColumnSink.
+// Storage keeps the interpreter's kind/A/B columns in fixed-size chunks
+// drawn from a package-level pool: 9 bytes per event plus a
+// block-boundary index, no large contiguous allocations, and chunk reuse
+// across capture/evict cycles. Replay hands sinks zero-copy sub-slices of
+// the stored columns.
 
 // chunkEvents is the capacity of one columnar chunk (16Ki events ≈ 150 KB
 // with the block index).
@@ -91,27 +90,32 @@ func (b *BenchEvents) Insts() int64 { return b.insts }
 // Events returns the number of captured events.
 func (b *BenchEvents) Events() int64 { return b.events }
 
-func (b *BenchEvents) append(evs []interp.Event) {
-	var cur *chunk
-	if n := len(b.chunks); n > 0 {
-		cur = b.chunks[n-1]
-	}
-	for _, ev := range evs {
-		if cur == nil || len(cur.kind) == chunkEvents {
-			cur = chunkPool.Get().(*chunk)
-			cur.reset()
-			b.chunks = append(b.chunks, cur)
+// append copies one batch of columns onto the stream, a chunk-sized run
+// at a time, indexing its block boundaries.
+func (b *BenchEvents) append(kind []uint8, as, bs []uint32) {
+	b.events += int64(len(kind))
+	for len(kind) > 0 {
+		n := len(b.chunks)
+		if n == 0 || len(b.chunks[n-1].kind) == chunkEvents {
+			c := chunkPool.Get().(*chunk)
+			c.reset()
+			b.chunks = append(b.chunks, c)
+			n++
 		}
-		cur.kind = append(cur.kind, uint8(ev.Kind))
-		cur.a = append(cur.a, ev.A)
-		cur.b = append(cur.b, ev.B)
-		if ev.Kind == interp.EvBlock {
-			b.insts += int64(ev.B)
-			cur.insts += int64(ev.B)
-			cur.blockPos = append(cur.blockPos, int32(len(cur.kind)-1))
+		cur := b.chunks[n-1]
+		run := min(len(kind), chunkEvents-len(cur.kind))
+		for i, k := range kind[:run] {
+			if interp.EventKind(k) == interp.EvBlock {
+				b.insts += int64(bs[i])
+				cur.insts += int64(bs[i])
+				cur.blockPos = append(cur.blockPos, int32(len(cur.kind)+i))
+			}
 		}
+		cur.kind = append(cur.kind, kind[:run]...)
+		cur.a = append(cur.a, as[:run]...)
+		cur.b = append(cur.b, bs[:run]...)
+		kind, as, bs = kind[run:], as[run:], bs[run:]
 	}
-	b.events += int64(len(evs))
 }
 
 // EventTrace is a complete multiprogrammed capture: one event stream per
@@ -200,8 +204,8 @@ func NewRecorder(key string, instsPerBench int64) *Recorder {
 }
 
 // Bench registers one benchmark stream and returns the sink to drive it:
-// events are forwarded to next and appended to the trace. Benchmarks must
-// be registered in workload order.
+// each batch is forwarded to next and then copied onto the trace's
+// columns. Benchmarks must be registered in workload order.
 func (r *Recorder) Bench(name string, seed uint64, next interp.EventSink) interp.EventSink {
 	be := &BenchEvents{name: name, seed: seed}
 	r.tr.benches = append(r.tr.benches, be)
@@ -213,9 +217,9 @@ type benchRecorder struct {
 	next interp.EventSink
 }
 
-func (br *benchRecorder) Events(evs []interp.Event) {
-	br.next.Events(evs)
-	br.be.append(evs)
+func (br *benchRecorder) Events(kind []uint8, a, b []uint32) {
+	br.next.Events(kind, a, b)
+	br.be.append(kind, a, b)
 }
 
 // Finish seals the capture and returns the trace with one reference held
@@ -249,21 +253,13 @@ func (c *Cursor) Done() bool {
 
 // Turn replays one multiprogramming turn: whole blocks are delivered until
 // at least target instructions have been replayed, mirroring the
-// interpreter's RunEvents rule exactly (stop at the first block boundary
-// at or past the target). It returns the number of instructions replayed,
-// zero once the stream is exhausted.
+// interpreter's Run rule exactly (stop at the first block boundary at or
+// past the target). It returns the number of instructions replayed, zero
+// once the stream is exhausted.
 //
-// Batches go through sink.EventColumns as zero-copy column sub-slices when
-// the sink implements interp.ColumnSink; otherwise they are materialized
-// into buf (allocated internally when too small) and delivered through
-// sink.Events. Batch boundaries differ from the live run's — sinks must be
-// batch-boundary agnostic, which interp.EventSink already requires.
-func (c *Cursor) Turn(target int64, buf []interp.Event, sink interp.EventSink) int64 {
-	cs, columnar := sink.(interp.ColumnSink)
-	if !columnar && cap(buf) < 64 {
-		buf = make([]interp.Event, 0, 4096)
-	}
-	evs := buf[:0]
+// Batches are zero-copy sub-slices of the stored columns. Their boundaries
+// differ from the live run's, which interp.EventSink allows.
+func (c *Cursor) Turn(target int64, sink interp.EventSink) int64 {
 	var ran int64
 	for c.ci < len(c.be.chunks) {
 		ch := c.be.chunks[c.ci]
@@ -274,11 +270,7 @@ func (c *Cursor) Turn(target int64, buf []interp.Event, sink interp.EventSink) i
 			// boundary inside it would be checked with ran < target
 			// (blocks execute at least one instruction), so the chunk can
 			// be delivered wholesale without scanning block boundaries.
-			if columnar {
-				cs.EventColumns(kinds, ch.a, ch.b)
-			} else {
-				evs = materialize(evs, ch, 0, len(kinds), sink)
-			}
+			sink.Events(kinds, ch.a, ch.b)
 			ran += ch.insts
 			c.ci++
 			continue
@@ -290,48 +282,21 @@ func (c *Cursor) Turn(target int64, buf []interp.Event, sink interp.EventSink) i
 			if ran >= target {
 				// Deliver everything up to (not including) the block that
 				// would overshoot, and park the cursor on it.
-				if columnar {
-					if i > start {
-						cs.EventColumns(kinds[start:i], ch.a[start:i], ch.b[start:i])
-					}
-				} else {
-					evs = materialize(evs, ch, start, i, sink)
-					if len(evs) > 0 {
-						sink.Events(evs)
-					}
+				if i > start {
+					sink.Events(kinds[start:i], ch.a[start:i], ch.b[start:i])
 				}
 				c.off = i
 				return ran
 			}
 			ran += int64(ch.b[i])
 		}
-		if columnar {
-			if len(kinds) > start {
-				cs.EventColumns(kinds[start:], ch.a[start:], ch.b[start:])
-			}
-		} else {
-			evs = materialize(evs, ch, start, len(kinds), sink)
+		if len(kinds) > start {
+			sink.Events(kinds[start:], ch.a[start:], ch.b[start:])
 		}
 		c.ci++
 		c.off = 0
 	}
-	if !columnar && len(evs) > 0 {
-		sink.Events(evs)
-	}
 	return ran
-}
-
-// materialize copies chunk columns [lo,hi) into evs, flushing to sink
-// whenever the buffer fills, and returns the (possibly flushed) buffer.
-func materialize(evs []interp.Event, ch *chunk, lo, hi int, sink interp.EventSink) []interp.Event {
-	for i := lo; i < hi; i++ {
-		if len(evs) == cap(evs) {
-			sink.Events(evs)
-			evs = evs[:0]
-		}
-		evs = append(evs, interp.Event{Kind: interp.EventKind(ch.kind[i]), A: ch.a[i], B: ch.b[i]})
-	}
-	return evs
 }
 
 // Validate checks that the trace can replay a pass over the given

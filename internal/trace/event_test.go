@@ -1,79 +1,79 @@
 package trace
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"pipecache/internal/interp"
 )
 
+// stream is an event stream in column form; as an interp.EventSink it
+// appends every batch it receives.
+type stream struct {
+	kind []uint8
+	a, b []uint32
+}
+
+func (s *stream) Events(kind []uint8, a, b []uint32) {
+	s.kind = append(s.kind, kind...)
+	s.a = append(s.a, a...)
+	s.b = append(s.b, b...)
+}
+
+func (s *stream) add(k interp.EventKind, a, b uint32) {
+	s.Events([]uint8{uint8(k)}, []uint32{a}, []uint32{b})
+}
+
+// slice returns rows [lo, hi) as a stream.
+func (s *stream) slice(lo, hi int) *stream {
+	return &stream{kind: s.kind[lo:hi], a: s.a[lo:hi], b: s.b[lo:hi]}
+}
+
 // synthStream builds a deterministic synthetic event stream of n blocks,
 // each EvBlock followed by a little memory and control traffic, with
 // instsPerBlock instructions per block.
-func synthStream(n int, instsPerBlock uint32) []interp.Event {
-	var evs []interp.Event
+func synthStream(n int, instsPerBlock uint32) *stream {
+	s := &stream{}
 	for i := 0; i < n; i++ {
-		evs = append(evs,
-			interp.Event{Kind: interp.EvBlock, A: uint32(i), B: instsPerBlock},
-			interp.Event{Kind: interp.EvMemLoad, A: uint32(0x1000 + 4*i)},
-			interp.Event{Kind: interp.EvLoadUse, A: 0, B: uint32(i % 4)},
-		)
+		s.add(interp.EvBlock, uint32(i), instsPerBlock)
+		s.add(interp.EvMemLoad, uint32(0x1000+4*i), 0)
+		s.add(interp.EvLoadUse, 0, uint32(i%4))
 		if i%2 == 0 {
-			evs = append(evs, interp.Event{Kind: interp.EvCTITaken, A: uint32(i)})
+			s.add(interp.EvCTITaken, uint32(i), 0)
 		} else {
-			evs = append(evs, interp.Event{Kind: interp.EvMemStore, A: uint32(0x2000 + 4*i)})
+			s.add(interp.EvMemStore, uint32(0x2000+4*i), 0)
 		}
 	}
-	return evs
+	return s
 }
 
 // record captures evs into a single-bench trace, delivering them in
 // batchSize batches, and also returns what the downstream sink saw.
-func record(t *testing.T, evs []interp.Event, batchSize int, insts int64) (*EventTrace, []interp.Event) {
+func record(t *testing.T, evs *stream, batchSize int, insts int64) (*EventTrace, *stream) {
 	t.Helper()
-	var teed []interp.Event
+	teed := &stream{}
 	rec := NewRecorder("k", insts)
-	sink := rec.Bench("b", 7, interp.EventSinkFunc(func(e []interp.Event) {
-		teed = append(teed, e...)
-	}))
-	for lo := 0; lo < len(evs); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(evs) {
-			hi = len(evs)
-		}
-		sink.Events(evs[lo:hi])
+	sink := rec.Bench("b", 7, teed)
+	for lo := 0; lo < len(evs.kind); lo += batchSize {
+		hi := min(lo+batchSize, len(evs.kind))
+		sink.Events(evs.kind[lo:hi], evs.a[lo:hi], evs.b[lo:hi])
 	}
 	return rec.Finish(), teed
-}
-
-// collectSink gathers replayed events through the plain Events interface.
-type collectSink struct{ evs []interp.Event }
-
-func (c *collectSink) Events(e []interp.Event) { c.evs = append(c.evs, e...) }
-
-// columnSink gathers replayed events through the zero-copy column path.
-type columnSink struct{ evs []interp.Event }
-
-func (c *columnSink) Events(e []interp.Event) { c.evs = append(c.evs, e...) }
-func (c *columnSink) EventColumns(kind []uint8, a, b []uint32) {
-	for i := range kind {
-		c.evs = append(c.evs, interp.Event{Kind: interp.EventKind(kind[i]), A: a[i], B: b[i]})
-	}
 }
 
 func TestRecorderTeeTransparent(t *testing.T) {
 	evs := synthStream(100, 5)
 	tr, teed := record(t, evs, 17, 500)
 	defer tr.Release()
-	if !reflect.DeepEqual(teed, evs) {
+	if !sameStream(teed, evs) {
 		t.Fatal("tee altered the forwarded stream")
 	}
 	b := tr.Bench(0)
 	if b.Name() != "b" || b.Seed() != 7 {
 		t.Fatalf("identity: %s/%d", b.Name(), b.Seed())
 	}
-	if b.Events() != int64(len(evs)) {
-		t.Fatalf("events = %d, want %d", b.Events(), len(evs))
+	if b.Events() != int64(len(evs.kind)) {
+		t.Fatalf("events = %d, want %d", b.Events(), len(evs.kind))
 	}
 	if b.Insts() != 500 {
 		t.Fatalf("insts = %d, want 500", b.Insts())
@@ -83,66 +83,60 @@ func TestRecorderTeeTransparent(t *testing.T) {
 	}
 }
 
-// TestCursorTurnMatchesRunEventsRule replays a stream turn by turn and
-// checks the delivered sequence and per-turn instruction counts against
-// the interpreter's rule: whole blocks until the running total reaches the
+// TestCursorTurnMatchesRunRule replays a stream turn by turn and checks
+// the delivered sequence and per-turn instruction counts against the
+// interpreter's rule: whole blocks until the running total reaches the
 // target, stopping before the block that would overshoot.
-func TestCursorTurnMatchesRunEventsRule(t *testing.T) {
+func TestCursorTurnMatchesRunRule(t *testing.T) {
 	const blocks, per = 40_000, 3 // > 2 chunks of events
 	evs := synthStream(blocks, per)
 	tr, _ := record(t, evs, 4096, blocks*per)
 	defer tr.Release()
 
-	for _, sinkName := range []string{"plain", "columnar"} {
-		for _, target := range []int64{1, 2, 3, 7, 100, 12_345} {
-			// Reference: walk evs directly with the RunEvents stop rule.
-			ref := func(pos *int, target int64) (int64, []interp.Event) {
-				var ran int64
-				start := *pos
-				for i := start; i < len(evs); i++ {
-					if evs[i].Kind == interp.EvBlock {
-						if ran >= target {
-							*pos = i
-							return ran, evs[start:i]
-						}
-						ran += int64(evs[i].B)
+	for _, target := range []int64{1, 2, 3, 7, 100, 12_345} {
+		// Reference: walk evs directly with the Run stop rule.
+		ref := func(pos *int, target int64) (int64, *stream) {
+			var ran int64
+			start := *pos
+			for i := start; i < len(evs.kind); i++ {
+				if interp.EventKind(evs.kind[i]) == interp.EvBlock {
+					if ran >= target {
+						*pos = i
+						return ran, evs.slice(start, i)
 					}
+					ran += int64(evs.b[i])
 				}
-				*pos = len(evs)
-				return ran, evs[start:]
 			}
+			*pos = len(evs.kind)
+			return ran, evs.slice(start, len(evs.kind))
+		}
 
-			cur := tr.Cursor(0)
-			var sink interp.EventSink
-			var got *[]interp.Event
-			if sinkName == "plain" {
-				cs := &collectSink{}
-				sink, got = cs, &cs.evs
-			} else {
-				cs := &columnSink{}
-				sink, got = cs, &cs.evs
+		cur := tr.Cursor(0)
+		pos := 0
+		for turn := 0; ; turn++ {
+			wantRan, want := ref(&pos, target)
+			got := &stream{}
+			ran := cur.Turn(target, got)
+			if ran != wantRan {
+				t.Fatalf("target %d turn %d: ran %d, want %d", target, turn, ran, wantRan)
 			}
-			pos := 0
-			buf := make([]interp.Event, 0, 256)
-			for turn := 0; ; turn++ {
-				wantRan, wantEvs := ref(&pos, target)
-				*got = (*got)[:0]
-				ran := cur.Turn(target, buf, sink)
-				if ran != wantRan {
-					t.Fatalf("%s target %d turn %d: ran %d, want %d", sinkName, target, turn, ran, wantRan)
+			if !sameStream(got, want) {
+				t.Fatalf("target %d turn %d: delivered events diverge", target, turn)
+			}
+			if ran == 0 {
+				if !cur.Done() {
+					t.Fatal("ran 0 but cursor not done")
 				}
-				if !reflect.DeepEqual(append([]interp.Event{}, *got...), append([]interp.Event{}, wantEvs...)) {
-					t.Fatalf("%s target %d turn %d: delivered events diverge", sinkName, target, turn)
-				}
-				if ran == 0 {
-					if !cur.Done() {
-						t.Fatalf("%s: ran 0 but cursor not done", sinkName)
-					}
-					break
-				}
+				break
 			}
 		}
 	}
+}
+
+// sameStream reports whether two streams hold the same rows, treating nil
+// and empty columns alike.
+func sameStream(x, y *stream) bool {
+	return slices.Equal(x.kind, y.kind) && slices.Equal(x.a, y.a) && slices.Equal(x.b, y.b)
 }
 
 func TestEventTraceValidate(t *testing.T) {

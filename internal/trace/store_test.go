@@ -13,13 +13,15 @@ import (
 func makeTrace(t *testing.T, key string, nChunks int) *EventTrace {
 	t.Helper()
 	rec := NewRecorder(key, 1)
-	sink := rec.Bench("b", 1, interp.EventSinkFunc(func([]interp.Event) {}))
-	evs := make([]interp.Event, 1024)
-	for i := range evs {
-		evs[i] = interp.Event{Kind: interp.EvMemLoad, A: uint32(i)}
+	sink := rec.Bench("b", 1, &stream{})
+	kind := make([]uint8, 1024)
+	a, b := make([]uint32, len(kind)), make([]uint32, len(kind))
+	for i := range kind {
+		kind[i] = uint8(interp.EvMemLoad)
+		a[i] = uint32(i)
 	}
-	for n := 0; n < nChunks*chunkEvents; n += len(evs) {
-		sink.Events(evs)
+	for n := 0; n < nChunks*chunkEvents; n += len(kind) {
+		sink.Events(kind, a, b)
 	}
 	return rec.Finish()
 }

@@ -75,21 +75,19 @@ func BuildProgram(spec Spec, base uint32) (*Program, error) { return gen.Build(s
 
 // Interpreter (internal/interp).
 type (
-	// Interp executes a Program deterministically, producing the dynamic
-	// event stream (see Handler).
+	// Interp executes a Program deterministically; Interp.Run delivers the
+	// dynamic event stream to a sink in batches of kind/A/B columns.
 	Interp = interp.Interp
-	// Handler receives the interpreter's event stream.
-	Handler = interp.Handler
-	// Collector is a Handler accumulating workload statistics.
+	// Collector is an event sink accumulating workload statistics.
 	Collector = interp.Collector
 )
 
 // NewInterp returns an interpreter over p seeded with seed.
 func NewInterp(p *Program, seed uint64) (*Interp, error) { return interp.New(p, seed) }
 
-// NewCollector returns a statistics collector with the given epsilon
-// histogram size.
-func NewCollector(epsBins int) *Collector { return interp.NewCollector(epsBins) }
+// NewCollector returns a statistics collector for p's event stream with the
+// given epsilon histogram size.
+func NewCollector(p *Program, epsBins int) *Collector { return interp.NewCollector(p, epsBins) }
 
 // Delay-slot scheduling (internal/sched).
 type (
@@ -255,8 +253,8 @@ type (
 	TraceWriter = trace.Writer
 	// TraceReader reads both trace format versions back.
 	TraceReader = trace.Reader
-	// TraceCapture is an interpreter Handler that records a process's
-	// reference stream through a delay-slot translation.
+	// TraceCapture is an event sink that records a process's reference
+	// stream through a delay-slot translation.
 	TraceCapture = trace.Capture
 	// EventTrace is an in-memory columnar capture of a multiprogrammed
 	// pass's interpreter event streams; a Sim replays it against any cache
@@ -318,7 +316,7 @@ func TranslateProfiled(p *Program, b int, prof *BranchProfile) (*Translation, er
 	return sched.TranslateProfiled(p, b, prof)
 }
 
-// ApplySchedule materializes the delay-slot schedule as transformed code
+// ApplySchedule writes the delay-slot schedule out as transformed code
 // (hoisted CTIs, replicated delay-slot instructions, noops) alongside its
 // translation tables.
 func ApplySchedule(p *Program, b int) (*Program, *Translation, error) {

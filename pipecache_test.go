@@ -205,7 +205,7 @@ func TestPublicScheduleApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	if q.NumInsts() != tr.NewWords {
-		t.Fatalf("materialized %d vs %d", q.NumInsts(), tr.NewWords)
+		t.Fatalf("rewritten %d vs %d", q.NumInsts(), tr.NewWords)
 	}
 	prof, err := CollectProfile(prog, 99, 50_000)
 	if err != nil {
