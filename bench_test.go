@@ -694,6 +694,26 @@ func BenchmarkAsymmetricSplits(b *testing.B) {
 	}
 }
 
+// BenchmarkLabBest times the design-point layer under a warm /v1/best:
+// Lab.Best over the 576 dynamic-load candidates at a fresh miss-service
+// time on a lab whose passes are memoized, with no HTTP around it.
+func BenchmarkLabBest(b *testing.B) {
+	l := lab(b)
+	ctx := context.Background()
+	if _, err := l.Best(ctx, l.Query(), LoadDynamic, false); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := l.Query()
+		q.L2TimeNs += float64(i+1) * 1e-6
+		if _, err := l.Best(ctx, q, LoadDynamic, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSurfaceLookup measures one /v1/simulate answer served from a
 // baked surface, end to end through the HTTP handler (decode, index,
 // marshal, ETag). Compare against BenchmarkSimulatorThroughput: the baked

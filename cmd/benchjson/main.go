@@ -139,12 +139,9 @@ func replayBench(insts int64) (func(b *testing.B) int64, error) {
 	}, nil
 }
 
-// surfaceBench serves one baked /v1/simulate request per iteration through
-// the HTTP handler — body decode, design-space index, marshal, ETag. The
-// speedup against BenchmarkSimulatorThroughput is the per-request win of
-// the baked-surface tier: an index-and-read where the live path runs a full
-// simulation pass.
-func surfaceBench(insts int64) (func(b *testing.B) int64, error) {
+// gccYacc builds the two-benchmark suite the serving, ablation and
+// design-point rows run on.
+func gccYacc() (*pipecache.Suite, error) {
 	var specs []pipecache.Spec
 	for _, name := range []string{"gcc", "yacc"} {
 		s, ok := pipecache.LookupBenchmark(name)
@@ -153,7 +150,16 @@ func surfaceBench(insts int64) (func(b *testing.B) int64, error) {
 		}
 		specs = append(specs, s)
 	}
-	suite, err := pipecache.BuildSuite(specs)
+	return pipecache.BuildSuite(specs)
+}
+
+// surfaceBench serves one baked /v1/simulate request per iteration through
+// the HTTP handler — body decode, design-space index, marshal, ETag. The
+// speedup against BenchmarkSimulatorThroughput is the per-request win of
+// the baked-surface tier: an index-and-read where the live path runs a full
+// simulation pass.
+func surfaceBench(insts int64) (func(b *testing.B) int64, error) {
+	suite, err := gccYacc()
 	if err != nil {
 		return nil, err
 	}
@@ -204,15 +210,7 @@ func surfaceBench(insts int64) (func(b *testing.B) int64, error) {
 // is a warm store (capture and plan compilation run once during setup,
 // outside the measured window).
 func ablationSuite(insts int64, replay bool) (func(b *testing.B) int64, error) {
-	var specs []pipecache.Spec
-	for _, name := range []string{"gcc", "yacc"} {
-		s, ok := pipecache.LookupBenchmark(name)
-		if !ok {
-			return nil, fmt.Errorf("benchmark %s missing", name)
-		}
-		specs = append(specs, s)
-	}
-	suite, err := pipecache.BuildSuite(specs)
+	suite, err := gccYacc()
 	if err != nil {
 		return nil, err
 	}
@@ -276,15 +274,7 @@ func ablationSuite(insts int64, replay bool) (func(b *testing.B) int64, error) {
 // on the real set-associative study workload, next to the LRU pass they
 // must not slow down.
 func policyStudyBench(insts int64) (func(b *testing.B) int64, error) {
-	var specs []pipecache.Spec
-	for _, name := range []string{"gcc", "yacc"} {
-		s, ok := pipecache.LookupBenchmark(name)
-		if !ok {
-			return nil, fmt.Errorf("benchmark %s missing", name)
-		}
-		specs = append(specs, s)
-	}
-	suite, err := pipecache.BuildSuite(specs)
+	suite, err := gccYacc()
 	if err != nil {
 		return nil, err
 	}
@@ -306,6 +296,41 @@ func policyStudyBench(insts int64) (func(b *testing.B) int64, error) {
 	}, nil
 }
 
+// labBestBench is the design-point layer under bestBench's stream:
+// Lab.Best over the 576 dynamic-load candidates at a fresh l2 time per
+// iteration on a lab with every pass warm, with no HTTP around it, so
+// BenchmarkServerBest splits into this row plus the serving layers.
+func labBestBench(insts int64) (func(b *testing.B) int64, error) {
+	suite, err := gccYacc()
+	if err != nil {
+		return nil, err
+	}
+	p := pipecache.DefaultParams()
+	p.Insts = insts
+	lab, err := pipecache.NewLab(suite, p)
+	if err != nil {
+		return nil, err
+	}
+	lab.SetObs(pipecache.NewRegistry())
+	ctx := context.Background()
+	// One optimization warms every pass the stream needs.
+	if _, err := lab.Best(ctx, lab.Query(), pipecache.LoadDynamic, false); err != nil {
+		return nil, err
+	}
+	var seq int64
+	return func(b *testing.B) int64 {
+		for i := 0; i < b.N; i++ {
+			seq++
+			q := lab.Query()
+			q.L2TimeNs = 35 + float64(seq)*1e-6
+			if _, err := lab.Best(ctx, q, pipecache.LoadDynamic, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return 0
+	}, nil
+}
+
 // bestBench times a stream of /v1/best requests, each at a fresh
 // l2_time_ns so it misses every result cache on the path. shards == 0
 // sends the stream straight to one server's handler; otherwise a
@@ -315,15 +340,7 @@ func policyStudyBench(insts int64) (func(b *testing.B) int64, error) {
 // loop, so the measured op is one backend's fresh-L2 optimization plus,
 // behind a coordinator, the proxy hop.
 func bestBench(insts int64, shards int) (func(b *testing.B) int64, error) {
-	var specs []pipecache.Spec
-	for _, name := range []string{"gcc", "yacc"} {
-		s, ok := pipecache.LookupBenchmark(name)
-		if !ok {
-			return nil, fmt.Errorf("benchmark %s missing", name)
-		}
-		specs = append(specs, s)
-	}
-	suite, err := pipecache.BuildSuite(specs)
+	suite, err := gccYacc()
 	if err != nil {
 		return nil, err
 	}
@@ -535,6 +552,13 @@ func main() {
 	// BenchmarkCacheAccess row.
 	bankRec.NsPerProbeConfig = bankRec.NsPerOp / float64(len(ladder))
 	rep.Benchmarks = append(rep.Benchmarks, bankRec)
+
+	labBestFn, err := labBestBench(*insts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	rep.Benchmarks = append(rep.Benchmarks, run("BenchmarkLabBest", labBestFn))
 
 	var bestRecs []benchRecord
 	for _, c := range []struct {

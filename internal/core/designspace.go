@@ -13,6 +13,15 @@ import (
 // and every service endpoint ranges b and l over 0..maxDelaySlots.
 const maxDelaySlots = 3
 
+// everyDepth returns the depths 0..maxDelaySlots in order.
+func everyDepth() []int {
+	depths := make([]int, maxDelaySlots+1)
+	for d := range depths {
+		depths[d] = d
+	}
+	return depths
+}
+
 // DesignPoint identifies one point of the finite design space the service
 // answers from: branch depth, load depth, per-side cache sizes, and the
 // load-delay hiding scheme. The L2 service time is a Params-level constant,
@@ -126,13 +135,20 @@ type PointEval struct {
 // EvalPoint evaluates one design point with its CPI breakdown and miss
 // ratios, all from one lookup of the point's memoized pass. It is the
 // single definition of the /v1/simulate result and of a baked surface
-// record, shared by the live serving path, the range sweep and the
-// surface baker so they can never drift.
+// record, shared by the live serving path and the surface baker so they
+// can never drift.
 func (l *Lab) EvalPoint(ctx context.Context, q Query, dp DesignPoint) (PointEval, error) {
 	pass, err := l.StaticPass(ctx, dp.B, q.Policy)
 	if err != nil {
 		return PointEval{}, err
 	}
+	l.obs.Counter("lab.tpi_points").Inc()
+	return l.eval(pass, q, dp)
+}
+
+// eval is EvalPoint over dp's resolved pass: the point evaluator tpi plus
+// the breakdown and miss ratios.
+func (l *Lab) eval(pass *cpisim.Result, q Query, dp DesignPoint) (PointEval, error) {
 	pt, iIdx, dIdx, err := l.tpi(pass, q, dp)
 	if err != nil {
 		return PointEval{}, err
@@ -162,35 +178,25 @@ func (l *Lab) EvalPoint(ctx context.Context, q Query, dp DesignPoint) (PointEval
 }
 
 // EvalSpace evaluates every point of the canonical enumeration
-// DesignSpace(l.P) on the lab's bounded sweep pool, returning the results
-// in enumeration order: the whole space a surface bakes. The points behind
-// a fixed b share one memoized simulation pass, so a sweep costs a handful
-// of passes plus cheap per-point arithmetic, and the output is
-// bit-identical at any Params.SweepWorkers setting.
+// DesignSpace(l.P), returning the results in enumeration order: the whole
+// space a surface bakes. The points behind a fixed b share one memoized
+// simulation pass, resolved once before the points (on the lab's bounded
+// sweep pool when any is cold), so a sweep costs a handful of passes plus
+// per-point table arithmetic, which runs on the calling goroutine; the
+// output is bit-identical at any Params.SweepWorkers setting.
 func (l *Lab) EvalSpace(ctx context.Context, q Query) ([]PointEval, error) {
 	pts := DesignSpace(l.P)
-	// Run the passes first, one per worker. The enumeration puts b
-	// outermost and every point behind one b shares a memoized pass, so a
-	// cold point sweep would park all workers on the same pass, one depth
-	// at a time, while each pass runs on a single core.
-	var depths []int
-	for _, dp := range pts {
-		if len(depths) == 0 || depths[len(depths)-1] != dp.B {
-			depths = append(depths, dp.B)
-		}
-	}
-	err := l.forEach(ctx, len(depths), func(ctx context.Context, i int) error {
-		_, err := l.StaticPass(ctx, depths[i], q.Policy)
-		return err
-	})
+	passes, err := l.sweepPasses(ctx, q.Policy, depthsOf(pts))
 	if err != nil {
 		return nil, err
 	}
+	points := l.obs.Counter("lab.tpi_points")
 	out := make([]PointEval, len(pts))
 	l.progress.StartPhase("design space", int64(len(pts)))
 	defer l.progress.Finish()
-	err = l.forEach(ctx, len(pts), func(ctx context.Context, i int) error {
-		ev, err := l.EvalPoint(ctx, q, pts[i])
+	err = eachSerial(ctx, len(pts), func(ctx context.Context, i int) error {
+		points.Inc()
+		ev, err := l.eval(passes[pts[i].B], q, pts[i])
 		if err != nil {
 			return err
 		}

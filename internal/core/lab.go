@@ -68,10 +68,10 @@ type Params struct {
 	// matters to the set-associative ablations and to per-request policy
 	// overrides at the serving layer.
 	Policy cache.Policy
-	// SweepWorkers bounds the worker pool used by the design-space sweeps
-	// and the uncached ablation passes (each point is an independent
-	// simulation, so they parallelize cleanly). Zero means GOMAXPROCS; one
-	// forces the serial path.
+	// SweepWorkers bounds the worker pool that runs the cold passes of the
+	// design-space sweeps and the uncached ablation passes (each pass is
+	// an independent simulation, so they parallelize cleanly). Zero means
+	// GOMAXPROCS; one forces the serial path.
 	SweepWorkers int
 	// TraceBudgetBytes bounds the in-memory event-trace store, the second
 	// memo tier below the result memo: the first pass over a workload set
@@ -151,6 +151,16 @@ type Lab struct {
 	mu     sync.Mutex
 	passes map[passKey]*passEntry
 
+	// tcpu is Table 6 of the lab's model: tcpu[i][d] is
+	// P.Model.TCPU(P.SizesKW[i], d), built once by NewLab, so a design
+	// point's cycle time is a lookup instead of a timing analysis.
+	tcpu [][maxDelaySlots + 1]tcpuCell
+
+	// cands holds Best's candidates per (scheme, symmetric), enumerated
+	// once by NewLab in DesignSpace order, so a Best allocates no
+	// candidate list.
+	cands map[candKey][]DesignPoint
+
 	// traces is the event-trace tier below the result memo (nil when
 	// disabled): passes that differ only in architecture or cache
 	// configuration share one captured interpreter stream.
@@ -158,6 +168,19 @@ type Lab struct {
 
 	obs      *obs.Registry
 	progress *obs.Progress
+}
+
+// tcpuCell is one tCPU table entry: the model's cycle time of one cache
+// side at one depth, or the error the model returned for it.
+type tcpuCell struct {
+	ns  float64
+	err error
+}
+
+// candKey selects one of Best's candidate lists.
+type candKey struct {
+	scheme    cpisim.LoadScheme
+	symmetric bool
 }
 
 type passKey struct {
@@ -180,7 +203,9 @@ type passEntry struct {
 	err  error
 }
 
-// NewLab validates the parameters and wraps the suite.
+// NewLab validates the parameters, wraps the suite and derives the tCPU
+// table from P.Model and Best's candidate lists from P; P must not change
+// afterwards.
 func NewLab(s *Suite, p Params) (*Lab, error) {
 	if s == nil || len(s.Progs) == 0 {
 		return nil, fmt.Errorf("core: empty suite")
@@ -189,6 +214,22 @@ func NewLab(s *Suite, p Params) (*Lab, error) {
 		return nil, err
 	}
 	l := &Lab{Suite: s, P: p, passes: map[passKey]*passEntry{}}
+	l.tcpu = make([][maxDelaySlots + 1]tcpuCell, len(p.SizesKW))
+	for i, size := range p.SizesKW {
+		for d := range l.tcpu[i] {
+			c := &l.tcpu[i][d]
+			c.ns, c.err = p.Model.TCPU(size, d)
+		}
+	}
+	l.cands = map[candKey][]DesignPoint{}
+	for _, dp := range DesignSpace(p) {
+		full := candKey{scheme: dp.Scheme}
+		l.cands[full] = append(l.cands[full], dp)
+		if dp.B == dp.L && dp.ISizeKW == dp.DSizeKW {
+			sym := candKey{scheme: dp.Scheme, symmetric: true}
+			l.cands[sym] = append(l.cands[sym], dp)
+		}
+	}
 	budget := p.TraceBudgetBytes
 	if budget == 0 {
 		budget = DefaultTraceBudgetBytes
@@ -338,6 +379,23 @@ func (l *Lab) passContext(ctx context.Context, k passKey) (*cpisim.Result, error
 		close(e.done)
 		l.setMemoRatio(requests)
 		return e.res, e.err
+	}
+}
+
+// memoized reports whether k's pass has completed and is in the memo, so
+// a request for it returns at once. It counts nothing.
+func (l *Lab) memoized(k passKey) bool {
+	l.mu.Lock()
+	e, ok := l.passes[k]
+	l.mu.Unlock()
+	if !ok {
+		return false
+	}
+	select {
+	case <-e.done:
+		return e.err == nil
+	default:
+		return false
 	}
 }
 
@@ -527,22 +585,14 @@ func (l *Lab) sweepWorkers() int {
 // every sweep deterministic at any worker count. The first error (by
 // lowest index, so error reporting is deterministic too) cancels the
 // pool's context and is returned; with one worker (or one item) the loop
-// degenerates to the plain serial sweep.
+// degenerates to the plain serial sweep, eachSerial.
 func (l *Lab) forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	workers := l.sweepWorkers()
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := runSweepItem(ctx, i, fn); err != nil {
-				return err
-			}
-		}
-		return nil
+		return eachSerial(ctx, n, fn)
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -579,6 +629,22 @@ func (l *Lab) forEach(ctx context.Context, n int, fn func(ctx context.Context, i
 		return first
 	}
 	return ctx.Err()
+}
+
+// eachSerial is forEach on the calling goroutine, for items too cheap to
+// hand to a worker: every item still gets the context check, the
+// lab.sweep.item fault point and the panic boundary, and the first error
+// stops the loop.
+func eachSerial(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := runSweepItem(ctx, i, fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runSweepItem runs one sweep item with the pool's panic boundary: a panic

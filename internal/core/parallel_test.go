@@ -155,8 +155,8 @@ func TestForEachWallTimeScalesWithWorkers(t *testing.T) {
 
 // TestBestDesignWorkerCountInvariance runs the symmetric design-space
 // search serially and on a wide pool: the optimum, the evaluated count,
-// and every published counter must be bit-identical, because the pooled
-// sweep writes results by index and reduces in enumeration order.
+// and every published counter must be bit-identical, because the pool
+// only runs the passes and the points are reduced in enumeration order.
 func TestBestDesignWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two uncached prewarm sweeps; skipped with -short")

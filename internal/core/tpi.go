@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"pipecache/internal/cache"
 	"pipecache/internal/cpisim"
 	"pipecache/internal/tablefmt"
 )
@@ -37,17 +38,19 @@ func (l *Lab) TPI(ctx context.Context, q Query, dp DesignPoint) (TPIPoint, error
 	if err != nil {
 		return TPIPoint{}, err
 	}
+	l.obs.Counter("lab.tpi_points").Inc()
 	pt, _, _, err := l.tpi(pass, q, dp)
 	return pt, err
 }
 
-// tpi is the TPI arithmetic of dp over its pass. It also returns the
-// point's indices in the size bank, so EvalPoint derives the breakdown
-// and miss ratios without a second lookup.
+// tpi is the TPI arithmetic of dp over its resolved pass, the one point
+// evaluator under TPI, EvalPoint and every sweep; the caller counts the
+// point in lab.tpi_points. It also returns the point's indices in the size
+// bank, so eval derives the breakdown and miss ratios without a second
+// lookup.
 func (l *Lab) tpi(pass *cpisim.Result, q Query, dp DesignPoint) (p TPIPoint, iIdx, dIdx int, err error) {
-	l.obs.Counter("lab.tpi_points").Inc()
 	p = TPIPoint{B: dp.B, L: dp.L, ISizeKW: dp.ISizeKW, DSizeKW: dp.DSizeKW, LoadScheme: dp.Scheme}
-	tcpu, err := l.P.Model.TCPUSplit(dp.ISizeKW, dp.B, dp.DSizeKW, dp.L)
+	tcpu, err := l.tcpuSplit(dp.ISizeKW, dp.B, dp.DSizeKW, dp.L)
 	if err != nil {
 		return p, 0, 0, err
 	}
@@ -68,6 +71,79 @@ func (l *Lab) tpi(pass *cpisim.Result, q Query, dp DesignPoint) (p TPIPoint, iId
 	return p, iIdx, dIdx, nil
 }
 
+// tcpuSplit is P.Model.TCPUSplit read from the lab's tCPU table: the
+// larger of the two sides' entries, so the bits (and any error) are the
+// model's. A side the table does not hold (a size outside the bank, a
+// depth outside 0..maxDelaySlots) asks the model for the whole split.
+func (l *Lab) tcpuSplit(iSizeKW, iDepth, dSizeKW, dDepth int) (float64, error) {
+	ti, td := l.tcpuCell(iSizeKW, iDepth), l.tcpuCell(dSizeKW, dDepth)
+	if ti == nil || td == nil {
+		return l.P.Model.TCPUSplit(iSizeKW, iDepth, dSizeKW, dDepth)
+	}
+	if ti.err != nil {
+		return 0, ti.err
+	}
+	if td.err != nil {
+		return 0, td.err
+	}
+	return math.Max(ti.ns, td.ns), nil
+}
+
+// tcpuCell returns the table entry of one cache side, or nil when the
+// table does not hold it.
+func (l *Lab) tcpuCell(sizeKW, depth int) *tcpuCell {
+	if depth < 0 || depth > maxDelaySlots {
+		return nil
+	}
+	for i, s := range l.P.SizesKW {
+		if s == sizeKW {
+			return &l.tcpu[i][depth]
+		}
+	}
+	return nil
+}
+
+// depthPasses holds a sweep's resolved static passes, indexed by depth.
+type depthPasses [maxDelaySlots + 1]*cpisim.Result
+
+// sweepPasses resolves the StaticPass under pol of each of depths, one
+// depth per sweep item, before a sweep evaluates its points: each point
+// then reads its pass from the table instead of taking the memo lock once
+// per point, and lab.pass_requests counts once per depth per sweep.
+// Resolving the passes first also keeps a cold sweep from parking every
+// worker on one pass at a time, as a point sweep in enumeration order (b
+// outermost) would. Only a sweep with a pass still to run uses the pool;
+// when every pass is memoized, the lookups run on the calling goroutine,
+// so a warm sweep starts and wakes no worker. Every depth must lie in
+// 0..maxDelaySlots.
+func (l *Lab) sweepPasses(ctx context.Context, pol cache.Policy, depths []int) (depthPasses, error) {
+	var passes depthPasses
+	resolve := func(ctx context.Context, i int) error {
+		pass, err := l.StaticPass(ctx, depths[i], pol)
+		passes[depths[i]] = pass
+		return err
+	}
+	for _, d := range depths {
+		if !l.memoized(passKey{b: d, scheme: cpisim.BranchStatic, policy: pol}) {
+			return passes, l.forEach(ctx, len(depths), resolve)
+		}
+	}
+	return passes, eachSerial(ctx, len(depths), resolve)
+}
+
+// depthsOf returns the distinct branch depths of pts in first-seen order.
+func depthsOf(pts []DesignPoint) []int {
+	var seen [maxDelaySlots + 1]bool
+	var depths []int
+	for _, dp := range pts {
+		if !seen[dp.B] {
+			seen[dp.B] = true
+			depths = append(depths, dp.B)
+		}
+	}
+	return depths
+}
+
 // TPISweep evaluates TPI for symmetric designs (b = l, equal split) over
 // the size bank: the curves of Figures 12 and 13. ctx is checked at every
 // design point.
@@ -80,12 +156,22 @@ func (l *Lab) TPISweep(ctx context.Context, q Query, scheme cpisim.LoadScheme) (
 	for _, s := range l.P.SizesKW {
 		f.X = append(f.X, float64(2*s))
 	}
-	l.progress.StartPhase("TPI sweep", int64(4*len(l.P.SizesKW)))
+	depths := everyDepth()
+	l.progress.StartPhase("TPI sweep", int64(len(depths)*len(l.P.SizesKW)))
 	defer l.progress.Finish()
-	for depth := 0; depth <= maxDelaySlots; depth++ {
+	passes, err := l.sweepPasses(ctx, q.Policy, depths)
+	if err != nil {
+		return nil, err
+	}
+	points := l.obs.Counter("lab.tpi_points")
+	for _, depth := range depths {
 		var ys []float64
 		for _, side := range l.P.SizesKW {
-			pt, err := l.TPI(ctx, q, DesignPoint{B: depth, L: depth, ISizeKW: side, DSizeKW: side, Scheme: scheme})
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			points.Inc()
+			pt, _, _, err := l.tpi(passes[depth], q, DesignPoint{B: depth, L: depth, ISizeKW: side, DSizeKW: side, Scheme: scheme})
 			if err != nil {
 				return nil, err
 			}
@@ -137,18 +223,13 @@ type Optimum struct {
 
 // Best searches the design space for the minimum-TPI point among the
 // points of scheme, restricted when symmetric to b = l with an equal
-// split. ctx is checked at every point. The candidates are independent
-// (the memoized passes behind them are single-flighted), so they are
-// evaluated on the lab's bounded worker pool; the minimum is then reduced
-// serially in enumeration order, which preserves the serial sweep's
-// earliest-wins tie-break at every worker count.
+// split. ctx is checked at every point. The passes behind the candidates
+// run first, on the lab's bounded worker pool when any is cold; the
+// points are then table arithmetic, evaluated in enumeration order on the
+// calling goroutine, and the first minimum wins ties, so the answer is
+// the same at every worker count.
 func (l *Lab) Best(ctx context.Context, q Query, scheme cpisim.LoadScheme, symmetric bool) (*Optimum, error) {
-	var cands []DesignPoint
-	for _, dp := range DesignSpace(l.P) {
-		if dp.Scheme == scheme && (!symmetric || (dp.B == dp.L && dp.ISizeKW == dp.DSizeKW)) {
-			cands = append(cands, dp)
-		}
-	}
+	cands := l.cands[candKey{scheme: scheme, symmetric: symmetric}]
 	l.progress.StartPhase("design-space sweep", int64(len(cands)))
 	defer l.progress.Finish()
 	best, err := l.minTPI(ctx, q, cands)
@@ -158,27 +239,30 @@ func (l *Lab) Best(ctx context.Context, q Query, scheme cpisim.LoadScheme, symme
 	return &Optimum{Best: best, Evaluated: len(cands)}, nil
 }
 
-// minTPI evaluates cands on the lab's worker pool and returns the first
-// point of minimum TPI in cands order.
+// minTPI resolves the passes of cands, then evaluates the points in cands
+// order on the calling goroutine and returns the first point of minimum
+// TPI.
 func (l *Lab) minTPI(ctx context.Context, q Query, cands []DesignPoint) (TPIPoint, error) {
-	pts := make([]TPIPoint, len(cands))
-	err := l.forEach(ctx, len(cands), func(ctx context.Context, i int) error {
-		pt, err := l.TPI(ctx, q, cands[i])
+	passes, err := l.sweepPasses(ctx, q.Policy, depthsOf(cands))
+	if err != nil {
+		return TPIPoint{}, err
+	}
+	points := l.obs.Counter("lab.tpi_points")
+	best := TPIPoint{TPINs: math.Inf(1)}
+	err = eachSerial(ctx, len(cands), func(ctx context.Context, i int) error {
+		points.Inc()
+		pt, _, _, err := l.tpi(passes[cands[i].B], q, cands[i])
 		if err != nil {
 			return err
 		}
-		pts[i] = pt
+		if pt.TPINs < best.TPINs {
+			best = pt
+		}
 		l.progress.Step(1)
 		return nil
 	})
 	if err != nil {
 		return TPIPoint{}, err
-	}
-	best := TPIPoint{TPINs: math.Inf(1)}
-	for _, pt := range pts {
-		if pt.TPINs < best.TPINs {
-			best = pt
-		}
 	}
 	return best, nil
 }
@@ -246,11 +330,16 @@ type DepthMatrixResult struct {
 
 // DepthMatrix evaluates every (b, l) pair over equally split sizes.
 func (l *Lab) DepthMatrix(l2TimeNs float64) (*DepthMatrixResult, error) {
-	depths := []int{0, 1, 2, 3}
+	depths := everyDepth()
 	l.progress.StartPhase("depth matrix", int64(len(depths)*len(depths)*len(l.P.SizesKW)))
 	defer l.progress.Finish()
 	res := &DepthMatrixResult{Depths: depths}
 	q := l.queryAt(l2TimeNs)
+	passes, err := l.sweepPasses(context.Background(), q.Policy, depths)
+	if err != nil {
+		return nil, err
+	}
+	points := l.obs.Counter("lab.tpi_points")
 	for _, b := range depths {
 		rowT := make([]float64, len(depths))
 		rowS := make([]int, len(depths))
@@ -258,7 +347,8 @@ func (l *Lab) DepthMatrix(l2TimeNs float64) (*DepthMatrixResult, error) {
 			best := math.Inf(1)
 			bestSize := 0
 			for _, side := range l.P.SizesKW {
-				pt, err := l.TPI(context.Background(), q,
+				points.Inc()
+				pt, _, _, err := l.tpi(passes[b], q,
 					DesignPoint{B: b, L: ld, ISizeKW: side, DSizeKW: side, Scheme: cpisim.LoadStatic})
 				if err != nil {
 					return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pipecache/internal/cache"
-	"pipecache/internal/stats"
 )
 
 // Two-level hierarchy support. The paper's main experiments treat the L1
@@ -77,16 +76,7 @@ func (b *BenchResult) CPITwoLevel(l2idx int, cfg Config, l2Hit, mem int) float64
 // CPITwoLevel returns the weighted harmonic mean CPI of the suite for the
 // designated L1 pair backed by the indexed L2.
 func (r *Result) CPITwoLevel(l2idx, l2Hit, mem int) (float64, error) {
-	if len(r.Benches) == 0 {
-		return 0, fmt.Errorf("cpisim: empty result")
-	}
-	vals := make([]float64, len(r.Benches))
-	ws := make([]float64, len(r.Benches))
-	for i := range r.Benches {
-		vals[i] = r.Benches[i].CPITwoLevel(l2idx, r.Config, l2Hit, mem)
-		ws[i] = r.Benches[i].Weight
-	}
-	return stats.WeightedHarmonicMean(vals, ws)
+	return r.harmonicCPI(func(b *BenchResult) float64 { return b.CPITwoLevel(l2idx, r.Config, l2Hit, mem) })
 }
 
 // L2MissRatio returns the suite-level local L2 miss ratio for the indexed

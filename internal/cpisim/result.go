@@ -159,16 +159,34 @@ type Result struct {
 // CPI returns the weighted harmonic mean CPI across the benchmarks, the
 // paper's summary metric, for the given cache indexes and penalties.
 func (r *Result) CPI(icfg, dcfg, ipen, dpen int) (float64, error) {
+	return r.harmonicCPI(func(b *BenchResult) float64 { return b.CPI(icfg, dcfg, ipen, dpen) })
+}
+
+// harmonicCPI is stats.WeightedHarmonicMean of cpi over the benchmarks,
+// weighted by their mix weights, reduced in place: the same operations in
+// the same order with the same error texts, without the two slices the
+// stats call needs. It sits under every design point's CPI, so it must not
+// allocate.
+func (r *Result) harmonicCPI(cpi func(b *BenchResult) float64) (float64, error) {
 	if len(r.Benches) == 0 {
 		return 0, fmt.Errorf("cpisim: empty result")
 	}
-	vals := make([]float64, len(r.Benches))
-	ws := make([]float64, len(r.Benches))
+	var wsum, inv float64
 	for i := range r.Benches {
-		vals[i] = r.Benches[i].CPI(icfg, dcfg, ipen, dpen)
-		ws[i] = r.Benches[i].Weight
+		v, w := cpi(&r.Benches[i]), r.Benches[i].Weight
+		if v <= 0 {
+			return 0, fmt.Errorf("stats: non-positive value %g at index %d", v, i)
+		}
+		if w < 0 {
+			return 0, fmt.Errorf("stats: negative weight %g at index %d", w, i)
+		}
+		wsum += w
+		inv += w / v
 	}
-	return stats.WeightedHarmonicMean(vals, ws)
+	if wsum <= 0 {
+		return 0, fmt.Errorf("stats: weights sum to zero")
+	}
+	return wsum / inv, nil
 }
 
 // Agg sums a per-benchmark counter over the suite.
@@ -244,16 +262,7 @@ func (r *Result) DMissRatio(dcfg int) float64 {
 // CPIFor returns the weighted harmonic mean CPI with load stalls
 // recomputed for depth l under the given scheme.
 func (r *Result) CPIFor(l int, scheme LoadScheme, icfg, dcfg, ipen, dpen int) (float64, error) {
-	if len(r.Benches) == 0 {
-		return 0, fmt.Errorf("cpisim: empty result")
-	}
-	vals := make([]float64, len(r.Benches))
-	ws := make([]float64, len(r.Benches))
-	for i := range r.Benches {
-		vals[i] = r.Benches[i].CPIFor(l, scheme, icfg, dcfg, ipen, dpen)
-		ws[i] = r.Benches[i].Weight
-	}
-	return stats.WeightedHarmonicMean(vals, ws)
+	return r.harmonicCPI(func(b *BenchResult) float64 { return b.CPIFor(l, scheme, icfg, dcfg, ipen, dpen) })
 }
 
 // LoadStallPerLoadFor returns the suite delay cycles per load at depth l

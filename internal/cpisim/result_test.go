@@ -1,6 +1,7 @@
 package cpisim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -195,5 +196,64 @@ func TestZeroDenominatorsSafe(t *testing.T) {
 	}
 	if b.LoadStallFor(2, LoadStatic) != 0 {
 		t.Fatal("nil hist stall nonzero")
+	}
+}
+
+// TestHarmonicCPIMatchesStats pins the in-place reduction under CPI and
+// CPIFor to stats.WeightedHarmonicMean: the same bits on valid results and
+// the same error text on each of its rejections (a zero-instruction bench
+// has CPI 0, a negative or all-zero weight), and no allocation per call.
+func TestHarmonicCPIMatchesStats(t *testing.T) {
+	viaStats := func(r *Result, cpi func(b *BenchResult) float64) (float64, error) {
+		vals := make([]float64, len(r.Benches))
+		ws := make([]float64, len(r.Benches))
+		for i := range r.Benches {
+			vals[i], ws[i] = cpi(&r.Benches[i]), r.Benches[i].Weight
+		}
+		return stats.WeightedHarmonicMean(vals, ws)
+	}
+	uneven := synthetic()
+	uneven.Benches[1].Weight = 0.3
+	uneven.Benches[1].Insts = 700
+	uneven.Benches[1].IMisses = []int64{71, 13}
+	zeroInsts := synthetic()
+	zeroInsts.Benches[1].Insts = 0
+	negWeight := synthetic()
+	negWeight.Benches[0].Weight = -0.5
+	noWeight := synthetic()
+	noWeight.Benches[0].Weight, noWeight.Benches[1].Weight = 0, 0
+	for name, r := range map[string]*Result{
+		"equal": synthetic(), "uneven": uneven, "zero-insts": zeroInsts,
+		"negative-weight": negWeight, "zero-weights": noWeight,
+	} {
+		for _, c := range []struct {
+			icfg, dcfg, pen int
+			l               int
+			scheme          LoadScheme
+		}{{-1, -1, 0, 0, LoadStatic}, {0, 1, 10, 2, LoadStatic}, {1, 0, 7, 3, LoadDynamic}} {
+			got, gotErr := r.CPI(c.icfg, c.dcfg, c.pen, c.pen)
+			want, wantErr := viaStats(r, func(b *BenchResult) float64 { return b.CPI(c.icfg, c.dcfg, c.pen, c.pen) })
+			if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s CPI%+v = %v, %v; stats gives %v, %v", name, c, got, gotErr, want, wantErr)
+			}
+			got, gotErr = r.CPIFor(c.l, c.scheme, c.icfg, c.dcfg, c.pen, c.pen)
+			want, wantErr = viaStats(r, func(b *BenchResult) float64 {
+				return b.CPIFor(c.l, c.scheme, c.icfg, c.dcfg, c.pen, c.pen)
+			})
+			if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("%s CPIFor%+v = %v, %v; stats gives %v, %v", name, c, got, gotErr, want, wantErr)
+			}
+		}
+	}
+	r := uneven
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := r.CPIFor(2, LoadStatic, 0, 1, 10, 10); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.CPI(0, 1, 10, 10); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("CPI and CPIFor allocate %.0f times per call pair; want 0", n)
 	}
 }
