@@ -37,9 +37,12 @@ bench:
 bench-full:
 	PIPECACHE_BENCH_INSTS=2000000 $(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
 
-# Machine-readable simulator benchmark summary (archived by CI per commit).
-# The floor is the pre-lane-pack replay throughput: dipping below it means
-# the compiled-plan/lane-packed replay tier's gains have been lost entirely.
+# The performance ledger (archived by CI per commit): cmd/benchjson runs the
+# root package's ledger benchmarks once through go test -bench and writes
+# BENCH_sim.json. It fails when go test fails or leaves out a row, and when
+# BenchmarkTraceReplay falls below the floor, the pre-lane-pack replay
+# throughput: dipping below it means the compiled-plan/lane-packed replay
+# tier's gains have been lost entirely.
 REPLAY_FLOOR ?= 70000000
 bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_sim.json -replay-floor $(REPLAY_FLOOR)

@@ -2,61 +2,74 @@ package pipecache
 
 // The benchmark harness: one testing.B benchmark per table and figure of
 // the paper, each printing the rows/series it reproduces (compare against
-// EXPERIMENTS.md), plus microbenchmarks of the simulator substrate.
+// EXPERIMENTS.md), microbenchmarks of the simulator substrate, and the
+// rows of BENCH_sim.json.
 //
 // The full 16-benchmark suite is synthesized once per test binary; the
 // per-pass instruction budget defaults to 300k per benchmark and can be
 // raised with PIPECACHE_BENCH_INSTS for full-fidelity runs:
 //
 //	PIPECACHE_BENCH_INSTS=2000000 go test -bench=. -benchtime=1x
+//
+// The ledger rows run on fixed fixtures instead: espresso or gcc+yacc at
+// ledgerInsts instructions each. cmd/benchjson runs them through go test
+// -bench and records the result (make bench-json).
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-var (
-	benchOnce sync.Once
-	benchLab  *Lab
-	benchErr  error
-)
+// ledgerInsts is the per-benchmark instruction budget of every ledger
+// fixture, the "insts" of BENCH_sim.json.
+const ledgerInsts = 200_000
 
-func lab(b *testing.B) *Lab {
+// fixture returns the value get builds once per test binary, failing b if
+// the build failed.
+func fixture[T any](b *testing.B, get func() (T, error)) T {
 	b.Helper()
-	benchOnce.Do(func() {
-		insts := int64(300_000)
-		if s := os.Getenv("PIPECACHE_BENCH_INSTS"); s != "" {
-			v, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				benchErr = fmt.Errorf("bad PIPECACHE_BENCH_INSTS: %v", err)
-				return
-			}
-			insts = v
-		}
-		suite, err := BuildSuite(Benchmarks())
-		if err != nil {
-			benchErr = err
-			return
-		}
-		p := DefaultParams()
-		p.Insts = insts
-		benchLab, benchErr = NewLab(suite, p)
-		if benchErr == nil {
-			benchErr = benchLab.Prewarm()
-		}
-	})
-	if benchErr != nil {
-		b.Fatal(benchErr)
+	v, err := get()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return benchLab
+	return v
 }
+
+// paperLab is the paper benchmarks' lab: the full suite at
+// PIPECACHE_BENCH_INSTS instructions per benchmark, prewarmed.
+var paperLab = sync.OnceValues(func() (*Lab, error) {
+	insts := int64(300_000)
+	if s := os.Getenv("PIPECACHE_BENCH_INSTS"); s != "" {
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad PIPECACHE_BENCH_INSTS: %v", err)
+		}
+		insts = v
+	}
+	suite, err := BuildSuite(Benchmarks())
+	if err != nil {
+		return nil, err
+	}
+	p := DefaultParams()
+	p.Insts = insts
+	l, err := NewLab(suite, p)
+	if err != nil {
+		return nil, err
+	}
+	return l, l.Prewarm()
+})
+
+func lab(b *testing.B) *Lab { return fixture(b, paperLab) }
 
 // report prints the reproduced table/figure once per benchmark run.
 func report(b *testing.B, v fmt.Stringer) {
@@ -306,28 +319,59 @@ func BenchmarkFigure13_TPILowPenalty(b *testing.B) {
 
 // ---- Substrate microbenchmarks ----
 
-// BenchmarkSimulatorThroughput measures end-to-end simulated instructions
-// per second through the interpreter + caches + delay accounting.
-func BenchmarkSimulatorThroughput(b *testing.B) {
+// espressoFixture is the simulator rows' fixture: espresso under an 8 KW
+// split L1 with two branch and two load slots, and one ledgerInsts event
+// trace of it.
+type espressoFixture struct {
+	cfg SimConfig
+	ws  []Workload
+	tr  *EventTrace
+}
+
+var espresso = sync.OnceValues(func() (espressoFixture, error) {
 	spec, _ := LookupBenchmark("espresso")
 	prog, err := BuildProgram(spec, 0)
 	if err != nil {
-		b.Fatal(err)
+		return espressoFixture{}, err
 	}
-	cfg := SimConfig{
-		BranchSlots: 2,
-		LoadSlots:   2,
-		ICaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
-		DCaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
+	f := espressoFixture{
+		cfg: SimConfig{
+			BranchSlots: 2,
+			LoadSlots:   2,
+			ICaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
+			DCaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
+		},
+		ws: []Workload{{Prog: prog, Seed: spec.Seed, Weight: 1}},
 	}
+	sim, err := NewSim(f.cfg, f.ws)
+	if err != nil {
+		return espressoFixture{}, err
+	}
+	rec := NewEventRecorder("bench", ledgerInsts)
+	sim.SetCapture(rec)
+	if _, err := sim.Run(ledgerInsts); err != nil {
+		return espressoFixture{}, err
+	}
+	f.tr = rec.Finish()
+	return f, nil
+})
+
+// livePasses runs one full espresso pass per iteration through the
+// interpreter, the fused cache banks and the delay accounting, with reg
+// attached when it is not nil, and reports insts/s.
+func livePasses(b *testing.B, reg *Registry) {
+	f := fixture(b, espresso)
 	b.ResetTimer()
 	var insts int64
 	for i := 0; i < b.N; i++ {
-		sim, err := NewSim(cfg, []Workload{{Prog: prog, Seed: spec.Seed, Weight: 1}})
+		sim, err := NewSim(f.cfg, f.ws)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Run(200_000)
+		if reg != nil {
+			sim.SetObs(reg)
+		}
+		res, err := sim.Run(ledgerInsts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -335,103 +379,34 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
+
+// BenchmarkSimulatorThroughput measures end-to-end simulated instructions
+// per second through the interpreter + caches + delay accounting.
+func BenchmarkSimulatorThroughput(b *testing.B) { livePasses(b, nil) }
 
 // BenchmarkSimInstrumented is BenchmarkSimulatorThroughput with a metrics
 // registry attached: the delta between the two insts/s figures is the cost
 // of observability. The hot loop keeps its plain per-pass stats structs and
 // folds them into the registry once at the end of Run, so the delta should
 // be in the noise (see TestInstrumentationOverhead).
-func BenchmarkSimInstrumented(b *testing.B) {
-	spec, _ := LookupBenchmark("espresso")
-	prog, err := BuildProgram(spec, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := SimConfig{
-		BranchSlots: 2,
-		LoadSlots:   2,
-		ICaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
-		DCaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
-	}
-	reg := NewRegistry()
-	b.ResetTimer()
-	var insts int64
-	for i := 0; i < b.N; i++ {
-		sim, err := NewSim(cfg, []Workload{{Prog: prog, Seed: spec.Seed, Weight: 1}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.SetObs(reg)
-		res, err := sim.Run(200_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += res.Benches[0].Insts
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
-}
-
-// replayFixture captures one 200k-instruction espresso event trace,
-// shared by the replay benchmarks below.
-var (
-	replayFixOnce sync.Once
-	replayFixCfg  SimConfig
-	replayFixWs   []Workload
-	replayFixTr   *EventTrace
-	replayFixErr  error
-)
-
-const replayFixInsts = 200_000
-
-func replayFixture(b *testing.B) (SimConfig, []Workload, *EventTrace) {
-	b.Helper()
-	replayFixOnce.Do(func() {
-		spec, _ := LookupBenchmark("espresso")
-		prog, err := BuildProgram(spec, 0)
-		if err != nil {
-			replayFixErr = err
-			return
-		}
-		replayFixCfg = SimConfig{
-			BranchSlots: 2,
-			LoadSlots:   2,
-			ICaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
-			DCaches:     []CacheConfig{{SizeKW: 8, BlockWords: 4, Assoc: 1, WriteBack: true}},
-		}
-		replayFixWs = []Workload{{Prog: prog, Seed: spec.Seed, Weight: 1}}
-		capSim, err := NewSim(replayFixCfg, replayFixWs)
-		if err != nil {
-			replayFixErr = err
-			return
-		}
-		rec := NewEventRecorder("bench", replayFixInsts)
-		capSim.SetCapture(rec)
-		if _, err := capSim.Run(replayFixInsts); err != nil {
-			replayFixErr = err
-			return
-		}
-		replayFixTr = rec.Finish()
-	})
-	if replayFixErr != nil {
-		b.Fatal(replayFixErr)
-	}
-	return replayFixCfg, replayFixWs, replayFixTr
-}
+func BenchmarkSimInstrumented(b *testing.B) { livePasses(b, NewRegistry()) }
 
 // BenchmarkTraceReplay measures the sequential replay kernel: one full
 // espresso pass per iteration over a pre-captured event trace, through
 // the compiled chunk plans and the lane-packed banks. The insts/s metric
-// is the headline replay throughput (compare BENCH_sim.json).
+// is the headline replay throughput; the speedup over
+// BenchmarkSimulatorThroughput is the per-pass win of the capture/replay
+// tier.
 func BenchmarkTraceReplay(b *testing.B) {
-	cfg, ws, tr := replayFixture(b)
+	f := fixture(b, espresso)
 	b.ResetTimer()
 	var total int64
 	for i := 0; i < b.N; i++ {
-		sim, err := NewSim(cfg, ws)
+		sim, err := NewSim(f.cfg, f.ws)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sim.Replay(replayFixInsts, tr)
+		res, err := sim.Replay(ledgerInsts, f.tr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -597,19 +572,6 @@ func BenchmarkAblation_WritePolicy(b *testing.B) {
 	}
 }
 
-func BenchmarkPolicyStudy(b *testing.B) {
-	l := lab(b)
-	for i := 0; i < b.N; i++ {
-		r, err := l.PolicyStudy(4, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			report(b, r)
-		}
-	}
-}
-
 func BenchmarkAblation_BTBSize(b *testing.B) {
 	l := lab(b)
 	for i := 0; i < b.N; i++ {
@@ -696,22 +658,184 @@ func BenchmarkAsymmetricSplits(b *testing.B) {
 
 // BenchmarkLabBest times the design-point layer under a warm /v1/best:
 // Lab.Best over the 576 dynamic-load candidates at a fresh miss-service
-// time on a lab whose passes are memoized, with no HTTP around it.
-func BenchmarkLabBest(b *testing.B) {
-	l := lab(b)
-	ctx := context.Background()
-	if _, err := l.Best(ctx, l.Query(), LoadDynamic, false); err != nil {
-		b.Fatal(err)
+// ---- Ledger rows on gcc+yacc ----
+//
+// The design-point, serving and ablation rows of BENCH_sim.json run on the
+// gcc and yacc benchmarks at ledgerInsts instructions each. Ledger rows
+// print nothing: output a benchmark writes lands inside its go test result
+// line, which cmd/benchjson must parse.
+
+var ledgerSuite = sync.OnceValues(func() (*Suite, error) {
+	var specs []Spec
+	for _, name := range []string{"gcc", "yacc"} {
+		s, _ := LookupBenchmark(name)
+		specs = append(specs, s)
 	}
+	return BuildSuite(specs)
+})
+
+// newLedgerLab builds a lab over the ledger suite with a metrics registry
+// attached; traceBudget is its Params.TraceBudgetBytes.
+func newLedgerLab(traceBudget int64) (*Lab, error) {
+	suite, err := ledgerSuite()
+	if err != nil {
+		return nil, err
+	}
+	p := DefaultParams()
+	p.Insts = ledgerInsts
+	p.TraceBudgetBytes = traceBudget
+	l, err := NewLab(suite, p)
+	if err != nil {
+		return nil, err
+	}
+	l.SetObs(NewRegistry())
+	return l, nil
+}
+
+// warmLab is the serving rows' lab. One dynamic-load optimization warms
+// every pass a /v1/best needs; the passes do not depend on the miss-service
+// time, so a fresh l2 time reuses them.
+var warmLab = sync.OnceValues(func() (*Lab, error) {
+	l, err := newLedgerLab(0)
+	if err != nil {
+		return nil, err
+	}
+	_, err = l.Best(context.Background(), l.Query(), LoadDynamic, false)
+	return l, err
+})
+
+// bestSeq numbers the optimizations of every round go test -bench runs, so
+// no l2 time repeats and no iteration is a result-cache hit.
+var bestSeq int64
+
+func nextL2TimeNs() float64 {
+	bestSeq++
+	return 35 + float64(bestSeq)*1e-6
+}
+
+// ablationSuite runs the extension studies end to end on a fresh lab, its
+// result memos cold, reading traces from store (nil interprets every pass).
+func ablationSuite(store *EventStore) error {
+	l, err := newLedgerLab(-1)
+	if err != nil {
+		return err
+	}
+	l.SetTraceStore(store)
+	if err := l.Prewarm(); err != nil {
+		return err
+	}
+	if _, err := l.AssocStudy(8); err != nil {
+		return err
+	}
+	if _, err := l.BlockSizeStudy(8); err != nil {
+		return err
+	}
+	if _, err := l.WritePolicyStudy(10); err != nil {
+		return err
+	}
+	if _, err := l.BTBSizeStudy([]int{64, 256, 1024}); err != nil {
+		return err
+	}
+	if _, err := l.ProfileStudy(); err != nil {
+		return err
+	}
+	_, err = l.QuantumStudy(8, 10, []int64{2_000, 20_000, 100_000})
+	return err
+}
+
+// warmStore is the replay suite's event-trace store, shared across
+// iterations the way the stability study and a long-running server share
+// one. One unmeasured suite captures every trace and compiles every chunk
+// plan, so the measured iterations replay a warm store.
+var warmStore = sync.OnceValues(func() (*EventStore, error) {
+	store := NewEventStore(256 << 20)
+	return store, ablationSuite(store)
+})
+
+// BenchmarkAblationSuite prices the capture/replay tier on the real
+// ablation workload: live interprets every pass, replay reads a warm
+// store. Both build a fresh lab per iteration.
+func BenchmarkAblationSuite(b *testing.B) {
+	b.Run("live", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := ablationSuite(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("replay", func(b *testing.B) {
+		store := fixture(b, warmStore)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ablationSuite(store); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkPolicyStudy runs the replacement-policy ablation on a fresh lab
+// per iteration, memos cold, so the row prices the per-policy bank
+// construction and the FIFO and Tree-PLRU probe kernels on the
+// set-associative study workload, next to the LRU pass they must not slow
+// down.
+func BenchmarkPolicyStudy(b *testing.B) {
+	fixture(b, ledgerSuite)
+	for i := 0; i < b.N; i++ {
+		l, err := newLedgerLab(-1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := l.PolicyStudy(4, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLabBest times the design-point layer under a warm /v1/best:
+// Lab.Best over the 576 dynamic-load candidates at a fresh miss-service
+// time on a lab whose passes are memoized, with no HTTP around it, so
+// BenchmarkServerBest splits into this row plus the serving layers.
+func BenchmarkLabBest(b *testing.B) {
+	l := fixture(b, warmLab)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := l.Query()
-		q.L2TimeNs += float64(i+1) * 1e-6
+		q.L2TimeNs = nextL2TimeNs()
 		if _, err := l.Best(ctx, q, LoadDynamic, false); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// ledgerSurface is the design space of warmLab, baked, encoded and decoded
+// as a server loads it.
+var ledgerSurface = sync.OnceValues(func() (*Surface, error) {
+	l, err := warmLab()
+	if err != nil {
+		return nil, err
+	}
+	d, err := BakeSurface(context.Background(), l)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := EncodeSurface(d)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeSurface(enc)
+})
+
+// serve runs a server over warmLab for one benchmark round.
+func serve(b *testing.B, sf *Surface) http.Handler {
+	srv, err := NewServer(fixture(b, warmLab), ServerConfig{Surface: sf, AccessLog: io.Discard})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(srv.Close)
+	return srv.Handler()
 }
 
 // BenchmarkSurfaceLookup measures one /v1/simulate answer served from a
@@ -720,25 +844,7 @@ func BenchmarkLabBest(b *testing.B) {
 // path replaces a full simulation pass with an index-and-read, so it should
 // be several orders of magnitude cheaper per request.
 func BenchmarkSurfaceLookup(b *testing.B) {
-	l := lab(b)
-	d, err := BakeSurface(context.Background(), l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc, err := EncodeSurface(d)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sf, err := DecodeSurface(enc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := NewServer(l, ServerConfig{Surface: sf, AccessLog: io.Discard})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	h := srv.Handler()
+	h := serve(b, fixture(b, ledgerSurface))
 	body := []byte(`{"b":2,"l":2,"isize_kw":8,"dsize_kw":8}`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -749,4 +855,51 @@ func BenchmarkSurfaceLookup(b *testing.B) {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}
 	}
+}
+
+// bestStream sends h one /v1/best per iteration, each at a fresh
+// l2_time_ns, so the op is one fresh-L2 optimization on warm passes plus
+// the layers in front of it.
+func bestStream(b *testing.B, h http.Handler) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := fmt.Sprintf(`{"loads":"dynamic","l2_time_ns":%.6f}`, nextL2TimeNs())
+		req := httptest.NewRequest("POST", "/v1/best", strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkServerBest times a /v1/best stream through one server's
+// handler: BenchmarkLabBest plus decode, key, result-cache miss and encode.
+func BenchmarkServerBest(b *testing.B) {
+	bestStream(b, serve(b, nil))
+}
+
+// BenchmarkCoordinatorBest times the same stream through a coordinator
+// over two shards on loopback HTTP, each request proxied whole to the shard
+// its key routes to: BenchmarkServerBest plus route and the proxy hop.
+func BenchmarkCoordinatorBest(b *testing.B) {
+	var shards []string
+	for range 2 {
+		ts := httptest.NewServer(serve(b, nil))
+		b.Cleanup(ts.Close)
+		shards = append(shards, ts.URL)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Shards:    shards,
+		Params:    fixture(b, warmLab).P,
+		AccessLog: io.Discard,
+		// A hedge firing mid-iteration would double a shard's work and
+		// measure the policy, not the proxy.
+		HedgeAfter: time.Minute,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(coord.Close)
+	bestStream(b, coord.Handler())
 }

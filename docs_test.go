@@ -7,6 +7,7 @@ import (
 	"go/scanner"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -15,21 +16,26 @@ import (
 	"testing"
 )
 
-// TestDocsNameBenchmarks treats the docs' benchmark citations as checked
-// claims: every backticked `Benchmark…` name in README.md, DESIGN.md and
-// EXPERIMENTS.md must be a `func Benchmark…` in some _test.go file of the
-// repository (a `Name/sub` citation resolves through its top-level
-// function) or a row of BENCH_sim.json, so a renamed or deleted benchmark
-// that leaves the docs behind fails here.
-func TestDocsNameBenchmarks(t *testing.T) {
-	funcs := map[string]bool{}
-	decl := regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+// testFuncs collects the names of the `func <kind>…` declarations (kind
+// Test or Benchmark) in the _test.go files of dir, and of its
+// subdirectories when recursive. A nested module (perfbench) is not part
+// of ./... and is skipped.
+func testFuncs(t *testing.T, kind, dir string, recursive bool) map[string]bool {
+	t.Helper()
+	names := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func (` + kind + `\w*)\(`)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
+			if path == dir {
+				return nil
+			}
+			if !recursive || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil
@@ -42,31 +48,25 @@ func TestDocsNameBenchmarks(t *testing.T) {
 			return err
 		}
 		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
-			funcs[m[1]] = true
+			names[m[1]] = true
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return names
+}
 
-	raw, err := os.ReadFile("BENCH_sim.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Benchmarks []struct {
-			Name string `json:"name"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("BENCH_sim.json: %v", err)
-	}
-	rows := map[string]bool{}
-	for _, r := range report.Benchmarks {
-		rows[r.Name] = true
-	}
-
+// TestDocsNameBenchmarks treats the docs' benchmark citations as checked
+// claims: every backticked `Benchmark…` name in README.md, DESIGN.md and
+// EXPERIMENTS.md must be a `func Benchmark…` in some _test.go file of the
+// repository (a `Name/sub` citation resolves through its top-level
+// function), so a renamed or deleted benchmark that leaves the docs behind
+// fails here. Every BENCH_sim.json row is such a function too
+// (TestLedgerRowsAreBenchmarks).
+func TestDocsNameBenchmarks(t *testing.T) {
+	funcs := testFuncs(t, "Benchmark", ".", true)
 	cite := regexp.MustCompile("`(Benchmark[^`\\s]*)`")
 	checked := 0
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
@@ -78,13 +78,57 @@ func TestDocsNameBenchmarks(t *testing.T) {
 			name := m[1]
 			checked++
 			top, _, _ := strings.Cut(name, "/")
-			if !rows[name] && !funcs[top] {
-				t.Errorf("%s cites `%s`, which is neither a benchmark function nor a BENCH_sim.json row", doc, name)
+			if !funcs[top] {
+				t.Errorf("%s cites `%s`, which is not a benchmark function", doc, name)
 			}
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no benchmark citations found; the docs pattern is stale")
+	}
+}
+
+// TestLedgerRowsAreBenchmarks holds BENCH_sim.json to one definition per
+// row: every row, and every speedup's baseline and against, names a
+// `func Benchmark…` of this package (a `Name/sub` row resolves through its
+// top-level function), the one body cmd/benchjson runs. The report's
+// instruction budget is the fixtures' ledgerInsts.
+func TestLedgerRowsAreBenchmarks(t *testing.T) {
+	funcs := testFuncs(t, "Benchmark", ".", false)
+	raw, err := os.ReadFile("BENCH_sim.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report struct {
+		Insts      int64 `json:"insts"`
+		Benchmarks []struct {
+			Name string `json:"name"`
+		} `json:"benchmarks"`
+		Speedups []struct {
+			Baseline string `json:"baseline"`
+			Against  string `json:"against"`
+		} `json:"speedups"`
+	}
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatalf("BENCH_sim.json: %v", err)
+	}
+	var names []string
+	for _, r := range report.Benchmarks {
+		names = append(names, r.Name)
+	}
+	for _, s := range report.Speedups {
+		names = append(names, s.Baseline, s.Against)
+	}
+	if len(names) == 0 {
+		t.Fatal("BENCH_sim.json has no rows")
+	}
+	for _, name := range names {
+		if top, _, _ := strings.Cut(name, "/"); !funcs[top] {
+			t.Errorf("BENCH_sim.json names %s, which is no func Benchmark… of the root package", name)
+		}
+	}
+	if report.Insts != ledgerInsts {
+		t.Errorf("BENCH_sim.json insts = %d, want ledgerInsts %d", report.Insts, ledgerInsts)
 	}
 }
 
@@ -101,44 +145,6 @@ func TestMakefileRunPatternsNameTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	runFlag := regexp.MustCompile(`-run\s+('[^']*'|\S+)`)
-	decl := regexp.MustCompile(`(?m)^func (Test\w*)\(`)
-	testsIn := func(root string, recursive bool) []string {
-		var names []string
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() {
-				if path == root {
-					return nil
-				}
-				if !recursive || strings.HasPrefix(d.Name(), ".") {
-					return filepath.SkipDir
-				}
-				// A nested module (perfbench) is not part of ./...
-				if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
-				names = append(names, m[1])
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return names
-	}
-
 	checked := 0
 	for _, line := range strings.Split(string(mk), "\n") {
 		m := runFlag.FindStringSubmatch(line)
@@ -149,17 +155,17 @@ func TestMakefileRunPatternsNameTests(t *testing.T) {
 		if pattern == "^$" {
 			continue
 		}
-		var tests []string
+		tests := map[string]bool{}
 		for _, f := range strings.Fields(line) {
 			switch {
 			case f == "./...":
-				tests = append(tests, testsIn(".", true)...)
+				maps.Copy(tests, testFuncs(t, "Test", ".", true))
 			case f == "." || strings.HasPrefix(f, "./"):
-				tests = append(tests, testsIn(f, false)...)
+				maps.Copy(tests, testFuncs(t, "Test", f, false))
 			}
 		}
-		if tests == nil {
-			tests = testsIn(".", false)
+		if len(tests) == 0 {
+			tests = testFuncs(t, "Test", ".", false)
 		}
 		top, _, _ := strings.Cut(pattern, "/")
 		for _, alt := range strings.Split(top, "|") {
@@ -170,7 +176,7 @@ func TestMakefileRunPatternsNameTests(t *testing.T) {
 			}
 			checked++
 			found := false
-			for _, name := range tests {
+			for name := range tests {
 				found = found || re.MatchString(name)
 			}
 			if !found {

@@ -608,34 +608,22 @@ func (c *Coordinator) proxyJSON(w http.ResponseWriter, r *http.Request, endpoint
 }
 
 func (c *Coordinator) handleFigure(w http.ResponseWriter, r *http.Request) {
-	n := r.PathValue("n")
-	switch n {
-	case "11", "12", "13":
-	default:
-		http.Error(w, "unknown figure (serving 11, 12, 13)", http.StatusNotFound)
-		return
-	}
-	penalty := 10
-	if q := r.URL.Query().Get("penalty"); q != "" {
-		p, err := strconv.Atoi(q)
-		if err != nil || p < 1 || p > 1000 {
-			http.Error(w, "penalty must be an integer in 1..1000", http.StatusBadRequest)
-			return
-		}
-		penalty = p
-	}
-	key := server.RequestKey("figures", map[string]any{"n": n, "penalty": penalty})
-	c.proxy(w, r, key, http.MethodGet, "/v1/figures/"+n+"?penalty="+strconv.Itoa(penalty), nil)
+	c.proxyReport(w, r, true)
 }
 
 func (c *Coordinator) handleTable(w http.ResponseWriter, r *http.Request) {
-	n, err := strconv.Atoi(r.PathValue("n"))
-	if err != nil || n < 1 || n > 6 {
-		http.Error(w, "unknown table (serving 1-6)", http.StatusNotFound)
+	c.proxyReport(w, r, false)
+}
+
+// proxyReport forwards a figure or table request, validated by the
+// server's own parser, in its canonical form.
+func (c *Coordinator) proxyReport(w http.ResponseWriter, r *http.Request, figure bool) {
+	q, status, msg := server.ParseReportRequest(r, figure)
+	if status != 0 {
+		http.Error(w, msg, status)
 		return
 	}
-	key := server.RequestKey("tables", map[string]int{"n": n})
-	c.proxy(w, r, key, http.MethodGet, "/v1/tables/"+strconv.Itoa(n), nil)
+	c.proxy(w, r, q.Key(), http.MethodGet, q.Path(), nil)
 }
 
 func (c *Coordinator) handleBest(w http.ResponseWriter, r *http.Request) {

@@ -203,6 +203,26 @@ func TestCoordinatorDifferential(t *testing.T) {
 		}
 	})
 
+	t.Run("invalid_requests_match", func(t *testing.T) {
+		// A bad request gets the single node's status and message from
+		// the coordinator too, including one wrong on two counts.
+		for _, q := range []apiRequest{
+			{http.MethodGet, "/v1/figures/99?penalty=abc", ""},
+			{http.MethodGet, "/v1/figures/12?penalty=0", ""},
+			{http.MethodGet, "/v1/figures/7", ""},
+			{http.MethodGet, "/v1/tables/9", ""},
+			{http.MethodGet, "/v1/tables/x", ""},
+			{http.MethodPost, "/v1/best", `{"loads":"sometimes"}`},
+		} {
+			rresp, rbody := do(t, ref.URL, q)
+			cresp, cbody := do(t, cts.URL, q)
+			if rresp.StatusCode == http.StatusOK || rresp.StatusCode != cresp.StatusCode || !bytes.Equal(rbody, cbody) {
+				t.Errorf("%s: single-node %d %q, coordinator %d %q",
+					q, rresp.StatusCode, rbody, cresp.StatusCode, cbody)
+			}
+		}
+	})
+
 	t.Run("if_none_match_revalidates", func(t *testing.T) {
 		q := apiRequest{http.MethodPost, "/v1/best", `{"loads":"static"}`}
 		first, body := do(t, cts.URL, q)

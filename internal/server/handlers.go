@@ -234,63 +234,43 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	n := r.PathValue("n")
-	penalty := 10
-	if q := r.URL.Query().Get("penalty"); q != "" {
-		p, err := strconv.Atoi(q)
-		if err != nil || p < 1 || p > 1000 {
-			http.Error(w, "penalty must be an integer in 1..1000", http.StatusBadRequest)
-			return
-		}
-		penalty = p
-	}
-	var compute func(context.Context) (any, error)
-	switch n {
-	case "11":
-		compute = func(ctx context.Context) (any, error) {
-			f, err := s.lab.Figure11Context(ctx, penalty)
-			if err != nil {
-				return nil, err
-			}
-			return figureJSON(f), nil
-		}
-	case "12":
-		compute = func(ctx context.Context) (any, error) {
-			f, err := s.lab.Figure12Context(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return figureJSON(f), nil
-		}
-	case "13":
-		compute = func(ctx context.Context) (any, error) {
-			f, err := s.lab.Figure13Context(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return figureJSON(f), nil
-		}
-	default:
-		http.Error(w, "unknown figure (serving 11, 12, 13)", http.StatusNotFound)
+	q, status, msg := ParseReportRequest(r, true)
+	if status != 0 {
+		http.Error(w, msg, status)
 		return
 	}
-	s.serveCached(w, r, RequestKey("figures", map[string]any{"n": n, "penalty": penalty}),
-		func() (any, bool) { return s.bakedFigure(n, penalty) },
-		compute)
+	s.serveCached(w, r, q.Key(),
+		func() (any, bool) { return s.bakedFigure(strconv.Itoa(q.N), q.Penalty) },
+		func(ctx context.Context) (any, error) {
+			var f *core.FigureResult
+			var err error
+			switch q.N {
+			case 11:
+				f, err = s.lab.Figure11Context(ctx, q.Penalty)
+			case 12:
+				f, err = s.lab.Figure12Context(ctx)
+			default:
+				f, err = s.lab.Figure13Context(ctx)
+			}
+			if err != nil {
+				return nil, err
+			}
+			return figureJSON(f), nil
+		})
 }
 
 func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
-	n, err := strconv.Atoi(r.PathValue("n"))
-	if err != nil || n < 1 || n > 6 {
-		http.Error(w, "unknown table (serving 1-6)", http.StatusNotFound)
+	q, status, msg := ParseReportRequest(r, false)
+	if status != 0 {
+		http.Error(w, msg, status)
 		return
 	}
-	s.serveCached(w, r, RequestKey("tables", map[string]int{"n": n}),
-		func() (any, bool) { return s.bakedTable(n) },
+	s.serveCached(w, r, q.Key(),
+		func() (any, bool) { return s.bakedTable(q.N) },
 		func(ctx context.Context) (any, error) {
 			var v fmt.Stringer
 			var terr error
-			switch n {
+			switch q.N {
 			case 1:
 				v, terr = s.lab.Table1()
 			case 2:
@@ -307,7 +287,7 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 			if terr != nil {
 				return nil, terr
 			}
-			return TableResponse{Table: n, Text: v.String()}, nil
+			return TableResponse{Table: q.N, Text: v.String()}, nil
 		})
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"strconv"
 	"strings"
 
 	"pipecache/internal/cache"
@@ -189,6 +191,59 @@ func inBank(size int, bank []int) bool {
 		}
 	}
 	return false
+}
+
+// ReportRequest is a validated GET /v1/figures/{n} or /v1/tables/{n}.
+type ReportRequest struct {
+	Figure  bool
+	N       int
+	Penalty int // figures only: the Figure 11 miss penalty in cycles
+}
+
+// ParseReportRequest validates a figure (figure true) or table request,
+// for the server and the coordinator alike. A figure's penalty is checked
+// before its number, so a request wrong on both counts gets the same 400
+// from every tier. On a bad request it returns the status and message to
+// answer with; status is 0 for a valid one.
+func ParseReportRequest(r *http.Request, figure bool) (q ReportRequest, status int, msg string) {
+	n := r.PathValue("n")
+	if !figure {
+		t, err := strconv.Atoi(n)
+		if err != nil || t < 1 || t > 6 {
+			return q, http.StatusNotFound, "unknown table (serving 1-6)"
+		}
+		return ReportRequest{N: t}, 0, ""
+	}
+	q = ReportRequest{Figure: true, Penalty: 10}
+	if v := r.URL.Query().Get("penalty"); v != "" {
+		p, err := strconv.Atoi(v)
+		if err != nil || p < 1 || p > 1000 {
+			return q, http.StatusBadRequest, "penalty must be an integer in 1..1000"
+		}
+		q.Penalty = p
+	}
+	switch n {
+	case "11", "12", "13":
+		q.N, _ = strconv.Atoi(n)
+		return q, 0, ""
+	}
+	return q, http.StatusNotFound, "unknown figure (serving 11, 12, 13)"
+}
+
+// Key is the request's content address (see RequestKey).
+func (q ReportRequest) Key() string {
+	if q.Figure {
+		return RequestKey("figures", map[string]any{"n": strconv.Itoa(q.N), "penalty": q.Penalty})
+	}
+	return RequestKey("tables", map[string]int{"n": q.N})
+}
+
+// Path is the request's canonical path, the one the coordinator forwards.
+func (q ReportRequest) Path() string {
+	if q.Figure {
+		return "/v1/figures/" + strconv.Itoa(q.N) + "?penalty=" + strconv.Itoa(q.Penalty)
+	}
+	return "/v1/tables/" + strconv.Itoa(q.N)
 }
 
 // RequestKey derives the content address of one request: the endpoint name
