@@ -27,7 +27,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // ledgerInsts is the per-benchmark instruction budget of every ledger
@@ -893,9 +892,6 @@ func BenchmarkCoordinatorBest(b *testing.B) {
 		Shards:    shards,
 		Params:    fixture(b, warmLab).P,
 		AccessLog: io.Discard,
-		// A hedge firing mid-iteration would double a shard's work and
-		// measure the policy, not the proxy.
-		HedgeAfter: time.Minute,
 	})
 	if err != nil {
 		b.Fatal(err)

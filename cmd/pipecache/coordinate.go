@@ -21,12 +21,9 @@ func runCoordinate(args []string) error {
 	fs := flag.NewFlagSet("coordinate", flag.ExitOnError)
 	addr := fs.String("addr", ":8090", "listen address")
 	shards := fs.String("shards", "", "comma-separated backend base URLs (required)")
-	replicas := fs.Int("replicas", 0, "virtual nodes per shard on the hash ring (default 64)")
 	probeInterval := fs.Duration("probe-interval", 2*time.Second, "shard /healthz probe period")
 	probeTimeout := fs.Duration("probe-timeout", time.Second, "per-probe deadline")
 	failAfter := fs.Int("fail-after", 2, "consecutive probe failures that drain a shard")
-	hedgeAfter := fs.Duration("hedge-after", 100*time.Millisecond, "hedging delay floor")
-	hedgeQuantile := fs.Float64("hedge-quantile", 0.95, "latency quantile that arms the hedge timer")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Minute, "per-shard-request deadline")
 	grace := fs.Duration("shutdown-grace", 10*time.Second, "in-flight drain bound on shutdown")
 	fs.Parse(args)
@@ -49,12 +46,9 @@ func runCoordinate(args []string) error {
 	coord, err := cluster.New(cluster.Config{
 		Addr:           *addr,
 		Shards:         urls,
-		Replicas:       *replicas,
 		ProbeInterval:  *probeInterval,
 		ProbeTimeout:   *probeTimeout,
 		FailAfter:      *failAfter,
-		HedgeAfter:     *hedgeAfter,
-		HedgeQuantile:  *hedgeQuantile,
 		RequestTimeout: *reqTimeout,
 		ShutdownGrace:  *grace,
 		Params:         core.DefaultParams(),

@@ -12,8 +12,8 @@
 //	pipecache serve    [flags]   serve the design space over HTTP/JSON with
 //	                             result caching and live metrics
 //	pipecache coordinate [flags] front a fleet of serve backends: consistent-
-//	                             hash routing with hedging and failover,
-//	                             answers byte-identical to a single node
+//	                             hash routing with failover, answers
+//	                             byte-identical to a single node
 //	pipecache bake     [flags]   precompute the design-space surface into a
 //	                             PSF1 artifact for O(1) serving
 //	pipecache tracegen [flags]   write a multiprogrammed reference trace
@@ -164,10 +164,10 @@ func (o *cliOpts) traceBudgetBytes() int64 {
 	return *o.traceBudgetMB << 20
 }
 
-// buildLab assembles the lab from the parsed flags, attaching a fresh
-// metrics registry (and, with -progress, a live progress reporter) before
-// the prewarm passes run.
-func buildLab(o *cliOpts) (*core.Lab, error) {
+// newLab assembles the lab from the parsed flags and attaches a fresh
+// metrics registry. It runs no pass: each caller decides whether to
+// prewarm.
+func newLab(o *cliOpts) (*core.Lab, error) {
 	specs, err := selectSpecs(o)
 	if err != nil {
 		return nil, err
@@ -189,6 +189,16 @@ func buildLab(o *cliOpts) (*core.Lab, error) {
 		return nil, err
 	}
 	lab.SetObs(obs.NewRegistry())
+	return lab, nil
+}
+
+// buildLab is newLab for the batch subcommands: it attaches a live
+// progress reporter with -progress and runs the prewarm passes.
+func buildLab(o *cliOpts) (*core.Lab, error) {
+	lab, err := newLab(o)
+	if err != nil {
+		return nil, err
+	}
 	if *o.progress {
 		lab.SetProgress(obs.NewProgress(os.Stderr))
 	} else {

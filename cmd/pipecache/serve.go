@@ -11,9 +11,7 @@ import (
 	"syscall"
 	"time"
 
-	"pipecache/internal/core"
 	"pipecache/internal/gen"
-	"pipecache/internal/obs"
 	"pipecache/internal/server"
 	"pipecache/internal/surface"
 )
@@ -35,30 +33,12 @@ func runServe(args []string) error {
 	surfacePath := fs.String("surface", "", "baked PSF1 surface to serve /v1/* from (see pipecache bake)")
 	fs.Parse(args)
 
-	// Build the lab without the eager prewarm of the batch subcommands:
-	// the server runs passes lazily on demand (under request contexts)
+	// The server runs passes lazily on demand (under request contexts)
 	// unless -prewarm asks for a hot start.
-	specs, err := selectSpecs(o)
+	lab, err := newLab(o)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "building %d benchmarks...\n", len(specs))
-	suite, err := core.BuildSuite(specs)
-	if err != nil {
-		return err
-	}
-	p := core.DefaultParams()
-	p.Insts = *o.insts
-	p.SweepWorkers = *o.sweepWorkers
-	p.TraceBudgetBytes = o.traceBudgetBytes()
-	if err := o.applyPolicy(&p); err != nil {
-		return err
-	}
-	lab, err := core.NewLab(suite, p)
-	if err != nil {
-		return err
-	}
-	lab.SetObs(obs.NewRegistry())
 	if *prewarm {
 		fmt.Fprintln(os.Stderr, "prewarming simulation passes...")
 		if err := lab.Prewarm(); err != nil {

@@ -196,8 +196,8 @@ func TestMakefileRunPatternsNameTests(t *testing.T) {
 // `server.RequestKey` are TestDocsNameInternalDeclarations' business), must be
 // a string literal in the module's non-test Go — a registry name or a
 // fault.NewPoint name. A literal ending in "." that the code concatenates
-// onto (`"cluster.req." + name`) covers every name it prefixes. Shorthand
-// citations (`trace.store.*`, `cluster.hedge.fired/won`) are not checked.
+// onto covers every name it prefixes. Shorthand citations
+// (`trace.store.*`, `cluster.shard.drained/reincluded`) are not checked.
 func TestDocsNameMetrics(t *testing.T) {
 	literals := map[string]bool{}
 	var prefixes []string

@@ -11,11 +11,13 @@
 // it is byte-for-byte what a single backend serves — the property the
 // differential suite (cluster diff tests) pins.
 //
-// Robustness: requests hedge onto the next shard in ring order after a
-// latency-percentile delay; transport failures and 5xx answers fail over
-// to the next shard, and a transport failure drains its shard until a
-// /healthz probe re-includes it; and a shard's 429 is relayed with its
-// Retry-After clamped to the same 1..30s contract the backends honor.
+// Robustness: a request walks its key's shard sequence one shard at a
+// time. Transport failures and 5xx answers fail over to the next shard,
+// and a transport failure drains its shard until a /healthz probe
+// re-includes it; a shard's 429 is relayed with its Retry-After clamped to
+// the same 1..30s contract the backends honor. The HTTP shell around the
+// handlers (instrumentation, ETags, /metrics, graceful drain) is the
+// backend's own server.Shell.
 package cluster
 
 import (
@@ -25,14 +27,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"pipecache/internal/core"
@@ -54,6 +53,11 @@ var errNoShards = errors.New("cluster: no healthy shards")
 // sweep is a few hundred KB; anything near this is a broken shard).
 const maxShardResponse = 64 << 20
 
+// errResponseTooLarge fails an exchange whose body exceeds
+// maxShardResponse: relaying a cut-short body would serve a 200 with
+// another answer's ETag.
+var errResponseTooLarge = fmt.Errorf("cluster: shard response exceeds %d bytes", maxShardResponse)
+
 // Shard-advertised backoffs are re-bounded with server.ClampRetryAfter —
 // the single definition of the 1..30s Retry-After contract the backend
 // pool honors: shards are trusted for routing, not for unbounded client
@@ -67,9 +71,6 @@ type Config struct {
 	// is required. A shard's URL is its ring identity: reordering the list
 	// does not move keys, and adding or removing one shard moves ~1/N.
 	Shards []string
-	// Replicas is the virtual-node count per shard on the hash ring
-	// (default 64).
-	Replicas int
 	// ProbeInterval is the /healthz probe period (default 2s).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe (default 1s).
@@ -78,13 +79,6 @@ type Config struct {
 	// healthy shard (default 2). Transport errors on real requests drain
 	// immediately regardless.
 	FailAfter int
-	// HedgeAfter is the floor on the hedging delay (default 100ms): a
-	// request hedges onto the next shard in ring order after
-	// max(HedgeAfter, observed HedgeQuantile latency).
-	HedgeAfter time.Duration
-	// HedgeQuantile is the shard-latency quantile that arms the hedge
-	// timer once enough samples exist (default 0.95).
-	HedgeQuantile float64
 	// RequestTimeout bounds each shard-facing request (default 120s).
 	RequestTimeout time.Duration
 	// ShutdownGrace bounds the drain on shutdown (default 10s).
@@ -105,9 +99,6 @@ func (c Config) withDefaults() Config {
 	if c.Addr == "" {
 		c.Addr = ":8090"
 	}
-	if c.Replicas <= 0 {
-		c.Replicas = ringReplicas
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 2 * time.Second
 	}
@@ -116,12 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 2
-	}
-	if c.HedgeAfter <= 0 {
-		c.HedgeAfter = 100 * time.Millisecond
-	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 120 * time.Second
@@ -145,16 +130,12 @@ func (c Config) withDefaults() Config {
 // Handler (or run ListenAndServe), and Close when done.
 type Coordinator struct {
 	cfg    Config
-	params core.Params
 	shards []*Shard
 	ring   *Ring
 	reg    *obs.Registry
 	client *http.Client
-	mux    *http.ServeMux
-	log    *log.Logger
-	start  time.Time
+	shell  *server.Shell
 	build  server.BuildInfo
-	lat    latencyTracker
 }
 
 // New builds a coordinator over the configured shard fleet. Shards start
@@ -187,15 +168,14 @@ func New(cfg Config) (*Coordinator, error) {
 	reg := obs.NewRegistry()
 	c := &Coordinator{
 		cfg:    cfg,
-		params: cfg.Params,
 		shards: shards,
-		ring:   NewRing(names, cfg.Replicas),
+		ring:   NewRing(names),
 		reg:    reg,
 		client: cfg.Client,
-		mux:    http.NewServeMux(),
-		log:    log.New(cfg.AccessLog, "", log.LstdFlags|log.Lmicroseconds),
-		start:  time.Now(),
-		build:  server.VersionInfo(),
+		// No whole-request deadline: RequestTimeout bounds each shard
+		// exchange, so a timed-out shard can still fail over.
+		shell: server.NewShell("cluster", reg, cfg.AccessLog, 0),
+		build: server.VersionInfo(),
 	}
 	c.publishHealthGauges()
 	c.routes()
@@ -203,19 +183,18 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 func (c *Coordinator) routes() {
-	c.mux.Handle("POST /v1/simulate", c.instrument("simulate", c.handleSimulate))
-	c.mux.Handle("POST /v1/best", c.instrument("best", c.handleBest))
-	c.mux.Handle("GET /v1/figures/{n}", c.instrument("figures", c.handleFigure))
-	c.mux.Handle("GET /v1/tables/{n}", c.instrument("tables", c.handleTable))
-	c.mux.Handle("GET /healthz", c.instrument("healthz", c.handleHealthz))
-	c.mux.Handle("GET /metrics", c.instrument("metrics", c.handleMetrics))
+	c.shell.Handle("POST /v1/simulate", "simulate", c.handleSimulate)
+	c.shell.Handle("POST /v1/best", "best", c.handleBest)
+	c.shell.Handle("GET /v1/figures/{n}", "figures", c.handleFigure)
+	c.shell.Handle("GET /v1/tables/{n}", "tables", c.handleTable)
+	c.shell.Handle("GET /healthz", "healthz", c.handleHealthz)
 }
 
 // Registry returns the coordinator's metric registry.
 func (c *Coordinator) Registry() *obs.Registry { return c.reg }
 
 // Handler returns the full middleware-wrapped handler.
-func (c *Coordinator) Handler() http.Handler { return c.mux }
+func (c *Coordinator) Handler() http.Handler { return c.shell.Handler() }
 
 // Close releases resources (none beyond idle connections today).
 func (c *Coordinator) Close() { c.client.CloseIdleConnections() }
@@ -223,57 +202,6 @@ func (c *Coordinator) Close() { c.client.CloseIdleConnections() }
 // Shards returns the fleet's shard handles (index order); tests use it to
 // inspect health transitions.
 func (c *Coordinator) Shards() []*Shard { return c.shards }
-
-// instrument wraps one endpoint with request counting, latency, panic
-// recovery, and access logging — the coordinator-side mirror of the
-// backend middleware.
-func (c *Coordinator) instrument(name string, h http.HandlerFunc) http.Handler {
-	reqs := c.reg.Counter("cluster.req." + name)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqs.Inc()
-		c.reg.Counter("cluster.requests").Inc()
-		stop := c.reg.Time("cluster.latency_seconds." + name)
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w}
-		defer func() {
-			if p := recover(); p != nil {
-				c.reg.Counter("cluster.panics").Inc()
-				c.log.Printf("panic in %s %s: %v", r.Method, r.URL.Path, p)
-				if sw.code == 0 {
-					http.Error(sw, "internal error", http.StatusInternalServerError)
-				}
-			}
-			stop()
-			code := sw.code
-			if code == 0 {
-				code = http.StatusOK
-			}
-			c.reg.Counter(fmt.Sprintf("cluster.status.%dxx", code/100)).Inc()
-			c.log.Printf("%s %s %d %dB %s", r.Method, r.URL.Path, code, sw.bytes, time.Since(start).Round(time.Microsecond))
-		}()
-		h(sw, r)
-	})
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	bytes int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	n, err := w.ResponseWriter.Write(b)
-	w.bytes += n
-	return n, err
-}
 
 // ListenAndServe serves on the configured address until ctx is cancelled,
 // probing the fleet once up front and then every ProbeInterval.
@@ -292,75 +220,8 @@ func (c *Coordinator) Serve(ctx context.Context, ln net.Listener) error {
 	defer stopProbes()
 	c.ProbeAll(pctx)
 	go c.probeLoop(pctx)
-	hs := &http.Server{Handler: c.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	c.log.Printf("coordinating %d shards on %s (replicas=%d hedge>=%s)",
-		len(c.shards), ln.Addr(), c.cfg.Replicas, c.cfg.HedgeAfter)
-	select {
-	case err := <-errc:
-		c.Close()
-		return err
-	case <-ctx.Done():
-	}
-	c.log.Printf("shutdown: draining in-flight requests (grace %s)", c.cfg.ShutdownGrace)
-	sctx, cancel := context.WithTimeout(context.Background(), c.cfg.ShutdownGrace)
-	defer cancel()
-	err := hs.Shutdown(sctx)
-	c.Close()
-	if serr := <-errc; serr != nil && serr != http.ErrServerClosed {
-		return serr
-	}
-	return err
-}
-
-// latencyTracker keeps a sliding window of shard request latencies and
-// reports quantiles for the hedge timer. Cheap and approximate on purpose:
-// hedging needs "slower than usual", not a calibrated percentile.
-type latencyTracker struct {
-	mu      sync.Mutex
-	samples [128]time.Duration
-	n       int
-}
-
-func (t *latencyTracker) observe(d time.Duration) {
-	t.mu.Lock()
-	t.samples[t.n%len(t.samples)] = d
-	t.n++
-	t.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the window, or ok=false until enough
-// samples exist to make one meaningful.
-func (t *latencyTracker) quantile(q float64) (time.Duration, bool) {
-	t.mu.Lock()
-	n := t.n
-	if n > len(t.samples) {
-		n = len(t.samples)
-	}
-	if n < 8 {
-		t.mu.Unlock()
-		return 0, false
-	}
-	buf := make([]time.Duration, n)
-	copy(buf, t.samples[:n])
-	t.mu.Unlock()
-	sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-	i := int(q * float64(n))
-	if i >= n {
-		i = n - 1
-	}
-	return buf[i], true
-}
-
-// hedgeDelay is the current hedging delay: the configured floor, raised to
-// the tracked latency quantile once the window has samples.
-func (c *Coordinator) hedgeDelay() time.Duration {
-	d := c.cfg.HedgeAfter
-	if q, ok := c.lat.quantile(c.cfg.HedgeQuantile); ok && q > d {
-		d = q
-	}
-	return d
+	c.shell.Logf("coordinating %d shards on %s", len(c.shards), ln.Addr())
+	return c.shell.Serve(ctx, ln, c.cfg.ShutdownGrace, c.Close)
 }
 
 // shardResult is one shard's HTTP answer, whatever the status.
@@ -406,16 +267,17 @@ func (c *Coordinator) doShard(ctx context.Context, s *Shard, method, path string
 		return nil, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponse+1))
+	if err == nil && len(b) > maxShardResponse {
+		err = errResponseTooLarge
+	}
 	if err != nil {
 		s.errors.Add(1)
 		c.reg.Counter("cluster.shard.errors").Inc()
 		return nil, err
 	}
-	elapsed := time.Since(start)
 	c.reg.Histogram("cluster.shard.latency_ms", obs.ExponentialBounds(0.25, 2, 16)...).
-		Observe(float64(elapsed) / float64(time.Millisecond))
-	c.lat.observe(elapsed)
+		Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	res := &shardResult{status: resp.StatusCode, body: b, cacheTier: resp.Header.Get("X-Cache")}
 	if resp.StatusCode == http.StatusTooManyRequests {
 		if v, aerr := strconv.Atoi(strings.TrimSpace(resp.Header.Get("Retry-After"))); aerr == nil {
@@ -423,88 +285,6 @@ func (c *Coordinator) doShard(ctx context.Context, s *Shard, method, path string
 		}
 	}
 	return res, nil
-}
-
-// raceShards runs do against shards[0], hedging onto the next shard each
-// time the hedge timer fires before an answer arrives, and advancing to the
-// next shard on transport errors and 5xx. The first completed exchange wins
-// (a hedged win is counted); transport failures drain the failing shard.
-func (c *Coordinator) raceShards(ctx context.Context, shards []*Shard, do func(ctx context.Context, s *Shard) (*shardResult, error)) (*shardResult, error) {
-	if len(shards) == 0 {
-		return nil, errNoShards
-	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		res    *shardResult
-		err    error
-		s      *Shard
-		hedged bool
-	}
-	results := make(chan outcome, len(shards))
-	launched := 0
-	launch := func(hedged bool) {
-		s := shards[launched]
-		launched++
-		go func() {
-			res, err := do(rctx, s)
-			results <- outcome{res: res, err: err, s: s, hedged: hedged}
-		}()
-	}
-	launch(false)
-	hedge := time.NewTimer(c.hedgeDelay())
-	defer hedge.Stop()
-	outstanding := 1
-	var lastErr error
-	var lastRes *shardResult
-	for outstanding > 0 {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-hedge.C:
-			if launched < len(shards) {
-				c.reg.Counter("cluster.hedge.fired").Inc()
-				launch(true)
-				outstanding++
-				hedge.Reset(c.hedgeDelay())
-			}
-		case o := <-results:
-			outstanding--
-			if o.err != nil {
-				lastErr = o.err
-				if rctx.Err() == nil {
-					c.markUnhealthy(o.s, o.err)
-				}
-				if launched < len(shards) {
-					launch(false)
-					outstanding++
-				}
-				continue
-			}
-			if o.res.status >= http.StatusInternalServerError {
-				// A shard answered but could not serve (shutdown drain, an
-				// injected abort): try the next one, keeping this answer as
-				// the fallback if the whole sequence fails the same way.
-				lastRes = o.res
-				if launched < len(shards) {
-					launch(false)
-					outstanding++
-				}
-				continue
-			}
-			if o.hedged {
-				c.reg.Counter("cluster.hedge.won").Inc()
-			}
-			return o.res, nil
-		}
-	}
-	if lastRes != nil {
-		return lastRes, nil
-	}
-	if lastErr == nil {
-		lastErr = errNoShards
-	}
-	return nil, lastErr
 }
 
 // routeSequence orders the fleet for one key: the key's ring sequence with
@@ -524,46 +304,57 @@ func (c *Coordinator) routeSequence(key string) []*Shard {
 	return append(healthy, draining...)
 }
 
-// proxy forwards one request along its key's shard sequence and relays the
-// winning answer.
+// proxy forwards one request along its key's shard sequence, one shard
+// at a time, and relays the first answer that is not a 5xx. A transport
+// error drains its shard and tries the next; a 5xx tries the next too but
+// is kept, so when every shard fails that way the last 5xx is relayed. A
+// failure caused by the client's own context (a disconnect) returns at
+// once and drains nothing.
 func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, key, method, path string, body []byte) {
-	res, err := c.raceShards(r.Context(), c.routeSequence(key), func(ctx context.Context, s *Shard) (*shardResult, error) {
-		return c.doShard(ctx, s, method, path, body)
-	})
-	if err != nil {
-		c.writeUpstreamError(w, err)
+	ctx := r.Context()
+	var last *shardResult
+	err := errNoShards
+	for _, s := range c.routeSequence(key) {
+		res, serr := c.doShard(ctx, s, method, path, body)
+		switch {
+		case serr != nil && ctx.Err() != nil:
+			c.writeUpstreamError(w, ctx.Err())
+			return
+		case serr != nil:
+			c.markUnhealthy(s, serr)
+			err = serr
+		case res.status >= http.StatusInternalServerError:
+			// A shard answered but could not serve (shutdown drain, an
+			// injected abort).
+			last = res
+		default:
+			c.relay(w, r, res)
+			return
+		}
+	}
+	if last != nil {
+		c.relay(w, r, last)
 		return
 	}
-	c.relay(w, r, res)
+	c.writeUpstreamError(w, err)
 }
 
-// relay writes a shard's answer to the client. A 200 is finished exactly
-// as the backend does — same ETag derivation (recomputed over the same
-// bytes, so it equals the shard's tag), same If-None-Match handling, same
-// trailing newline — so coordinator and single-node responses are
-// byte-identical on the wire. Other statuses pass through, with a 429's
-// Retry-After re-clamped to the 1..30s contract.
+// relay writes a shard's answer to the client. A 200 is finished by the
+// backend's own Shell.WriteBody over the shard's bytes, so the ETag, the
+// If-None-Match handling and the trailing newline are the backend's and
+// coordinator and single-node responses are byte-identical on the wire.
+// Other statuses pass through, with a 429's Retry-After re-clamped to the
+// 1..30s contract.
 func (c *Coordinator) relay(w http.ResponseWriter, r *http.Request, res *shardResult) {
-	h := w.Header()
 	if res.status == http.StatusOK {
-		body := bytes.TrimSuffix(res.body, []byte("\n"))
-		etag := server.StrongETag(body)
 		tier := res.cacheTier
 		if tier == "" {
 			tier = "upstream"
 		}
-		h.Set("Content-Type", "application/json")
-		h.Set("ETag", etag)
-		h.Set("X-Cache", tier)
-		if inm := r.Header.Get("If-None-Match"); inm != "" && server.ETagMatch(inm, etag) {
-			c.reg.Counter("cluster.requests_not_modified").Inc()
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-		w.Write(body)
-		w.Write([]byte("\n"))
+		c.shell.WriteBody(w, r, bytes.TrimSuffix(res.body, []byte("\n")), tier)
 		return
 	}
+	h := w.Header()
 	if res.status == http.StatusTooManyRequests {
 		c.reg.Counter("cluster.backpressure").Inc()
 		h.Set("Retry-After", strconv.Itoa(server.ClampRetryAfter(res.retryAfter)))
@@ -587,7 +378,7 @@ func (c *Coordinator) writeUpstreamError(w http.ResponseWriter, err error) {
 }
 
 func (c *Coordinator) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	req, err := server.DecodeDesignRequest(r.Body, c.params)
+	req, err := server.DecodeDesignRequest(r.Body, c.cfg.Params)
 	if err != nil {
 		http.Error(w, "bad design request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -627,7 +418,7 @@ func (c *Coordinator) proxyReport(w http.ResponseWriter, r *http.Request, figure
 }
 
 func (c *Coordinator) handleBest(w http.ResponseWriter, r *http.Request) {
-	req, err := server.DecodeBestRequest(r.Body, c.params)
+	req, err := server.DecodeBestRequest(r.Body, c.cfg.Params)
 	if err != nil {
 		http.Error(w, "bad optimization request: "+err.Error(), http.StatusBadRequest)
 		return
@@ -659,7 +450,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := CoordinatorHealth{
 		Status:        "ok",
 		Build:         c.build,
-		UptimeSeconds: c.reg.UptimeGauge("cluster.uptime_seconds", c.start),
+		UptimeSeconds: c.shell.Uptime(),
 	}
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -685,12 +476,4 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(resp)
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c.reg.UptimeGauge("cluster.uptime_seconds", c.start)
-	w.Header().Set("Content-Type", "application/json")
-	if err := c.reg.Snapshot().WriteJSON(w); err != nil {
-		c.log.Printf("metrics export: %v", err)
-	}
 }

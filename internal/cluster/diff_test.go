@@ -168,7 +168,6 @@ func TestCoordinatorDifferential(t *testing.T) {
 	coord, err := cluster.New(cluster.Config{
 		Shards:        []string{backends[0].URL, backends[1].URL, backends[2].URL},
 		Params:        clusterParams(),
-		HedgeAfter:    250 * time.Millisecond,
 		ProbeTimeout:  500 * time.Millisecond,
 		FailAfter:     1,
 		AccessLog:     io.Discard,
@@ -321,7 +320,7 @@ func TestCoordinatorDifferential(t *testing.T) {
 		backends[2].CloseClientConnections()
 		backends[2].Close()
 		urls := []string{backends[0].URL, backends[1].URL, backends[2].URL}
-		ring := cluster.NewRing(urls, 64)
+		ring := cluster.NewRing(urls)
 		var q apiRequest
 		for l2 := 28; ; l2++ {
 			if l2 > 1000 {

@@ -12,10 +12,11 @@ import (
 // ring stability test pins a known key→shard assignment against this seed.
 const ringSeed uint64 = 0x70697065636163 // "pipecac"
 
-// ringReplicas is the default number of virtual nodes per shard. More
-// vnodes smooth the key distribution and shrink the slice of keys that
-// moves when the shard set changes (the classic consistent-hashing bound:
-// an added or removed shard moves ~1/N of the keys, not all of them).
+// ringReplicas is the number of virtual nodes per shard. More vnodes
+// smooth the key distribution and shrink the slice of keys that moves when
+// the shard set changes (the classic consistent-hashing bound: an added or
+// removed shard moves ~1/N of the keys, not all of them). It is part of
+// the placement: changing it moves keys, and colds every backend cache.
 const ringReplicas = 64
 
 // Ring is a seed-pinned consistent-hash ring over a fixed shard set.
@@ -34,16 +35,13 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds the ring for the named shards with the given virtual-node
-// count per shard (<=0 means the ringReplicas default).
-func NewRing(names []string, replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = ringReplicas
-	}
-	r := &Ring{n: len(names), points: make([]ringPoint, 0, len(names)*replicas)}
+// NewRing builds the ring for the named shards, ringReplicas virtual
+// nodes each.
+func NewRing(names []string) *Ring {
+	r := &Ring{n: len(names), points: make([]ringPoint, 0, len(names)*ringReplicas)}
 	for i, name := range names {
 		base := splitmix64(fnv64a(name) ^ ringSeed)
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{
 				hash:  splitmix64(base + uint64(v)*0x9e3779b97f4a7c15),
 				shard: i,
@@ -76,10 +74,10 @@ func (r *Ring) Lookup(key string) int {
 }
 
 // Sequence returns every shard index exactly once, in ring order starting
-// at key's owner: the deterministic failover and hedging order for the key.
-// The second element is the shard a hedge or failover of this key lands on,
-// which is also where the key's cache entry will already be warm from any
-// earlier failover of the same key.
+// at key's owner: the deterministic failover order for the key. The second
+// element is the shard a failover of this key lands on, which is also
+// where the key's cache entry will already be warm from any earlier
+// failover of the same key.
 func (r *Ring) Sequence(key string) []int {
 	if r.n == 0 {
 		return nil

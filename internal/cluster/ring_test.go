@@ -32,8 +32,8 @@ func TestRingStabilityOnResize(t *testing.T) {
 	keys := corpus(10_000)
 	names4 := shardNames(4)
 	names5 := shardNames(5)
-	r4 := NewRing(names4, 0)
-	r5 := NewRing(names5, 0)
+	r4 := NewRing(names4)
+	r5 := NewRing(names5)
 
 	moved := 0
 	for _, k := range keys {
@@ -79,8 +79,8 @@ func TestRingStabilityOnResize(t *testing.T) {
 func TestRingOrderIndependence(t *testing.T) {
 	names := shardNames(4)
 	permuted := []string{names[2], names[0], names[3], names[1]}
-	a := NewRing(names, 0)
-	b := NewRing(permuted, 0)
+	a := NewRing(names)
+	b := NewRing(permuted)
 	for _, k := range corpus(2_000) {
 		if got, want := permuted[b.Lookup(k)], names[a.Lookup(k)]; got != want {
 			t.Fatalf("key %q routes to %s under permuted config, %s under original", k, got, want)
@@ -93,7 +93,7 @@ func TestRingOrderIndependence(t *testing.T) {
 // routes like its predecessor and every shard's cache goes cold — change
 // ringSeed or the hash chain only with a migration story.
 func TestRingSeedPinned(t *testing.T) {
-	r := NewRing(shardNames(4), 0)
+	r := NewRing(shardNames(4))
 	want := map[string]int{
 		"request-key-000000": 0,
 		"request-key-000001": 1,
@@ -115,7 +115,7 @@ func TestRingSeedPinned(t *testing.T) {
 // shard should own a wildly disproportionate share of a large corpus.
 func TestRingDistribution(t *testing.T) {
 	names := shardNames(4)
-	r := NewRing(names, 0)
+	r := NewRing(names)
 	counts := make([]int, len(names))
 	keys := corpus(10_000)
 	for _, k := range keys {
@@ -133,7 +133,7 @@ func TestRingDistribution(t *testing.T) {
 // once, starting at the key's owner, identical across calls.
 func TestRingSequence(t *testing.T) {
 	names := shardNames(5)
-	r := NewRing(names, 0)
+	r := NewRing(names)
 	for _, k := range corpus(100) {
 		seq := r.Sequence(k)
 		if len(seq) != len(names) {
@@ -160,7 +160,7 @@ func TestRingSequence(t *testing.T) {
 
 // TestRingEmpty covers the degenerate fleet.
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if got := r.Lookup("anything"); got != -1 {
 		t.Fatalf("empty ring Lookup = %d, want -1", got)
 	}

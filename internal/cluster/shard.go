@@ -65,7 +65,7 @@ func (c *Coordinator) markUnhealthy(s *Shard, reason error) {
 	if s.healthy.CompareAndSwap(true, false) {
 		c.reg.Counter("cluster.shard.drained").Inc()
 		c.publishHealthGauges()
-		c.log.Printf("shard %s (%s) drained: %v", s.Name, s.URL, reason)
+		c.shell.Logf("shard %s (%s) drained: %v", s.Name, s.URL, reason)
 	}
 }
 
@@ -112,7 +112,7 @@ func (c *Coordinator) probeOne(ctx context.Context, s *Shard) {
 		c.reg.Counter("cluster.probe.failures").Inc()
 		if fails >= c.cfg.FailAfter && s.healthy.CompareAndSwap(true, false) {
 			c.reg.Counter("cluster.shard.drained").Inc()
-			c.log.Printf("shard %s (%s) drained after %d failed probes: %v", s.Name, s.URL, fails, err)
+			c.shell.Logf("shard %s (%s) drained after %d failed probes: %v", s.Name, s.URL, fails, err)
 		}
 		return
 	}
@@ -122,7 +122,7 @@ func (c *Coordinator) probeOne(ctx context.Context, s *Shard) {
 	c.reg.Counter("cluster.probe.ok").Inc()
 	if s.healthy.CompareAndSwap(false, true) {
 		c.reg.Counter("cluster.shard.reincluded").Inc()
-		c.log.Printf("shard %s (%s) re-included", s.Name, s.URL)
+		c.shell.Logf("shard %s (%s) re-included", s.Name, s.URL)
 	}
 }
 

@@ -12,14 +12,14 @@ import (
 	"pipecache/internal/cpisim"
 )
 
-// routes mounts every endpoint on the mux, each behind instrument.
+// routes mounts every endpoint on the shell, which instruments each and
+// serves /metrics itself.
 func (s *Server) routes() {
-	s.mux.Handle("POST /v1/simulate", s.instrument("simulate", s.handleSimulate))
-	s.mux.Handle("POST /v1/best", s.instrument("best", s.handleBest))
-	s.mux.Handle("GET /v1/figures/{n}", s.instrument("figures", s.handleFigure))
-	s.mux.Handle("GET /v1/tables/{n}", s.instrument("tables", s.handleTable))
-	s.mux.Handle("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.Handle("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	s.shell.Handle("POST /v1/simulate", "simulate", s.handleSimulate)
+	s.shell.Handle("POST /v1/best", "best", s.handleBest)
+	s.shell.Handle("GET /v1/figures/{n}", "figures", s.handleFigure)
+	s.shell.Handle("GET /v1/tables/{n}", "tables", s.handleTable)
+	s.shell.Handle("GET /healthz", "healthz", s.handleHealthz)
 }
 
 // SimPoint is the JSON rendering of one evaluated design point.
@@ -299,21 +299,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := HealthResponse{
 		Status:        "ok",
 		Build:         s.build,
-		UptimeSeconds: s.reg.UptimeGauge("server.uptime_seconds", s.start),
+		UptimeSeconds: s.shell.Uptime(),
 		Benchmarks:    names,
 		Insts:         s.lab.P.Insts,
 		PassesRun:     s.reg.Counter("lab.passes_run").Value(),
 		Surface:       s.surfaceInfo(),
 	}
 	writeJSON(w, resp)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.reg.UptimeGauge("server.uptime_seconds", s.start)
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.reg.Snapshot().WriteJSON(w); err != nil {
-		s.log.Printf("metrics export: %v", err)
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

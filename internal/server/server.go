@@ -26,7 +26,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"net/http"
 	"os"
@@ -98,9 +97,7 @@ type Server struct {
 	reg     *obs.Registry
 	cache   *ResultCache
 	pool    *Pool
-	mux     *http.ServeMux
-	log     *log.Logger
-	start   time.Time
+	shell   *Shell
 	build   BuildInfo
 	surface *surface.Surface // nil when serving live-only
 }
@@ -124,9 +121,7 @@ func New(lab *core.Lab, cfg Config) (*Server, error) {
 		reg:   reg,
 		cache: NewResultCache(cfg.CacheEntries, reg),
 		pool:  NewPool(cfg.Workers, cfg.QueueCap, reg),
-		mux:   http.NewServeMux(),
-		log:   log.New(cfg.AccessLog, "", log.LstdFlags|log.Lmicroseconds),
-		start: time.Now(),
+		shell: NewShell("server", reg, cfg.AccessLog, cfg.RequestTimeout),
 		build: VersionInfo(),
 	}
 	if cfg.Surface != nil {
@@ -166,7 +161,7 @@ func (s *Server) PoolInflight() int { return s.pool.Inflight() }
 func (s *Server) CacheInflight() int { return s.cache.InflightLen() }
 
 // Handler returns the full middleware-wrapped handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.shell.Handler() }
 
 // Close releases the worker pool. Call after the HTTP server has stopped.
 func (s *Server) Close() { s.pool.Close() }
@@ -186,24 +181,7 @@ func (s *Server) ListenAndServe(ctx context.Context) error {
 // finish (http.Server.Shutdown), and only then does the worker pool shut
 // down.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s.Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	s.log.Printf("serving on %s (workers=%d queue=%d cache=%d)",
+	s.shell.Logf("serving on %s (workers=%d queue=%d cache=%d)",
 		ln.Addr(), s.cfg.Workers, s.cfg.QueueCap, s.cfg.CacheEntries)
-	select {
-	case err := <-errc:
-		s.Close()
-		return err
-	case <-ctx.Done():
-	}
-	s.log.Printf("shutdown: draining in-flight requests (grace %s)", s.cfg.ShutdownGrace)
-	sctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
-	defer cancel()
-	err := hs.Shutdown(sctx)
-	s.Close()
-	if serr := <-errc; serr != nil && serr != http.ErrServerClosed {
-		return serr
-	}
-	return err
+	return s.shell.Serve(ctx, ln, s.cfg.ShutdownGrace, s.Close)
 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"net/http"
-	"strings"
 
 	"pipecache/internal/core"
 	"pipecache/internal/cpisim"
@@ -100,51 +97,13 @@ func (s *Server) bakedTable(n int) (any, bool) {
 	return TableResponse{Table: n, Text: text}, true
 }
 
-// StrongETag derives the strong entity tag of a response body: the
-// truncated hex SHA-256 of the exact bytes served. Baked and live paths
-// produce byte-identical bodies, so their tags match by construction, and
-// the tag survives server restarts and bake/no-bake deployments alike.
-// The coordinator tier re-derives the tag of a relayed body with the same
-// function, so it equals the shard's.
-func StrongETag(body []byte) string {
-	sum := sha256.Sum256(body)
-	return `"` + hex.EncodeToString(sum[:])[:32] + `"`
-}
-
-// ETagMatch implements If-None-Match: a wildcard or any listed tag equal
-// to etag revalidates.
-func ETagMatch(header, etag string) bool {
-	if strings.TrimSpace(header) == "*" {
-		return true
-	}
-	for _, c := range strings.Split(header, ",") {
-		if strings.TrimSpace(c) == etag {
-			return true
-		}
-	}
-	return false
-}
-
-// writeBody finishes a successful /v1 response: ETag (with If-None-Match
-// revalidation), the cache-provenance header, and the surface identity
-// when one is loaded. The trailing newline is part of the served bytes
-// and therefore of the differential byte-identity contract.
+// writeBody finishes a successful /v1 response through the shell, adding
+// the surface identity when one is loaded.
 func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, body []byte, provenance string) {
-	etag := StrongETag(body)
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("ETag", etag)
-	h.Set("X-Cache", provenance)
 	if s.surface != nil {
-		h.Set("X-Surface", s.surface.Hash())
+		w.Header().Set("X-Surface", s.surface.Hash())
 	}
-	if inm := r.Header.Get("If-None-Match"); inm != "" && ETagMatch(inm, etag) {
-		s.reg.Counter("server.requests_not_modified").Inc()
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Write(body)
-	w.Write([]byte("\n"))
+	s.shell.WriteBody(w, r, body, provenance)
 }
 
 // SurfaceInfo is the surface block of /healthz on a surface-backed server.
