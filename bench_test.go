@@ -773,6 +773,31 @@ func BenchmarkAblationSuite(b *testing.B) {
 	})
 }
 
+// BenchmarkCapture times the capture stage a cold lab's first pass runs:
+// every ledger workload's interpreter, standalone to ledgerInsts on the
+// sweep pool, recorded into a new event trace with no cache simulation.
+// insts/s counts the captured instructions of all workloads.
+func BenchmarkCapture(b *testing.B) {
+	l, err := newLedgerLab(-1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ResetTimer()
+	var insts int64
+	for i := 0; i < b.N; i++ {
+		tr, err := l.Capture(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < tr.Len(); j++ {
+			insts += tr.Bench(j).Insts()
+		}
+		tr.Release()
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
+}
+
 // BenchmarkPolicyStudy runs the replacement-policy ablation on a fresh lab
 // per iteration, memos cold, so the row prices the per-policy bank
 // construction and the FIFO and Tree-PLRU probe kernels on the

@@ -26,6 +26,7 @@ var rows = []string{
 	"BenchmarkSimulatorThroughput",
 	"BenchmarkSimInstrumented",
 	"BenchmarkTraceReplay",
+	"BenchmarkCapture",
 	"BenchmarkSurfaceLookup",
 	"BenchmarkAblationSuite/live",
 	"BenchmarkAblationSuite/replay",

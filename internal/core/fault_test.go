@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -82,6 +83,51 @@ func TestCaptureAbortedOnInjectedPanic(t *testing.T) {
 	}
 	if n := lab.TraceStore().Entries(); n != 1 {
 		t.Fatalf("store entries = %d, want 1 (retry should have captured)", n)
+	}
+}
+
+// TestCaptureStageFaultLeavesStoreClean is TestCaptureAbortedOnInjectedPanic
+// on the pooled capture stage: a panic or a cancellation fired in a
+// capture worker (the lab.sweep.item point of the stage's first workload)
+// fails the pass, aborts the capture, leaves the store intact and every
+// worker goroutine gone, and the retry captures exactly once.
+func TestCaptureStageFaultLeavesStoreClean(t *testing.T) {
+	for _, kind := range []string{"panic", "cancel"} {
+		t.Run(kind, func(t *testing.T) {
+			lab, reg := diffLab(t, 0, 3)
+			start := runtime.NumGoroutine()
+			enablePlan(t, "seed=1,rate=1024/1024,kinds="+kind+",maxfires=1,points=lab.sweep.item")
+
+			_, err := lab.StaticPass(context.Background(), 0, lab.P.Policy)
+			want := ErrPassPanic
+			if kind == "cancel" {
+				want = context.Canceled
+			}
+			if !errors.Is(err, want) {
+				t.Fatalf("err = %v, want %v", err, want)
+			}
+			if ierr := lab.TraceStore().CheckIntegrity(); ierr != nil {
+				t.Fatalf("store integrity after the failed capture: %v", ierr)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > start {
+				t.Fatalf("%d goroutines after the failed capture, %d before", n, start)
+			}
+
+			if _, err := lab.StaticPass(context.Background(), 0, lab.P.Policy); err != nil {
+				t.Fatalf("retry after the failed capture: %v", err)
+			}
+			c := reg.Snapshot().Counters
+			if c["trace.store.misses"] != 2 || c["lab.captures"] != 1 {
+				t.Errorf("trace.store.misses %d, lab.captures %d, want 2, 1", c["trace.store.misses"], c["lab.captures"])
+			}
+			if n := lab.TraceStore().Entries(); n != 1 {
+				t.Errorf("store entries = %d, want 1", n)
+			}
+		})
 	}
 }
 

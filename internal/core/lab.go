@@ -13,6 +13,7 @@ import (
 	"pipecache/internal/cache"
 	"pipecache/internal/cpisim"
 	"pipecache/internal/fault"
+	"pipecache/internal/interp"
 	"pipecache/internal/obs"
 	"pipecache/internal/timing"
 	"pipecache/internal/trace"
@@ -75,10 +76,10 @@ type Params struct {
 	SweepWorkers int
 	// TraceBudgetBytes bounds the in-memory event-trace store, the second
 	// memo tier below the result memo: the first pass over a workload set
-	// captures the interpreter event stream, and every later pass with a
-	// different architecture/cache configuration replays it without
-	// re-interpreting. Zero means DefaultTraceBudgetBytes; negative
-	// disables the tier entirely.
+	// captures the interpreter event stream, and every pass, the first
+	// included, replays it under its own architecture/cache configuration
+	// without re-interpreting. Zero means DefaultTraceBudgetBytes;
+	// negative disables the tier entirely.
 	TraceBudgetBytes int64
 }
 
@@ -465,12 +466,16 @@ func (l *Lab) traceKey(ws []cpisim.Workload) string {
 }
 
 // runOrReplay is the event-trace tier under every simulation pass. The
-// first pass for a workload set interprets live with a recorder teed in
-// and commits the capture; concurrent same-key passes wait for that single
-// flight; every later pass replays the stored stream straight into its own
-// cache banks. Replay failure (a stale or mismatched trace) falls back to
-// live interpretation on a fresh simulator — never on the partially-driven
-// one — so results are correct even when the tier misbehaves.
+// first pass for a workload set is the designated capturer: it records the
+// set's event streams with the capture stage (capture), commits the trace,
+// and then replays its own pass from it like every other pass.
+// Concurrent same-key passes wait for that single flight; every later pass
+// replays the stored stream straight into its own cache banks. A pass runs
+// live only where no trace can serve it: the tier is disabled, the key is
+// tombstoned as oversize, or a replay fails validation (a stale or
+// mismatched trace), which falls back to live interpretation on a fresh
+// simulator — never on the partially-driven one — so results are correct
+// even when the tier misbehaves.
 func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Workload) (*cpisim.Result, error) {
 	sim, err := cpisim.New(cfg, ws)
 	if err != nil {
@@ -486,11 +491,9 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 		return nil, err
 	}
 	if tok != nil {
-		// Designated capturer: this pass was going to interpret live
-		// anyway; tee the streams into a recorder on the way. The deferred
-		// abort also covers a panic in the run: an unresolved token would
-		// wedge every later Acquire of this key on a channel that never
-		// closes.
+		// Designated capturer. The deferred abort also covers a panic: an
+		// unresolved token would wedge every later Acquire of this key on
+		// a channel that never closes.
 		defer func() {
 			if !tok.Resolved() {
 				tok.Abort()
@@ -499,18 +502,14 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 		if err := ptTraceCapture.Inject(); err != nil {
 			return nil, err
 		}
-		rec := trace.NewRecorder(key, l.P.Insts)
-		sim.SetCapture(rec)
-		res, err := sim.RunContext(ctx, l.P.Insts)
-		if err != nil {
+		if tr, err = l.capture(ctx, key, ws); err != nil {
 			return nil, err
 		}
-		captured := rec.Finish()
-		tok.Commit(captured)
-		captured.Release()
-		return res, nil
-	}
-	if tr == nil {
+		// Commit takes the store's own reference (none when the trace is
+		// oversize and tombstoned); the capturer replays from its creator
+		// reference either way.
+		tok.Commit(tr)
+	} else if tr == nil {
 		// Oversize tombstone: interpret live without capturing.
 		return sim.RunContext(ctx, l.P.Insts)
 	}
@@ -518,6 +517,7 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 	tr.Release()
 	if rerr == nil {
 		l.obs.Counter("lab.pass_replays").Inc()
+		sim.PublishReplayGate()
 		sim.Release()
 		return res, nil
 	}
@@ -534,6 +534,60 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 	}
 	fresh.SetObs(l.obs)
 	return fresh.RunContext(ctx, l.P.Insts)
+}
+
+// Capture records the event streams of the lab's workloads with the
+// capture stage and returns the trace, with one reference held by the
+// caller. It neither reads nor fills the lab's trace store.
+func (l *Lab) Capture(ctx context.Context) (*trace.EventTrace, error) {
+	ws := l.workloads()
+	return l.capture(ctx, l.traceKey(ws), ws)
+}
+
+// capture is the capture stage: it records every workload's event stream
+// into a trace under key, with no cache simulation. Each workload's
+// interpreter runs standalone to the budget, one sweep item per workload
+// on the pool, in quantum-sized Run slices so ctx is polled. A stream
+// depends only on (program, seed, budget) — the stream invariance contract
+// in internal/interp — and the stop rule, the first block boundary at or
+// past the budget, ends it where a live pass's multiprogrammed turns end
+// it, so the trace equals one recorded by a tee on a live pass.
+func (l *Lab) capture(ctx context.Context, key string, ws []cpisim.Workload) (*trace.EventTrace, error) {
+	start := time.Now()
+	rec := trace.NewRecorder(key, l.P.Insts)
+	sinks := make([]interp.EventSink, len(ws))
+	for i, w := range ws {
+		sinks[i] = rec.Bench(w.Prog.Name, w.Seed, nil)
+	}
+	slice := l.P.Quantum
+	if slice <= 0 {
+		slice = l.P.Insts
+	}
+	err := l.forEach(ctx, len(ws), func(ctx context.Context, i int) error {
+		it, err := interp.New(ws[i].Prog, ws[i].Seed)
+		if err != nil {
+			return err
+		}
+		for remaining := l.P.Insts; remaining > 0; {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			remaining -= it.Run(min(slice, remaining), sinks[i])
+		}
+		return nil
+	})
+	// forEach has joined every worker, so no sink is still appending.
+	tr := rec.Finish()
+	if err != nil {
+		tr.Release()
+		return nil, err
+	}
+	if l.obs != nil {
+		l.obs.Counter("lab.captures").Inc()
+		l.obs.Histogram("lab.capture_seconds", obs.ExponentialBounds(0.01, 2, 16)...).
+			Observe(time.Since(start).Seconds())
+	}
+	return tr, nil
 }
 
 // Prewarm runs the standard simulation passes (static delayed branches at
@@ -584,7 +638,9 @@ func (l *Lab) sweepWorkers() int {
 // any serial reduction then happens after forEach returns, which keeps
 // every sweep deterministic at any worker count. The first error (by
 // lowest index, so error reporting is deterministic too) cancels the
-// pool's context and is returned; with one worker (or one item) the loop
+// pool's context and is returned; an item that then stops with the
+// cancellation that failure caused does not count, so it cannot mask the
+// failure from a lower index. With one worker (or one item) the loop
 // degenerates to the plain serial sweep, eachSerial.
 func (l *Lab) forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	workers := l.sweepWorkers()
@@ -594,7 +650,8 @@ func (l *Lab) forEach(ctx context.Context, n int, fn func(ctx context.Context, i
 	if workers <= 1 {
 		return eachSerial(ctx, n, fn)
 	}
-	ctx, cancel := context.WithCancel(ctx)
+	parent := ctx
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 	var (
 		next   int64 = -1
@@ -614,7 +671,11 @@ func (l *Lab) forEach(ctx context.Context, n int, fn func(ctx context.Context, i
 				}
 				if err := runSweepItem(ctx, i, fn); err != nil {
 					mu.Lock()
-					if i < errIdx {
+					// The pool is cancelled only after first is set, so a
+					// context error seen after that, with the caller's
+					// context alive, is that cancellation.
+					induced := first != nil && isCtxErr(err) && parent.Err() == nil
+					if i < errIdx && !induced {
 						errIdx, first = i, err
 					}
 					mu.Unlock()

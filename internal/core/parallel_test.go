@@ -222,3 +222,21 @@ func BenchmarkQuantumStudySweepWorkers(b *testing.B) {
 		})
 	}
 }
+
+// TestForEachReportsCauseNotCancellation: an item that stops only because
+// another item's failure cancelled the pool must not mask that failure,
+// even at a lower index.
+func TestForEachReportsCauseNotCancellation(t *testing.T) {
+	lab := poolLab(t, 2)
+	boom := errors.New("boom")
+	err := lab.forEach(context.Background(), 2, func(ctx context.Context, i int) error {
+		if i == 1 {
+			return boom
+		}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the failing item's error", err)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"pipecache/internal/cache"
 	"pipecache/internal/cpisim"
 	"pipecache/internal/gen"
 	"pipecache/internal/obs"
@@ -196,5 +197,41 @@ func TestReplayTierOversizeFallback(t *testing.T) {
 	st := tinyLab.TraceStore()
 	if st.Entries() != 0 || st.Bytes() != 0 {
 		t.Errorf("oversize traces resident: %d entries, %d bytes", st.Entries(), st.Bytes())
+	}
+}
+
+// TestReplayGateCounters: a replay the compiled plans do not cover counts
+// its reason once per pass — a BTB replay in cpisim.replay.generic.btb, a
+// two-level replay in cpisim.replay.generic.l2 — and a static
+// direct-mapped replay counts nothing.
+func TestReplayGateCounters(t *testing.T) {
+	lab, reg := diffLab(t, 0, 1)
+	ctx := context.Background()
+	count := func() (btb, l2 int64) {
+		c := reg.Snapshot().Counters
+		return c["cpisim.replay.generic.btb"], c["cpisim.replay.generic.l2"]
+	}
+	if _, err := lab.StaticPass(ctx, 1, lab.P.Policy); err != nil {
+		t.Fatal(err)
+	}
+	if btb, l2 := count(); btb != 0 || l2 != 0 {
+		t.Errorf("static direct-mapped replay: btb %d, l2 %d, want 0, 0", btb, l2)
+	}
+	if _, err := lab.BTBPass(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if btb, l2 := count(); btb != 1 || l2 != 0 {
+		t.Errorf("BTB replay: btb %d, l2 %d, want 1, 0", btb, l2)
+	}
+	l1 := lab.cacheBank(lab.P.Policy)
+	if _, err := lab.RunPass(ctx, cpisim.Config{BranchSlots: 1, ICaches: l1, DCaches: l1,
+		L2: cpisim.L2Config{Caches: []cache.Config{{SizeKW: 64, BlockWords: 16, Assoc: 2, WriteBack: true}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if btb, l2 := count(); btb != 1 || l2 != 1 {
+		t.Errorf("two-level replay: btb %d, l2 %d, want 1, 1", btb, l2)
+	}
+	if c := reg.Snapshot().Counters; c["lab.pass_replays"] != 3 || c["lab.captures"] != 1 {
+		t.Errorf("lab.pass_replays %d, lab.captures %d, want 3, 1", c["lab.pass_replays"], c["lab.captures"])
 	}
 }

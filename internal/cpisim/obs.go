@@ -86,3 +86,18 @@ func (s *Sim) publish(res *Result) {
 		}
 	}
 }
+
+// PublishReplayGate counts, once for a completed replay, each reason the
+// plan gate (planOK) sent it to the generic handlers instead of the
+// compiled chunk plans: the BTB scheme (cpisim.replay.generic.btb) and a
+// second cache level (cpisim.replay.generic.l2). A replay the plans cover
+// counts nothing. publish leaves these out, so a live pass and its replay
+// still publish the same counters.
+func (s *Sim) PublishReplayGate() {
+	if s.btb != nil {
+		s.obs.Counter("cpisim.replay.generic.btb").Inc()
+	}
+	if s.l2bank != nil {
+		s.obs.Counter("cpisim.replay.generic.l2").Inc()
+	}
+}

@@ -188,9 +188,18 @@ func (p *chunkPlan) loadStall(l int, dynamic bool) int64 {
 // generic handlers' (block, loadUse, mem, cti in sim.go), reordered into
 // plan form.
 func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn int) *chunkPlan {
+	// Size the probe streams from the kind counts, so each is allocated
+	// once: at most one fetch run per block or taken CTI, one reference
+	// per load or store. A cold pass compiles every chunk it replays.
+	var n [256]int
+	for _, k := range kinds {
+		n[k]++
+	}
 	p := &chunkPlan{
 		eps:      stats.NewHist(epsBins),
 		epsBlock: stats.NewHist(epsBins),
+		fetches:  make([]uint64, 0, n[interp.EvBlock]+n[interp.EvCTITaken]),
+		drefs:    make([]uint64, 0, n[interp.EvMemLoad]+n[interp.EvMemStore]),
 	}
 	as = as[:len(kinds)]
 	bvals = bvals[:len(kinds)]

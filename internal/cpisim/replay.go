@@ -12,15 +12,20 @@ import (
 // seed, budget) — see the stream invariance contract in internal/interp —
 // while every architectural knob (branch scheme and slots, load scheme,
 // cache banks, profiles, even the multiprogramming quantum) is applied by
-// benchSink on the way down. SetCapture tees the streams of one live pass
-// into a trace.EventTrace; ReplayContext then drives benchSink straight
-// from the stored columns for any later configuration, with no interpreter
-// decode, and produces bit-identical Results and published obs counters.
+// benchSink on the way down. A trace.EventTrace holds those streams:
+// core.Lab records one with its capture stage, the interpreters alone, and
+// SetCapture records one from a live pass. ReplayContext then drives
+// benchSink straight from the stored columns for any configuration, with
+// no interpreter decode, and produces bit-identical Results and published
+// obs counters.
 
 // SetCapture tees every workload's event stream into rec while the next
 // live run executes: the events still reach the simulator unchanged, and
 // are appended to the recorder's per-benchmark columnar streams on the
-// way. Call once, before Run/RunContext, on a fresh simulator.
+// way. Call once, before Run/RunContext, on a fresh simulator. The lab
+// does not use it (its capture stage runs no simulator); it serves
+// callers that want a live pass and its trace at once, such as the replay
+// benchmarks' fixture and perfbench's trace.capture_overhead layer.
 func (s *Sim) SetCapture(rec *trace.Recorder) {
 	for _, b := range s.benches {
 		b.drive = rec.Bench(b.prog.Name, b.seed, b.sink)

@@ -190,9 +190,10 @@ func (t *EventTrace) Release() {
 	}
 }
 
-// Recorder captures an EventTrace from a running simulation: one Bench
-// sink per workload, teeing the live event stream into columnar chunks on
-// its way to the real consumer.
+// Recorder captures an EventTrace: one Bench sink per workload, copying
+// the event stream into columnar chunks, either on its way to a live
+// simulator (Sim.SetCapture tees it) or with nothing behind it (core.Lab's
+// capture stage runs each interpreter standalone).
 type Recorder struct {
 	tr *EventTrace
 }
@@ -204,8 +205,10 @@ func NewRecorder(key string, instsPerBench int64) *Recorder {
 }
 
 // Bench registers one benchmark stream and returns the sink to drive it:
-// each batch is forwarded to next and then copied onto the trace's
-// columns. Benchmarks must be registered in workload order.
+// each batch is forwarded to next, unless next is nil, and then copied
+// onto the trace's columns. Benchmarks must be registered in workload
+// order; once registered, the sinks of different benchmarks may run on
+// different goroutines.
 func (r *Recorder) Bench(name string, seed uint64, next interp.EventSink) interp.EventSink {
 	be := &BenchEvents{name: name, seed: seed}
 	r.tr.benches = append(r.tr.benches, be)
@@ -218,7 +221,9 @@ type benchRecorder struct {
 }
 
 func (br *benchRecorder) Events(kind []uint8, a, b []uint32) {
-	br.next.Events(kind, a, b)
+	if br.next != nil {
+		br.next.Events(kind, a, b)
+	}
 	br.be.append(kind, a, b)
 }
 

@@ -260,8 +260,9 @@ type (
 	// pass's interpreter event streams; a Sim replays it against any cache
 	// configuration with bit-identical results (Sim.ReplayContext).
 	EventTrace = trace.EventTrace
-	// EventRecorder captures an EventTrace from a live pass
-	// (Sim.SetCapture).
+	// EventRecorder captures an EventTrace, teed into a live pass
+	// (Sim.SetCapture); a Lab records its traces with its capture stage
+	// instead, interpreters only (Lab.Capture).
 	EventRecorder = trace.Recorder
 	// EventStore is the bounded byte-budget LRU store of EventTraces with
 	// single-flight capture that Lab uses as its second memo tier
