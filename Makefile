@@ -63,7 +63,7 @@ fuzz:
 PIPECACHE_CHAOS_SEEDS ?= 1,2,3
 chaos:
 	PIPECACHE_CHAOS_SEEDS=$(PIPECACHE_CHAOS_SEEDS) $(GO) test -race -count=1 -v ./internal/chaos
-	$(GO) test -race -count=1 -run 'TestSurfaceDifferential|TestSurfacePolicyFallback' ./internal/surface ./internal/server
+	$(GO) test -race -count=1 -run 'TestSurfaceDifferential|TestSurfacePolicyFallback|TestDataJobFaultLeavesMemoClean' ./internal/surface ./internal/server ./internal/core
 
 tables:
 	$(GO) run ./cmd/pipecache tables

@@ -798,6 +798,25 @@ func BenchmarkCapture(b *testing.B) {
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }
 
+// BenchmarkPrewarmCold times a cold lab's Prewarm, the first step of every
+// fresh study: the capture stage into the lab's own empty trace store, then
+// the five standard passes (static b = 0-3 and the BTB), whose instruction
+// jobs share one data job. Building the lab is not timed.
+func BenchmarkPrewarmCold(b *testing.B) {
+	fixture(b, ledgerSuite)
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		l, err := newLedgerLab(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := l.Prewarm(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkPolicyStudy runs the replacement-policy ablation on a fresh lab
 // per iteration, memos cold, so the row prices the per-policy bank
 // construction and the FIFO and Tree-PLRU probe kernels on the

@@ -27,6 +27,7 @@ var rows = []string{
 	"BenchmarkSimInstrumented",
 	"BenchmarkTraceReplay",
 	"BenchmarkCapture",
+	"BenchmarkPrewarmCold",
 	"BenchmarkSurfaceLookup",
 	"BenchmarkAblationSuite/live",
 	"BenchmarkAblationSuite/replay",

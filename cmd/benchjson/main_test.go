@@ -22,6 +22,7 @@ BenchmarkSimulatorThroughput-2   	     478	   7778446 ns/op	  25712076 insts/s
 BenchmarkSimInstrumented-2       	     471	   7465114 ns/op	  26791283 insts/s
 BenchmarkTraceReplay-2           	    2853	   1437149 ns/op	 139164383 insts/s
 BenchmarkCapture-2               	     180	  13750830 ns/op	  29089467 insts/s
+BenchmarkPrewarmCold-2           	     124	  31492487 ns/op
 BenchmarkSurfaceLookup-2         	  270169	     12737 ns/op
 BenchmarkAblationSuite/live-2    	       9	 348576514 ns/op
 BenchmarkAblationSuite/replay-2  	      42	 103059926 ns/op

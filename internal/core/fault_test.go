@@ -185,3 +185,60 @@ func TestInjectedCancelNotMemoized(t *testing.T) {
 		t.Fatalf("retry after injected cancellation: %v", err)
 	}
 }
+
+// TestDataJobFaultLeavesMemoClean: a panic or a cancellation fired in the
+// data job that Prewarm's five passes share (the lab.data.run point) fails
+// Prewarm with ErrPassPanic or the cancellation, and memoizes nothing
+// failed: every data-memo entry left behind is a completed success, the
+// trace store is intact and every goroutine is gone. A follower of a
+// panicked data job returns its ErrPassPanic; a follower of a cancelled one
+// takes another turn, as passContext's followers do. The retry completes
+// Prewarm with exactly one data job run in all.
+func TestDataJobFaultLeavesMemoClean(t *testing.T) {
+	for _, kind := range []string{"panic", "cancel"} {
+		t.Run(kind, func(t *testing.T) {
+			lab, reg := diffLab(t, 0, 3)
+			start := runtime.NumGoroutine()
+			enablePlan(t, "seed=1,rate=1024/1024,kinds="+kind+",maxfires=1,points=lab.data.run")
+
+			err := lab.Prewarm()
+			want := ErrPassPanic
+			if kind == "cancel" {
+				want = context.Canceled
+			}
+			if !errors.Is(err, want) {
+				t.Fatalf("err = %v, want %v", err, want)
+			}
+			lab.mu.Lock()
+			for k, e := range lab.data {
+				select {
+				case <-e.done:
+					if e.err != nil {
+						t.Errorf("data memo keeps a failed entry for %v: %v", k, e.err)
+					}
+				default:
+					t.Errorf("data memo entry %v still in flight after Prewarm returned", k)
+				}
+			}
+			lab.mu.Unlock()
+			if ierr := lab.TraceStore().CheckIntegrity(); ierr != nil {
+				t.Fatalf("store integrity after the failed data job: %v", ierr)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > start && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > start {
+				t.Fatalf("%d goroutines after the failed data job, %d before", n, start)
+			}
+
+			if err := lab.Prewarm(); err != nil {
+				t.Fatalf("retry after the failed data job: %v", err)
+			}
+			c := reg.Snapshot().Counters
+			if c["lab.data_passes"] != 1 || c["lab.passes_run"] != 5 {
+				t.Errorf("lab.data_passes %d, lab.passes_run %d, want 1, 5", c["lab.data_passes"], c["lab.passes_run"])
+			}
+		})
+	}
+}

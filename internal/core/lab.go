@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -31,6 +32,7 @@ var (
 	ptPassRun      = fault.NewPoint("lab.pass.run")
 	ptSweepItem    = fault.NewPoint("lab.sweep.item")
 	ptTraceCapture = fault.NewPoint("lab.trace.capture")
+	ptDataRun      = fault.NewPoint("lab.data.run")
 )
 
 // Params are the shared experiment parameters.
@@ -151,6 +153,9 @@ type Lab struct {
 
 	mu     sync.Mutex
 	passes map[passKey]*passEntry
+	// data memoizes the data jobs of split passes (runSplit), under the
+	// same single-flight and failure rules as passes.
+	data map[dataKey]*passEntry
 
 	// tcpu is Table 6 of the lab's model: tcpu[i][d] is
 	// P.Model.TCPU(P.SizesKW[i], d), built once by NewLab, so a design
@@ -190,6 +195,15 @@ type passKey struct {
 	policy cache.Policy
 }
 
+// dataKey identifies one data job: the workload set's event streams (the
+// budget is part of the trace key), the multiprogramming quantum, and the
+// exact D-cache ladder. Nothing else reaches the data side of a pass.
+type dataKey struct {
+	trace   string
+	quantum int64
+	dcaches string
+}
+
 // passEntry single-flights one memoized pass: concurrent requests for the
 // same key share one simulation instead of racing to run it twice, which
 // keeps the published obs counters identical at every GOMAXPROCS. The
@@ -214,7 +228,7 @@ func NewLab(s *Suite, p Params) (*Lab, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	l := &Lab{Suite: s, P: p, passes: map[passKey]*passEntry{}}
+	l := &Lab{Suite: s, P: p, passes: map[passKey]*passEntry{}, data: map[dataKey]*passEntry{}}
 	l.tcpu = make([][maxDelaySlots + 1]tcpuCell, len(p.SizesKW))
 	for i, size := range p.SizesKW {
 		for d := range l.tcpu[i] {
@@ -326,21 +340,39 @@ func isCtxErr(err error) bool {
 func (l *Lab) passContext(ctx context.Context, k passKey) (*cpisim.Result, error) {
 	requests := l.obs.Counter("lab.pass_requests")
 	requests.Inc()
+	res, err := singleFlight(ctx, l, l.passes, k, "lab.pass_memo_hits", func() (*cpisim.Result, error) {
+		return l.runInstrumented(ctx, cpisim.Config{
+			BranchSlots:  k.b,
+			BranchScheme: k.scheme,
+			LoadSlots:    0,
+			ICaches:      l.cacheBank(k.policy),
+			DCaches:      l.cacheBank(k.policy),
+			Quantum:      l.P.Quantum,
+		}, "lab.passes_run")
+	})
+	l.setMemoRatio(requests)
+	return res, err
+}
+
+// singleFlight returns the result memoized under k in m (guarded by l.mu),
+// running run as the leader when k has no entry; see passEntry. A request
+// that finds an entry, completed or in flight, counts once in the hits
+// counter and waits bounded by its own context; a follower whose leader
+// was cancelled takes another turn, and may lead.
+func singleFlight[K comparable](ctx context.Context, l *Lab, m map[K]*passEntry, k K, hits string, run func() (*cpisim.Result, error)) (*cpisim.Result, error) {
 	counted := false
 	for {
 		l.mu.Lock()
-		e, ok := l.passes[k]
+		e, ok := m[k]
 		if !ok {
 			e = &passEntry{done: make(chan struct{})}
-			l.passes[k] = e
+			m[k] = e
 		}
 		l.mu.Unlock()
 
 		if ok {
-			// Memo hit (possibly still in flight): wait for the leader,
-			// bounded by our own context.
 			if !counted {
-				l.obs.Counter("lab.pass_memo_hits").Inc()
+				l.obs.Counter(hits).Inc()
 				counted = true
 			}
 			select {
@@ -353,32 +385,21 @@ func (l *Lab) passContext(ctx context.Context, k passKey) (*cpisim.Result, error
 				// entry; take another turn (and possibly become leader).
 				continue
 			}
-			l.setMemoRatio(requests)
 			return e.res, e.err
 		}
 
-		// Leader: run the pass under our context.
-		cfg := cpisim.Config{
-			BranchSlots:  k.b,
-			BranchScheme: k.scheme,
-			LoadSlots:    0,
-			ICaches:      l.cacheBank(k.policy),
-			DCaches:      l.cacheBank(k.policy),
-			Quantum:      l.P.Quantum,
-		}
-		e.res, e.err = l.runInstrumented(ctx, cfg, "lab.passes_run")
+		e.res, e.err = run()
 		if e.err != nil {
 			// Only successful results are memoized. A failed entry must be
 			// removed before waking the waiters: caching an error —
 			// cancellation or transient failure alike — would poison the
-			// key, replaying one aborted request's failure to every pass
-			// request for the rest of the lab's lifetime.
+			// key, replaying one aborted request's failure to every
+			// request for it for the rest of the lab's lifetime.
 			l.mu.Lock()
-			delete(l.passes, k)
+			delete(m, k)
 			l.mu.Unlock()
 		}
 		close(e.done)
-		l.setMemoRatio(requests)
 		return e.res, e.err
 	}
 }
@@ -427,19 +448,12 @@ func (l *Lab) runInstrumented(ctx context.Context, cfg cpisim.Config, counter st
 // boundary: a panic below it surfaces as an ErrPassPanic-wrapped error
 // after runOrReplay's capture bookkeeping has unwound cleanly.
 func (l *Lab) runWorkloads(ctx context.Context, cfg cpisim.Config, ws []cpisim.Workload, counter string) (res *cpisim.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			if l.obs != nil {
-				l.obs.Counter("lab.pass_panics").Inc()
-			}
-			res, err = nil, fmt.Errorf("%w: %v", ErrPassPanic, v)
-		}
-	}()
+	defer l.containPanic(&err)
 	if err := ptPassRun.Inject(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res, err = l.runOrReplay(ctx, cfg, ws)
+	res, err = l.runSplit(ctx, cfg, ws)
 	if err != nil {
 		return nil, err
 	}
@@ -448,6 +462,101 @@ func (l *Lab) runWorkloads(ctx context.Context, cfg cpisim.Config, ws []cpisim.W
 		l.obs.Histogram("lab.pass_seconds", obs.ExponentialBounds(0.01, 2, 16)...).
 			Observe(time.Since(start).Seconds())
 	}
+	return res, nil
+}
+
+// containPanic, deferred, turns a panic unwinding a pass (or its data job,
+// which runs on a goroutine of its own) into an ErrPassPanic-wrapped error.
+func (l *Lab) containPanic(err *error) {
+	if v := recover(); v != nil {
+		l.obs.Counter("lab.pass_panics").Inc()
+		*err = fmt.Errorf("%w: %v", ErrPassPanic, v)
+	}
+}
+
+// runSplit runs a pass as two jobs when its data side can be simulated
+// apart: the instruction job, cfg with no D-caches, on this goroutine, and
+// beside it the data job (dataPass), whose result is memoized per
+// dataKey. The data side cannot differ between passes with the same key:
+// the D references are the workloads' event streams, interleaved by the
+// quantum, and no branch scheme, delay-slot count, profile or I-cache
+// changes them. The pass result is the instruction job's with the data
+// job's D-miss arrays. A two-level pass (its I and D misses interleave
+// into one L2 bank) and a pass with only one ladder run whole.
+func (l *Lab) runSplit(ctx context.Context, cfg cpisim.Config, ws []cpisim.Workload) (*cpisim.Result, error) {
+	if cfg.L2.Enabled() || len(cfg.ICaches) == 0 || len(cfg.DCaches) == 0 {
+		return l.runOrReplay(ctx, cfg, ws, "lab.pass_replays")
+	}
+	var (
+		dres *cpisim.Result
+		derr error
+		done = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		dres, derr = l.dataPass(ctx, cfg, ws)
+	}()
+	// Joined on every way out, a panicking instruction job included, so
+	// the data job never outlives its pass.
+	defer func() { <-done }()
+	icfg := cfg
+	icfg.DCaches = nil
+	res, err := l.runOrReplay(ctx, icfg, ws, "lab.pass_replays")
+	<-done
+	if err != nil {
+		return nil, err
+	}
+	if derr != nil {
+		return nil, derr
+	}
+	return mergeData(res, dres, cfg.DCaches)
+}
+
+// mergeData completes an instruction job's result with its data job's
+// D-miss arrays, after checking that both jobs saw the same references.
+func mergeData(res, data *cpisim.Result, dcaches []cache.Config) (*cpisim.Result, error) {
+	if len(res.Benches) != len(data.Benches) {
+		return nil, fmt.Errorf("core: data job has %d workloads, instruction job %d", len(data.Benches), len(res.Benches))
+	}
+	res.Config.DCaches = dcaches
+	for i := range res.Benches {
+		b, d := &res.Benches[i], &data.Benches[i]
+		if b.Name != d.Name || b.DReads != d.DReads || b.DWrites != d.DWrites {
+			return nil, fmt.Errorf("core: data job saw %s with %d reads, %d writes; instruction job %s with %d, %d",
+				d.Name, d.DReads, d.DWrites, b.Name, b.DReads, b.DWrites)
+		}
+		b.DReadMisses = slices.Clone(d.DReadMisses)
+		b.DWriteMisses = slices.Clone(d.DWriteMisses)
+	}
+	return res, nil
+}
+
+// dataPass returns the data job of a pass with configuration cfg over ws,
+// running it unless a pass with the same dataKey already has; concurrent
+// passes share one run (singleFlight).
+func (l *Lab) dataPass(ctx context.Context, cfg cpisim.Config, ws []cpisim.Workload) (*cpisim.Result, error) {
+	k := dataKey{trace: l.traceKey(ws), quantum: cfg.Quantum, dcaches: fmt.Sprint(cfg.DCaches)}
+	return singleFlight(ctx, l, l.data, k, "lab.data_memo_hits", func() (*cpisim.Result, error) {
+		return l.runData(ctx, cfg, ws)
+	})
+}
+
+// runData runs one data job: cfg's D-cache ladder alone, at static b=0
+// with the profiles stripped, under the pass's context.
+func (l *Lab) runData(ctx context.Context, cfg cpisim.Config, ws []cpisim.Workload) (res *cpisim.Result, err error) {
+	defer l.containPanic(&err)
+	if err := ptDataRun.Inject(); err != nil {
+		return nil, err
+	}
+	ws = slices.Clone(ws)
+	for i := range ws {
+		ws[i].Profile = nil
+	}
+	res, err = l.runOrReplay(ctx, cpisim.Config{DCaches: cfg.DCaches, Quantum: cfg.Quantum}, ws, "lab.data_replays")
+	if err != nil {
+		return nil, err
+	}
+	l.obs.Counter("lab.data_passes").Inc()
 	return res, nil
 }
 
@@ -475,8 +584,9 @@ func (l *Lab) traceKey(ws []cpisim.Workload) string {
 // tombstoned as oversize, or a replay fails validation (a stale or
 // mismatched trace), which falls back to live interpretation on a fresh
 // simulator — never on the partially-driven one — so results are correct
-// even when the tier misbehaves.
-func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Workload) (*cpisim.Result, error) {
+// even when the tier misbehaves. A completed replay counts in the named
+// counter.
+func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Workload, replays string) (*cpisim.Result, error) {
 	sim, err := cpisim.New(cfg, ws)
 	if err != nil {
 		return nil, err
@@ -516,7 +626,7 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 	res, rerr := sim.ReplayContext(ctx, l.P.Insts, tr)
 	tr.Release()
 	if rerr == nil {
-		l.obs.Counter("lab.pass_replays").Inc()
+		l.obs.Counter(replays).Inc()
 		sim.PublishReplayGate()
 		sim.Release()
 		return res, nil

@@ -27,24 +27,24 @@ type Table1Result struct {
 	Total Table1Row
 }
 
-// Table1 measures every benchmark's dynamic mix over a probe run.
+// Table1 measures every benchmark's dynamic mix over a probe run. The
+// probes are independent interpreter runs, one sweep item each; the
+// weighted totals are summed afterwards in benchmark order.
 func (l *Lab) Table1() (*Table1Result, error) {
-	res := &Table1Result{}
 	probe := l.P.Insts / 4
 	if probe < 100_000 {
 		probe = 100_000
 	}
-	var wInsts, wLoad, wStore, wCTI float64
-	var totalM float64
-	for i, p := range l.Suite.Progs {
-		spec := l.Suite.Specs[i]
+	res := &Table1Result{Rows: make([]Table1Row, len(l.Suite.Progs))}
+	err := l.forEach(context.Background(), len(l.Suite.Progs), func(_ context.Context, i int) error {
+		p, spec := l.Suite.Progs[i], l.Suite.Specs[i]
 		it, err := interp.New(p, spec.Seed^0xC0FFEE)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c := interp.NewCollector(p, 8)
 		it.Run(probe, c)
-		row := Table1Row{
+		res.Rows[i] = Table1Row{
 			Name:     spec.Name,
 			Desc:     spec.Desc,
 			Kind:     spec.Kind.String(),
@@ -53,19 +53,24 @@ func (l *Lab) Table1() (*Table1Result, error) {
 			StorePct: 100 * c.StoreFrac(),
 			CTIPct:   100 * c.CTIFrac(),
 		}
-		res.Rows = append(res.Rows, row)
-		totalM += spec.DynMInsts
-		wInsts += spec.DynMInsts
-		wLoad += spec.DynMInsts * row.LoadPct
-		wStore += spec.DynMInsts * row.StorePct
-		wCTI += spec.DynMInsts * row.CTIPct
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var totalM, wLoad, wStore, wCTI float64
+	for _, row := range res.Rows {
+		totalM += row.MInsts
+		wLoad += row.MInsts * row.LoadPct
+		wStore += row.MInsts * row.StorePct
+		wCTI += row.MInsts * row.CTIPct
 	}
 	res.Total = Table1Row{
 		Name:     "Total",
 		MInsts:   totalM,
-		LoadPct:  wLoad / wInsts,
-		StorePct: wStore / wInsts,
-		CTIPct:   wCTI / wInsts,
+		LoadPct:  wLoad / totalM,
+		StorePct: wStore / totalM,
+		CTIPct:   wCTI / totalM,
 	}
 	return res, nil
 }
