@@ -18,6 +18,7 @@ package pipecache
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -27,6 +28,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pipecache/internal/cache"
+	"pipecache/internal/trace"
 )
 
 // ledgerInsts is the per-benchmark instruction budget of every ledger
@@ -439,26 +443,125 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheBankAccess measures the fused single-pass kernel over the
-// study's full power-of-two size ladder: one probe evaluates all six
-// configurations at once against the lane-packed tag table. The
-// ns/probe/config metric normalizes by the ladder width, so it compares
-// directly against BenchmarkCacheAccess's per-cache ns/op whatever the
-// ladder size.
-func BenchmarkCacheBankAccess(b *testing.B) {
-	var cfgs []CacheConfig
-	for _, s := range []int{1, 2, 4, 8, 16, 32} {
-		cfgs = append(cfgs, CacheConfig{SizeKW: s, BlockWords: 4, Assoc: 1, WriteBack: true})
-	}
-	bank, err := NewCacheBank(cfgs)
+// bankProbe is one probe of a captured reference stream: a range read of
+// n consecutive instruction words, or (n == 0) one data reference.
+type bankProbe struct {
+	addr  uint32
+	n     uint8
+	store bool
+}
+
+// ledgerProbes is the bank rows' reference stream: gcc and yacc at
+// ledgerInsts instructions each, captured with trace.Capture through the
+// two-slot delay-slot translation and read back as the probes a replay
+// makes. Consecutive instruction words within one 4-word block are one
+// range probe, as cpisim's fetch runs are; each data reference is one
+// probe.
+var ledgerProbes = sync.OnceValues(func() ([]bankProbe, error) {
+	suite, err := ledgerSuite()
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bank.Access(uint32(i*7)&0xfffff, i&7 == 0)
+	var buf bytes.Buffer
+	w, err := trace.NewWriter(&buf)
+	if err != nil {
+		return nil, err
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cfgs)), "ns/probe/config")
+	for i, prog := range suite.Progs {
+		xlat, err := Translate(prog, 2)
+		if err != nil {
+			return nil, err
+		}
+		it, err := NewInterp(prog, suite.Specs[i].Seed)
+		if err != nil {
+			return nil, err
+		}
+		c := &trace.Capture{W: w, Xlat: xlat, PID: uint8(i)}
+		it.Run(ledgerInsts, c)
+		if err := c.Err(); err != nil {
+			return nil, err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	r, err := trace.NewReader(&buf)
+	if err != nil {
+		return nil, err
+	}
+	var probes []bankProbe
+	run := -1 // index of the open instruction run
+	for {
+		ref, err := r.Read()
+		if errors.Is(err, io.EOF) {
+			return probes, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if ref.Kind != trace.IFetch {
+			probes = append(probes, bankProbe{addr: ref.Addr, store: ref.Kind == trace.Store})
+			continue
+		}
+		if run >= 0 {
+			p := &probes[run]
+			if next := p.addr + uint32(p.n); ref.Addr == next && next%4 != 0 {
+				p.n++
+				continue
+			}
+		}
+		run = len(probes)
+		probes = append(probes, bankProbe{addr: ref.Addr, n: 1})
+	}
+})
+
+// BenchmarkCacheBankAccess measures each bank kernel over the study's
+// six-size ladder (1-32 KW, 4-word blocks, write-back), replaying the
+// captured ledger reference stream through an I bank and a D bank: the
+// lane-packed direct-mapped group, and the 4-way LRU, FIFO and Tree-PLRU
+// kernels behind the last-block table. ns/probe/config normalizes by the
+// ladder width, so it compares directly against BenchmarkCacheAccess's
+// per-cache ns/op.
+func BenchmarkCacheBankAccess(b *testing.B) {
+	probes := fixture(b, ledgerProbes)
+	for _, k := range []struct {
+		name  string
+		assoc int
+		pol   cache.Policy
+	}{
+		{"packed", 1, cache.PolicyLRU},
+		{"lru4", 4, cache.PolicyLRU},
+		{"fifo4", 4, cache.PolicyFIFO},
+		{"plru4", 4, cache.PolicyTreePLRU},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			var cfgs []CacheConfig
+			for _, s := range []int{1, 2, 4, 8, 16, 32} {
+				cfgs = append(cfgs, CacheConfig{SizeKW: s, BlockWords: 4, Assoc: k.assoc, WriteBack: true, Policy: k.pol})
+			}
+			ib, err := NewCacheBank(cfgs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			db, err := NewCacheBank(cfgs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i, j = i+1, j+1 {
+				if j == len(probes) {
+					j = 0
+				}
+				p := &probes[j]
+				if p.n != 0 {
+					ib.AccessRange(p.addr, int(p.n))
+				} else {
+					db.Access(p.addr, p.store)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(cfgs)), "ns/probe/config")
+		})
+	}
 }
 
 // BenchmarkBTBResolve measures the branch-target buffer.
@@ -655,8 +758,6 @@ func BenchmarkAsymmetricSplits(b *testing.B) {
 	}
 }
 
-// BenchmarkLabBest times the design-point layer under a warm /v1/best:
-// Lab.Best over the 576 dynamic-load candidates at a fresh miss-service
 // ---- Ledger rows on gcc+yacc ----
 //
 // The design-point, serving and ablation rows of BENCH_sim.json run on the
@@ -817,19 +918,36 @@ func BenchmarkPrewarmCold(b *testing.B) {
 	}
 }
 
+// policyStudy runs the replacement-policy ablation on a fresh lab, its
+// result memos cold, reading traces from store.
+func policyStudy(store *EventStore) error {
+	l, err := newLedgerLab(-1)
+	if err != nil {
+		return err
+	}
+	l.SetTraceStore(store)
+	_, err = l.PolicyStudy(4, 2)
+	return err
+}
+
+// policyStore is the policy row's event-trace store. One unmeasured study
+// captures the trace and compiles its chunk plans, so the measured
+// iterations replay a warm store, as PolicyStudy does in every lab that
+// has run its prewarm.
+var policyStore = sync.OnceValues(func() (*EventStore, error) {
+	store := NewEventStore(256 << 20)
+	return store, policyStudy(store)
+})
+
 // BenchmarkPolicyStudy runs the replacement-policy ablation on a fresh lab
-// per iteration, memos cold, so the row prices the per-policy bank
-// construction and the FIFO and Tree-PLRU probe kernels on the
-// set-associative study workload, next to the LRU pass they must not slow
-// down.
+// per iteration over a warm trace store, so the row prices the per-policy
+// bank construction and the set-associative LRU, FIFO and Tree-PLRU probe
+// kernels on the study's replay path.
 func BenchmarkPolicyStudy(b *testing.B) {
-	fixture(b, ledgerSuite)
+	store := fixture(b, policyStore)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := newLedgerLab(-1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := l.PolicyStudy(4, 2); err != nil {
+		if err := policyStudy(store); err != nil {
 			b.Fatal(err)
 		}
 	}

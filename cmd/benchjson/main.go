@@ -33,7 +33,10 @@ var rows = []string{
 	"BenchmarkAblationSuite/replay",
 	"BenchmarkPolicyStudy",
 	"BenchmarkCacheAccess/direct",
-	"BenchmarkCacheBankAccess",
+	"BenchmarkCacheBankAccess/packed",
+	"BenchmarkCacheBankAccess/lru4",
+	"BenchmarkCacheBankAccess/fifo4",
+	"BenchmarkCacheBankAccess/plru4",
 	"BenchmarkLabBest",
 	"BenchmarkServerBest",
 	"BenchmarkCoordinatorBest",

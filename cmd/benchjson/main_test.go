@@ -28,7 +28,10 @@ BenchmarkAblationSuite/live-2    	       9	 348576514 ns/op
 BenchmarkAblationSuite/replay-2  	      42	 103059926 ns/op
 BenchmarkPolicyStudy-2           	      27	 132965634 ns/op
 BenchmarkCacheAccess/direct-2    	493801626	         6.823 ns/op
-BenchmarkCacheBankAccess-2       	100000000	        39.16 ns/op	         6.526 ns/probe/config
+BenchmarkCacheBankAccess/packed-2         	69977504	        17.30 ns/op	         2.883 ns/probe/config
+BenchmarkCacheBankAccess/lru4-2           	29125906	        37.72 ns/op	         6.286 ns/probe/config
+BenchmarkCacheBankAccess/fifo4-2          	27681256	        42.71 ns/op	         7.119 ns/probe/config
+BenchmarkCacheBankAccess/plru4-2          	16841958	        70.06 ns/op	        11.68 ns/probe/config
 BenchmarkLabBest-2               	   52923	     60625 ns/op	     240 B/op	       6 allocs/op
 BenchmarkServerBest-2            	   64006	     61171 ns/op
 BenchmarkCoordinatorBest-2       	   17583	    186376 ns/op
@@ -73,11 +76,11 @@ func TestRecordTranscript(t *testing.T) {
 				t.Fatalf("rows %v, want %v", names, rows)
 			}
 			for name, want := range map[string]benchRecord{
-				"BenchmarkTraceReplay":        {Iterations: 2853, NsPerOp: 1437149, InstsPerSec: 139164383},
-				"BenchmarkAblationSuite/live": {Iterations: 9, NsPerOp: 348576514},
-				"BenchmarkCacheAccess/direct": {Iterations: 493801626, NsPerOp: 6.823},
-				"BenchmarkCacheBankAccess":    {Iterations: 100000000, NsPerOp: 39.16, NsPerProbeConfig: 6.526},
-				"BenchmarkLabBest":            {Iterations: 52923, NsPerOp: 60625},
+				"BenchmarkTraceReplay":           {Iterations: 2853, NsPerOp: 1437149, InstsPerSec: 139164383},
+				"BenchmarkAblationSuite/live":    {Iterations: 9, NsPerOp: 348576514},
+				"BenchmarkCacheAccess/direct":    {Iterations: 493801626, NsPerOp: 6.823},
+				"BenchmarkCacheBankAccess/plru4": {Iterations: 16841958, NsPerOp: 70.06, NsPerProbeConfig: 11.68},
+				"BenchmarkLabBest":               {Iterations: 52923, NsPerOp: 60625},
 			} {
 				want.Name = name
 				if got := byName[name]; got != want {

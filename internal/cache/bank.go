@@ -20,13 +20,14 @@ type bankMeta struct {
 	tagShift  uint32 // log2 set count
 	setMask   uint32
 	assoc     int32
-	base      int32 // offset of this configuration's lines in the shared arrays
+	base      int32 // offset of this configuration's lines in the shared slab
 	lines     int32 // number of lines (sets * assoc)
 	ci        int32 // index of the configuration in the bank
 	writeBack bool
-	fifo      bool // a hit leaves the line's age alone (see probeGeneral)
-	// Tree-PLRU only: offset of this configuration's per-set bit trees in
-	// the shared plru slab, and log2 of the associativity (the tree depth).
+	fifo      bool // a hit leaves the set's order alone (see probeGeneral)
+	// Tree-PLRU only: offset of this configuration's per-set words in the
+	// shared plru slab (two per set: the bit tree and the last-touched
+	// way), and log2 of the associativity (the tree depth).
 	plruBase  int32
 	assocBits uint32
 }
@@ -42,17 +43,18 @@ type bankMeta struct {
 // fused into lane-packed groups (see packed.go): one table lookup and one
 // tag compare update every such configuration at once through uint64
 // valid/dirty bitmask lanes. Configurations the packing cannot express
-// (set-associative ones) fall back to the general structure-of-arrays
-// kernel below.
+// (set-associative ones) fall back to the general kernels below, one word
+// per line. A last-block table in front of both answers a read of the
+// block last probed in its set without visiting any configuration.
 //
 // Bank is not safe for concurrent use.
 type Bank struct {
 	cfgs []Config
 
 	// Lane-packed groups plus the general-kernel leftovers, routed at
-	// construction to one of two probe kernels: the age kernel (LRU and
-	// FIFO, which differ only in whether a hit refreshes the age) and the
-	// Tree-PLRU kernel.
+	// construction to one of two probe kernels: the ordered kernel (LRU
+	// and FIFO, which differ only in whether a hit moves the line to the
+	// front of its set) and the Tree-PLRU kernel.
 	packed   []*packedGroup
 	meta     []bankMeta // general LRU and FIFO configurations
 	metaPLRU []bankMeta // general Tree-PLRU configurations
@@ -67,20 +69,26 @@ type Bank struct {
 	// that group's flattened hit path.
 	solo *packedGroup
 
-	// Shared general-kernel line state, indexed [meta.base + set*assoc +
-	// way]. A line's tag carries lineValid (bit 32) when the line holds
-	// data: one 64-bit compare replaces the separate valid-byte and tag
-	// loads, and the zero value can never match a real probe tag. Invalid
-	// lines keep lru == 0, below every real tick, so LRU victim selection
-	// prefers them exactly as an explicit empty-way scan would. dirty is
-	// only ever set on resident lines.
-	tags  []uint64
-	dirty []bool
-	lru   []uint64
-	tick  uint64
-	// plru holds one Tree-PLRU bit-tree word per set of every metaPLRU
-	// configuration, indexed [meta.plruBase + set].
+	// Shared general-kernel line state, one word per line, indexed
+	// [meta.base + set*assoc + way]: tag | lineValid | lineDirty. The
+	// valid bit makes a hit test one compare (a zeroed line can never
+	// match a probe tag), and dirty is only ever set on resident lines.
+	// LRU and FIFO sets are kept in order, way 0 the newest line, so the
+	// last way is always the victim and invalid lines sink to the tail.
+	lines []uint64
+	// plru holds two words per set of every metaPLRU configuration,
+	// indexed [meta.plruBase + 2*set]: the Tree-PLRU bit tree, then the
+	// way it last touched.
 	plru []uint64
+
+	// last is the last-block table (nil when the bank is not eligible; see
+	// lastBlockSafe): one word per set of the configuration with the
+	// fewest sets, holding the last block probed there | lineValid.
+	last     []uint64
+	lastBits uint32 // log2 of the shared block size
+	lastMask uint32 // fewest sets - 1
+	// filtered counts the reads the last-block table answered.
+	filtered uint64
 
 	stats []Stats
 	// reads and writes are bank-level access counters: every probe touches
@@ -161,10 +169,10 @@ func NewBank(cfgs []Config) (*Bank, error) {
 	}
 
 	total := 0
-	plruSets := 0
+	plruWords := 0
 	for _, ci := range general {
 		cfg := cfgs[ci]
-		sets := cfg.SizeKW * 1024 / (cfg.BlockWords * cfg.Assoc)
+		sets := int(laneSets(cfg))
 		lines := sets * cfg.Assoc
 		m := bankMeta{
 			blockBits: uint32(bits.TrailingZeros32(uint32(cfg.BlockWords))),
@@ -179,9 +187,9 @@ func NewBank(cfgs []Config) (*Bank, error) {
 		}
 		// Route each configuration to its policy's kernel once, here.
 		if cfg.Policy == PolicyTreePLRU {
-			m.plruBase = int32(plruSets)
+			m.plruBase = int32(plruWords)
 			m.assocBits = uint32(bits.TrailingZeros32(uint32(cfg.Assoc)))
-			plruSets += sets
+			plruWords += 2 * sets
 			b.metaPLRU = append(b.metaPLRU, m)
 		} else {
 			b.meta = append(b.meta, m)
@@ -189,22 +197,53 @@ func NewBank(cfgs []Config) (*Bank, error) {
 		total += lines
 	}
 	if total > 0 {
-		b.tags = mempool.Uint64s(total)
-		b.dirty = mempool.Bools(total)
-		b.lru = mempool.Uint64s(total)
+		b.lines = mempool.Uint64s(total)
 	}
-	if plruSets > 0 {
-		b.plru = mempool.Uint64s(plruSets)
+	if plruWords > 0 {
+		b.plru = mempool.Uint64s(plruWords)
 	}
 	if b.AllPacked() && len(b.packed) == 1 {
 		b.solo = b.packed[0]
+	} else if lastBlockSafe(cfgs) {
+		minSets := uint32(0)
+		for _, cfg := range cfgs {
+			if s := laneSets(cfg); minSets == 0 || s < minSets {
+				minSets = s
+			}
+		}
+		b.last = mempool.Uint64s(int(minSets))
+		b.lastBits = uint32(bits.TrailingZeros32(uint32(cfgs[0].BlockWords)))
+		b.lastMask = minSets - 1
 	}
 	return b, nil
 }
 
-// lineValid marks a resident line's tag word; probe tags are 32-bit, so a
-// zeroed (invalid) line can never compare equal to a probe.
-const lineValid = uint64(1) << 32
+// lastBlockSafe reports whether a bank over cfgs may answer a read from
+// the last-block table. It needs one shared block size, so every
+// configuration's set index refines that of the one with the fewest sets,
+// and the block last probed in a set of that smallest configuration is
+// also the last block accessed in its set of every configuration. It
+// needs write-back everywhere, so every access allocates and that block
+// is still resident in every configuration. Reading it again then changes
+// no state under any policy: it is already the newest line of an LRU
+// set, a FIFO hit moves nothing, a second Tree-PLRU touch of the way it
+// last touched leaves the tree as it is, and a read leaves dirty bits
+// alone.
+func lastBlockSafe(cfgs []Config) bool {
+	for _, cfg := range cfgs {
+		if !cfg.WriteBack || cfg.BlockWords != cfgs[0].BlockWords {
+			return false
+		}
+	}
+	return true
+}
+
+// Line word flags: probe tags are 32-bit, so a zeroed (invalid) line can
+// never compare equal to a probe's tag | lineValid.
+const (
+	lineValid = uint64(1) << 32
+	lineDirty = uint64(1) << 33
+)
 
 // Len returns the number of configurations in the bank.
 func (b *Bank) Len() int { return len(b.cfgs) }
@@ -228,16 +267,12 @@ func (b *Bank) Release() {
 		g.release()
 	}
 	b.packed = nil
-	if b.tags != nil {
-		mempool.PutUint64s(b.tags)
-		mempool.PutBools(b.dirty)
-		mempool.PutUint64s(b.lru)
-		b.tags, b.dirty, b.lru = nil, nil, nil
+	for _, slab := range [][]uint64{b.lines, b.plru, b.last} {
+		if slab != nil {
+			mempool.PutUint64s(slab)
+		}
 	}
-	if b.plru != nil {
-		mempool.PutUint64s(b.plru)
-		b.plru = nil
-	}
+	b.lines, b.plru, b.last = nil, nil, nil
 	b.meta, b.metaPLRU = nil, nil
 }
 
@@ -261,7 +296,12 @@ func (b *Bank) ResetStats() {
 		b.stats[i] = Stats{}
 	}
 	b.reads, b.writes = 0, 0
+	b.filtered = 0
 }
+
+// Filtered returns the number of reads the last-block table answered
+// without visiting any configuration (always 0 for a bank without one).
+func (b *Bank) Filtered() uint64 { return b.filtered }
 
 // ProbeWords returns the smallest block size in the bank, in words: the
 // alignment grain for AccessRange (a range must not cross a boundary of
@@ -309,6 +349,18 @@ func (b *Bank) probe(addr uint32, write bool, n uint64) uint64 {
 		}
 		return miss
 	}
+	if b.last != nil {
+		// A read of the block last probed in its set hits in every
+		// configuration and changes no state (see lastBlockSafe).
+		block := addr >> b.lastBits
+		e := &b.last[block&b.lastMask]
+		v := uint64(block) | lineValid
+		if *e == v && !write {
+			b.filtered++
+			return 0
+		}
+		*e = v
+	}
 	var miss uint64
 	for _, g := range b.packed {
 		miss |= g.probe(addr>>g.blockBits, write)
@@ -322,16 +374,16 @@ func (b *Bank) probe(addr uint32, write bool, n uint64) uint64 {
 	return miss
 }
 
-// probeGeneral runs the structure-of-arrays kernel over the LRU and FIFO
-// configurations the lane packing cannot express. The lru slab holds
-// each line's age: the last-use tick under LRU, the fill tick under FIFO
-// (whose hits leave it alone), so one strict-minimum victim scan serves
-// both policies.
+// probeGeneral runs the ordered kernel over the LRU and FIFO
+// configurations the lane packing cannot express. Each set is kept in
+// order, way 0 the newest line: the most recently used under LRU, the
+// most recently filled under FIFO. An LRU hit at way w rotates ways 0..w,
+// a FIFO hit moves nothing, and a fill shifts every way down one and
+// evicts the last. Invalid lines only ever leave the tail by a fill, so
+// they stay behind every resident line, and the last way is an empty one
+// whenever the set has one: the same choice as the oracle's first-empty
+// way, then least recent use (LRU) or oldest fill (FIFO).
 func (b *Bank) probeGeneral(addr uint32, write bool) uint64 {
-	// One tick per probe (not per word): each probe touches at most one
-	// line per configuration, so relative last-use (LRU) and fill (FIFO)
-	// order is preserved exactly versus the per-access tick of Cache.
-	b.tick++
 	var miss uint64
 	prevBits := uint32(0xffffffff)
 	var block uint32
@@ -344,48 +396,33 @@ func (b *Bank) probeGeneral(addr uint32, write bool) uint64 {
 			block = addr >> m.blockBits
 			prevBits = m.blockBits
 		}
-		set := block & m.setMask
 		vtag := uint64(block>>m.tagShift) | lineValid
-		ci := m.ci
+		base := int(m.base) + int(block&m.setMask)*int(m.assoc)
+		ways := b.lines[base : base+int(m.assoc)]
 
-		base := int(m.base) + int(set)*int(m.assoc)
-		hit := false
-		for w := 0; w < int(m.assoc); w++ {
-			i := base + w
-			if b.tags[i] == vtag {
-				if w != 0 {
-					// Move-to-front: temporal locality lands most hits on
-					// the most recent line, so keeping it at way 0 makes
-					// the common hit a single compare. Pure way
-					// permutation within the set — the line's tag, dirty
-					// bit, and age tick travel together, and age ties
-					// arise only among invalid lines, which are
-					// interchangeable (tag 0, clean, lru 0) — so every
-					// observable (miss masks, stats) is unchanged.
-					b.tags[i], b.tags[base] = b.tags[base], b.tags[i]
-					b.dirty[i], b.dirty[base] = b.dirty[base], b.dirty[i]
-					b.lru[i], b.lru[base] = b.lru[base], b.lru[i]
-					i = base
-				}
-				if !m.fifo {
-					b.lru[i] = b.tick
-				}
-				if write {
-					if m.writeBack {
-						b.dirty[i] = true
-					} else {
-						b.stats[ci].Throughs++
-					}
-				}
-				hit = true
-				break
-			}
+		w := 0
+		for w < len(ways) && ways[w]&^lineDirty != vtag {
+			w++
 		}
-		if hit {
+		if w < len(ways) {
+			line := ways[w]
+			if write {
+				if m.writeBack {
+					line |= lineDirty
+				} else {
+					b.stats[m.ci].Throughs++
+				}
+			}
+			if !m.fifo {
+				for ; w > 0; w-- {
+					ways[w] = ways[w-1]
+				}
+			}
+			ways[w] = line
 			continue
 		}
-		miss |= 1 << uint(ci)
-		st := &b.stats[ci]
+		miss |= 1 << uint(m.ci)
+		st := &b.stats[m.ci]
 		if write {
 			st.WriteMisses++
 			if !m.writeBack {
@@ -395,32 +432,28 @@ func (b *Bank) probeGeneral(addr uint32, write bool) uint64 {
 		} else {
 			st.ReadMisses++
 		}
-		// Invalid ways hold lru == 0, strictly below every live tick, so
-		// the strict-minimum scan lands on the first empty way when one
-		// exists — the same choice as an explicit empty-way search.
-		victim := base
-		for w := 1; w < int(m.assoc); w++ {
-			i := base + w
-			if b.lru[i] < b.lru[victim] {
-				victim = i
-			}
-		}
-		if b.dirty[victim] {
+		last := len(ways) - 1
+		if ways[last]&lineDirty != 0 {
 			st.Writebacks++
 		}
+		for w = last; w > 0; w-- {
+			ways[w] = ways[w-1]
+		}
 		// A write reaching the fill implies write-back (write-through
-		// write misses do not allocate), so the filled line's dirty bit
-		// is just the write flag.
-		b.dirty[victim] = write
-		b.tags[victim] = vtag
-		b.lru[victim] = b.tick
+		// write misses do not allocate), so the filled line is dirty
+		// exactly when the probe is a write.
+		if write {
+			vtag |= lineDirty
+		}
+		ways[0] = vtag
 	}
 	return miss
 }
 
-// probePLRU runs the Tree-PLRU kernel. No move-to-front here: the bit
-// tree addresses ways by position, so the permutation the LRU/FIFO
-// kernel relies on would desynchronize tree and contents.
+// probePLRU runs the Tree-PLRU kernel. Its ways stay in place: the bit
+// tree addresses them by position. The way the set touched last is
+// compared first, as the ordered kernel's way 0 is, and a hit there skips
+// the touch, which would rewrite the tree with the bits it holds.
 func (b *Bank) probePLRU(addr uint32, write bool) uint64 {
 	var miss uint64
 	prevBits := uint32(0xffffffff)
@@ -431,32 +464,38 @@ func (b *Bank) probePLRU(addr uint32, write bool) uint64 {
 			block = addr >> m.blockBits
 			prevBits = m.blockBits
 		}
-		set := block & m.setMask
+		set := int(block & m.setMask)
 		vtag := uint64(block>>m.tagShift) | lineValid
-		ci := m.ci
+		base := int(m.base) + set*int(m.assoc)
+		ways := b.lines[base : base+int(m.assoc)]
+		// pw is the set's tree and last-touched way. The way starts at 0
+		// and may hold no line, but then the compare fails: every resident
+		// line was filled, and every fill touches.
+		pw := b.plru[int(m.plruBase)+2*set:][:2]
 
-		base := int(m.base) + int(set)*int(m.assoc)
-		tree := &b.plru[int(m.plruBase)+int(set)]
-		hit := -1
-		for w := 0; w < int(m.assoc); w++ {
-			if b.tags[base+w] == vtag {
-				hit = w
-				break
+		hit := int(pw[1])
+		if ways[hit]&^lineDirty != vtag {
+			hit = 0
+			for hit < len(ways) && ways[hit]&^lineDirty != vtag {
+				hit++
+			}
+			if hit < len(ways) {
+				pw[0] = plruTouch(pw[0], uint32(hit), m.assocBits)
+				pw[1] = uint64(hit)
 			}
 		}
-		if hit >= 0 {
-			*tree = plruTouch(*tree, uint32(hit), m.assocBits)
+		if hit < len(ways) {
 			if write {
 				if m.writeBack {
-					b.dirty[base+hit] = true
+					ways[hit] |= lineDirty
 				} else {
-					b.stats[ci].Throughs++
+					b.stats[m.ci].Throughs++
 				}
 			}
 			continue
 		}
-		miss |= 1 << uint(ci)
-		st := &b.stats[ci]
+		miss |= 1 << uint(m.ci)
+		st := &b.stats[m.ci]
 		if write {
 			st.WriteMisses++
 			if !m.writeBack {
@@ -468,31 +507,31 @@ func (b *Bank) probePLRU(addr uint32, write bool) uint64 {
 		}
 		// Fill the first empty way when one exists (every policy fills
 		// empty ways first), otherwise the way the bit tree selects. An
-		// invalid line's tag word is exactly 0 (resident tags carry
-		// lineValid).
-		victim := -1
-		for w := 0; w < int(m.assoc); w++ {
-			if b.tags[base+w] == 0 {
-				victim = w
-				break
-			}
+		// invalid line's word is exactly 0.
+		victim := 0
+		for victim < len(ways) && ways[victim] != 0 {
+			victim++
 		}
-		if victim < 0 {
-			victim = int(plruVictim(*tree, m.assocBits))
+		if victim == len(ways) {
+			victim = int(plruVictim(pw[0], m.assocBits))
 		}
-		i := base + victim
-		if b.dirty[i] {
+		if ways[victim]&lineDirty != 0 {
 			st.Writebacks++
 		}
-		b.dirty[i] = write
-		b.tags[i] = vtag
-		*tree = plruTouch(*tree, uint32(victim), m.assocBits)
+		if write {
+			vtag |= lineDirty
+		}
+		ways[victim] = vtag
+		pw[0] = plruTouch(pw[0], uint32(victim), m.assocBits)
+		pw[1] = uint64(victim)
 	}
 	return miss
 }
 
 // Flush invalidates every line of every configuration, counting dirty
-// lines as writebacks, and leaves the other statistics alone.
+// lines as writebacks, and leaves the other statistics alone. The
+// replacement trees and the last-block table return to their state in a
+// freshly built bank.
 func (b *Bank) Flush() {
 	for _, g := range b.packed {
 		g.flush()
@@ -500,30 +539,24 @@ func (b *Bank) Flush() {
 	for _, metas := range [][]bankMeta{b.meta, b.metaPLRU} {
 		for mi := range metas {
 			m := &metas[mi]
-			for i := int(m.base); i < int(m.base+m.lines); i++ {
-				if b.dirty[i] {
+			for _, line := range b.lines[m.base : m.base+m.lines] {
+				if line&lineDirty != 0 {
 					b.stats[m.ci].Writebacks++
 				}
-				b.tags[i] = 0
-				b.dirty[i] = false
-				// Flushed lines drop to tag 0, clean, lru 0 — exactly the
-				// state of a never-filled line — so victim selection prefers
-				// them again and post-flush move-to-front ties only ever
-				// permute fully interchangeable ways (see probeGeneral).
-				b.lru[i] = 0
 			}
 		}
 	}
-	// Reset the replacement trees too, matching a freshly built bank.
-	for i := range b.plru {
-		b.plru[i] = 0
-	}
+	clear(b.lines)
+	clear(b.plru)
+	clear(b.last)
 }
 
 // Publish folds every configuration's statistics into reg, naming each
-// configuration prefix + its Label().
+// configuration prefix + its Label(), and the bank's last-block table
+// answers into prefix + "filtered".
 func (b *Bank) Publish(reg *obs.Registry, prefix string) {
 	for i, cfg := range b.cfgs {
 		PublishStats(reg, prefix+cfg.Label(), b.Stats(i))
 	}
+	reg.Counter(prefix + "filtered").Add(int64(b.filtered))
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"pipecache/internal/stats"
@@ -249,5 +250,176 @@ func TestBankValidation(t *testing.T) {
 	b.ResetStats()
 	if b.Stats(0) != (Stats{}) {
 		t.Fatal("ResetStats did not clear")
+	}
+}
+
+// reuseProbe is one probe of reuseStream: n consecutive word reads from
+// addr (n > 1 only for reads within one probe block), or one word access.
+type reuseProbe struct {
+	addr  uint32
+	n     int
+	write bool
+}
+
+// reuseStream is a reference stream with the reuse programs show, so a
+// block is often probed again while it is still the last one in its set:
+// fetch-like runs through loop bodies iterated a few times, strided array
+// sweeps with a share of writes, re-references drawn from a short history
+// at geometric reuse distances, and far random references that force
+// evictions. Runs never cross a probeWords boundary.
+func reuseStream(seed uint64, count int, probeWords uint32) []reuseProbe {
+	r := stats.NewRNG(seed)
+	var hist [64]uint32
+	var probes []reuseProbe
+	add := func(p reuseProbe) {
+		probes = append(probes, p)
+		copy(hist[1:], hist[:len(hist)-1])
+		hist[0] = p.addr
+	}
+	for len(probes) < count {
+		switch r.Intn(4) {
+		case 0: // a loop body, fetched run by run, a few iterations
+			start := uint32(r.Intn(1 << 15))
+			length := 4 + r.Intn(120)
+			for it := 1 + r.Intn(4); it > 0; it-- {
+				addr, rem := start, length
+				for rem > 0 {
+					run := int(probeWords - addr%probeWords)
+					if run > rem {
+						run = rem
+					}
+					if r.Bool(0.5) {
+						// Split the run: the second half re-touches the block.
+						run = 1 + r.Intn(run)
+					}
+					add(reuseProbe{addr: addr, n: run})
+					addr += uint32(run)
+					rem -= run
+				}
+			}
+		case 1: // a strided sweep over an array
+			base := uint32(1<<16 + r.Intn(1<<16))
+			stride := uint32(1) << uint(r.Intn(6))
+			write := r.Bool(0.4)
+			for j := uint32(0); j < uint32(4+r.Intn(60)); j++ {
+				add(reuseProbe{addr: base + j*stride, n: 1, write: write && r.Bool(0.5)})
+			}
+		case 2: // re-references at geometric reuse distances
+			for j := 0; j < 1+r.Intn(16); j++ {
+				d := 0
+				for d < len(hist)-1 && r.Bool(0.6) {
+					d++
+				}
+				add(reuseProbe{addr: hist[d] + uint32(r.Intn(4)), n: 1, write: r.Bool(0.25)})
+			}
+		default: // far references
+			add(reuseProbe{addr: uint32(r.Intn(1 << 18)), n: 1, write: r.Bool(0.3)})
+		}
+	}
+	return probes
+}
+
+// runReuse drives bank and the per-config reference caches with probes,
+// checking the miss mask of every probe; a range read is n word reads of
+// the references, of which only the first may miss.
+func runReuse(t *testing.T, name string, bank *Bank, refs []*Cache, probes []reuseProbe) {
+	t.Helper()
+	for i, p := range probes {
+		var mask uint64
+		if p.n > 1 {
+			mask = bank.AccessRange(p.addr, p.n)
+		} else {
+			mask = bank.Access(p.addr, p.write)
+		}
+		for ci, c := range refs {
+			for w := 0; w < p.n; w++ {
+				res := c.Access(p.addr+uint32(w), p.write)
+				if w > 0 {
+					if !res.Hit {
+						t.Fatalf("%s cfg=%v probe %d: word %d of a run missed", name, c.Config(), i, w)
+					}
+					continue
+				}
+				if gotMiss := mask&(1<<uint(ci)) != 0; gotMiss == res.Hit {
+					t.Fatalf("%s cfg=%v probe %d addr=%d n=%d write=%v: bank miss=%v, cache hit=%v",
+						name, c.Config(), i, p.addr, p.n, p.write, gotMiss, res.Hit)
+				}
+			}
+		}
+	}
+}
+
+// TestBankLastBlockDifferential runs a stream with reuse, where the
+// last-block table answers many reads, against the reference caches for
+// every policy, write policy and associativity, ladders in ascending and
+// descending size order, mixed block sizes and mixed kernels, with a Flush
+// mid-stream. It requires the table to fire on every bank it may serve
+// (write-back everywhere, one block size, not a lone packed group) and
+// never on the others.
+func TestBankLastBlockDifferential(t *testing.T) {
+	type bankCase struct {
+		name   string
+		cfgs   []Config
+		served bool // the table may answer reads
+	}
+	var cases []bankCase
+	sizes := []int{1, 2, 4, 8, 16, 32}
+	for _, pol := range allPolicies {
+		for _, assoc := range []int{1, 2, 4, 8} {
+			for _, wb := range []bool{true, false} {
+				var up, down []Config
+				for i := range sizes {
+					up = append(up, Config{SizeKW: sizes[i], BlockWords: 4, Assoc: assoc, WriteBack: wb, Policy: pol})
+					down = append(down, Config{SizeKW: sizes[len(sizes)-1-i], BlockWords: 4, Assoc: assoc, WriteBack: wb, Policy: pol})
+				}
+				name := fmt.Sprintf("%v/a%d/wb=%v", pol, assoc, wb)
+				// A direct-mapped LRU ladder is one packed group, which
+				// keeps its own one-compare hit path and no table.
+				served := wb && !(assoc == 1 && pol == PolicyLRU)
+				cases = append(cases, bankCase{name + "/up", up, served}, bankCase{name + "/down", down, served})
+			}
+		}
+	}
+	cases = append(cases,
+		bankCase{"mixed-blocks", []Config{
+			{SizeKW: 1, BlockWords: 4, Assoc: 2, WriteBack: true},
+			{SizeKW: 4, BlockWords: 8, Assoc: 4, WriteBack: true, Policy: PolicyTreePLRU},
+			{SizeKW: 16, BlockWords: 16, Assoc: 1, WriteBack: true},
+		}, false},
+		bankCase{"mixed-kernels", []Config{
+			{SizeKW: 8, BlockWords: 8, Assoc: 8, WriteBack: true},
+			{SizeKW: 1, BlockWords: 8, Assoc: 1, WriteBack: true},
+			{SizeKW: 2, BlockWords: 8, Assoc: 2, WriteBack: true, Policy: PolicyFIFO},
+			{SizeKW: 4, BlockWords: 8, Assoc: 4, WriteBack: true, Policy: PolicyTreePLRU},
+			{SizeKW: 32, BlockWords: 8, Assoc: 1, WriteBack: true},
+		}, true},
+		bankCase{"one-write-through", []Config{
+			{SizeKW: 1, BlockWords: 4, Assoc: 4, WriteBack: true},
+			{SizeKW: 4, BlockWords: 4, Assoc: 4, WriteBack: false},
+			{SizeKW: 16, BlockWords: 4, Assoc: 4, WriteBack: true},
+		}, false},
+	)
+	for ci, c := range cases {
+		bank := mustBank(t, c.cfgs)
+		refs := refCaches(t, c.cfgs)
+		probes := reuseStream(uint64(1000+ci), 12000, bank.ProbeWords())
+		half := len(probes) / 2
+		runReuse(t, c.name, bank, refs, probes[:half])
+		bank.Flush()
+		for _, r := range refs {
+			r.Flush()
+		}
+		runReuse(t, c.name+"/flushed", bank, refs, probes[half:])
+		for i := range c.cfgs {
+			if got, want := bank.Stats(i), refs[i].Stats(); got != want {
+				t.Fatalf("%s cfg=%v: bank stats %+v, cache stats %+v", c.name, c.cfgs[i], got, want)
+			}
+		}
+		if f := bank.Filtered(); c.served && f == 0 {
+			t.Errorf("%s: the last-block table answered no read", c.name)
+		} else if !c.served && f != 0 {
+			t.Errorf("%s: %d reads answered by a bank the table may not serve", c.name, f)
+		}
+		bank.Release()
 	}
 }

@@ -33,7 +33,7 @@ type Config struct {
 
 // Validate checks that the configuration is realizable: positive
 // power-of-two capacity, block size and associativity, with at least one
-// set.
+// set, and a Tree-PLRU tree that fits its per-set word.
 func (c Config) Validate() error {
 	if c.SizeKW <= 0 || !isPow2(c.SizeKW) {
 		return fmt.Errorf("cache: size %d KW must be a positive power of two", c.SizeKW)
@@ -50,6 +50,9 @@ func (c Config) Validate() error {
 	}
 	if !c.Policy.Valid() {
 		return fmt.Errorf("cache: unknown replacement policy %d", c.Policy)
+	}
+	if c.Policy == PolicyTreePLRU && c.Assoc > maxPLRUAssoc {
+		return fmt.Errorf("cache: tree-plru associativity %d exceeds %d", c.Assoc, maxPLRUAssoc)
 	}
 	return nil
 }

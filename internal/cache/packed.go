@@ -51,7 +51,7 @@ type packedGroup struct {
 	lanes     []packedLane
 }
 
-// laneSets returns the set count of one direct-mapped config.
+// laneSets returns the set count of one config.
 func laneSets(cfg Config) uint32 {
 	return uint32(cfg.SizeKW * 1024 / (cfg.BlockWords * cfg.Assoc))
 }

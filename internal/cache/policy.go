@@ -64,17 +64,18 @@ func ParsePolicy(s string) (Policy, error) {
 // means "the victim walk descends right". bits is log2(assoc), so an
 // associativity-1 tree is empty and both operations are no-ops.
 
+// maxPLRUAssoc is the widest Tree-PLRU set: its nodes 1..63 fill the
+// word, and a wider tree's nodes 64 and up would shift out of it.
+const maxPLRUAssoc = 64
+
 // plruTouch points every node on way w's root path away from w: the way
 // just used becomes the last the victim walk can reach.
 func plruTouch(tree uint64, w, bits uint32) uint64 {
 	node := uint32(1)
 	for lvl := int(bits) - 1; lvl >= 0; lvl-- {
 		right := (w >> uint(lvl)) & 1
-		if right != 0 {
-			tree &^= 1 << node
-		} else {
-			tree |= 1 << node
-		}
+		// Branch-free: the touched way's side is unpredictable.
+		tree = tree&^(1<<node) | uint64(right^1)<<node
 		node = node<<1 | right
 	}
 	return tree

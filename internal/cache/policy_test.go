@@ -88,6 +88,64 @@ func TestPLRUTree(t *testing.T) {
 	}
 }
 
+// TestPLRUWidestTree pins the widest Tree-PLRU set, whose nodes 1..63
+// fill the per-set word. In a one-set 64-way cache filled way by way,
+// touching way 1, then way 0, then ways 2..63 leaves way 1 as the victim,
+// in the tree helpers, the Cache and the Bank alike. At 128 ways nodes
+// 64..127 would shift out of the word and the same sequence evicted way
+// 0, so Validate rejects Tree-PLRU sets wider than 64 ways.
+func TestPLRUWidestTree(t *testing.T) {
+	const assoc = 64
+	seq := []uint32{1, 0}
+	for w := uint32(2); w < assoc; w++ {
+		seq = append(seq, w)
+	}
+	var tree uint64
+	for _, w := range seq {
+		tree = plruTouch(tree, w, 6)
+	}
+	if v := plruVictim(tree, 6); v != 1 {
+		t.Fatalf("64-way victim after touching 1, 0, 2..63 = %d, want 1", v)
+	}
+
+	// One set of 64 16-word blocks: block w fills way w.
+	cfg := Config{SizeKW: 1, BlockWords: 16, Assoc: assoc, WriteBack: true, Policy: PolicyTreePLRU}
+	c := mustNew(t, cfg)
+	bank := mustBank(t, []Config{cfg})
+	access := func(block uint32) (bankMiss, cacheHit bool) {
+		return bank.Access(block*16, false) != 0, c.Access(block*16, false).Hit
+	}
+	for w := uint32(0); w < assoc; w++ {
+		access(w)
+	}
+	for _, w := range seq {
+		if bankMiss, cacheHit := access(w); bankMiss || !cacheHit {
+			t.Fatalf("touch of resident way %d: bank miss=%v, cache hit=%v", w, bankMiss, cacheHit)
+		}
+	}
+	access(assoc) // a new block evicts the victim
+	for w := uint32(0); w < assoc; w++ {
+		if got := c.Contains(w * 16); got != (w != 1) {
+			t.Errorf("cache holds block %d = %v after the eviction, want only block 1 gone", w, got)
+		}
+	}
+	if bankMiss, _ := access(0); bankMiss {
+		t.Error("bank evicted way 0, want way 1")
+	}
+	if bankMiss, _ := access(1); !bankMiss {
+		t.Error("bank kept way 1, the pseudo-LRU victim")
+	}
+
+	wide := Config{SizeKW: 2, BlockWords: 16, Assoc: 2 * assoc, WriteBack: true, Policy: PolicyTreePLRU}
+	if err := wide.Validate(); err == nil {
+		t.Error("128-way Tree-PLRU validated")
+	}
+	wide.Policy = PolicyLRU
+	if err := wide.Validate(); err != nil {
+		t.Errorf("128-way LRU rejected: %v", err)
+	}
+}
+
 // TestBankPolicyDifferentialExhaustive is the policy edition of the
 // exhaustive differential: for every policy, drive the fused bank and the
 // naive per-config reference Cache with an identical stream over the full
@@ -171,12 +229,11 @@ func TestBankMixedPolicies(t *testing.T) {
 	}
 }
 
-// TestBankPolicyFlushThenProbe is the flush/tie regression pinned by the
-// probeGeneral audit: Flush drops every line to tag 0, clean, lru 0 —
-// exactly a never-filled line — so post-flush move-to-front ties only
-// permute interchangeable ways and the policy kernels must stay
+// TestBankPolicyFlushThenProbe pins the flush seam of the policy kernels:
+// Flush drops every line word to 0 and every Tree-PLRU word and
+// last-block entry to their fresh state, so the kernels must stay
 // bit-identical to the reference ladder across a mid-stream flush (and a
-// flush immediately followed by the probes most likely to tie).
+// flush immediately followed by the probes that refill empty sets).
 func TestBankPolicyFlushThenProbe(t *testing.T) {
 	for _, pol := range allPolicies {
 		cfgs := []Config{

@@ -1,6 +1,6 @@
 // Package mempool provides size-classed pools for the flat slabs the
-// replay tier allocates per pass: cache bank tables, holder maps, and
-// dirty arrays. A design-space sweep builds and discards
+// replay tier allocates per pass: cache bank tables, line words and
+// holder maps. A design-space sweep builds and discards
 // thousands of simulator instances over identical geometries, so the same
 // few slab sizes recycle endlessly; pooling them makes the steady-state
 // replay loop allocation-free.
@@ -63,9 +63,8 @@ func (p *pools[T]) put(s []T) {
 }
 
 var (
-	u64Pools  pools[uint64]
-	i32Pools  pools[int32]
-	boolPools pools[bool]
+	u64Pools pools[uint64]
+	i32Pools pools[int32]
 )
 
 // Uint64s returns a zeroed []uint64 of length n from the pool.
@@ -79,9 +78,3 @@ func Int32s(n int) []int32 { return i32Pools.get(n) }
 
 // PutInt32s recycles a slab obtained from Int32s.
 func PutInt32s(s []int32) { i32Pools.put(s) }
-
-// Bools returns a zeroed []bool of length n from the pool.
-func Bools(n int) []bool { return boolPools.get(n) }
-
-// PutBools recycles a slab obtained from Bools.
-func PutBools(s []bool) { boolPools.put(s) }
