@@ -419,9 +419,15 @@ func BenchmarkTraceReplay(b *testing.B) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
 }
 
-// BenchmarkCacheAccess measures the raw cache model: the direct-mapped
-// fast path against the LRU set-search paths.
+// BenchmarkCacheAccess measures the Cache oracle, one 8 KW cache per side
+// (direct-mapped, 2-way and 4-way LRU), replaying the ledger reference
+// stream BenchmarkCacheBankAccess replays, so the two compare directly: a
+// range probe is one access to its first word (the rest of the run lies in
+// the same block, so the cache ends in the same state), a data probe one
+// access. ns/op is per probe per cache, the unit of the bank rows'
+// ns/probe/config; misses/probe is the miss ratio the row runs at.
 func BenchmarkCacheAccess(b *testing.B) {
+	probes := fixture(b, ledgerProbes)
 	for _, v := range []struct {
 		name  string
 		assoc int
@@ -431,14 +437,30 @@ func BenchmarkCacheAccess(b *testing.B) {
 		{"4way", 4},
 	} {
 		b.Run(v.name, func(b *testing.B) {
-			c, err := NewCache(CacheConfig{SizeKW: 8, BlockWords: 4, Assoc: v.assoc, WriteBack: true})
+			cfg := CacheConfig{SizeKW: 8, BlockWords: 4, Assoc: v.assoc, WriteBack: true}
+			ic, err := NewCache(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			dc, err := NewCache(cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Access(uint32(i*7)&0xfffff, i&7 == 0)
+			for i, j := 0, 0; i < b.N; i, j = i+1, j+1 {
+				if j == len(probes) {
+					j = 0
+				}
+				p := &probes[j]
+				if p.n != 0 {
+					ic.Access(p.addr, false)
+				} else {
+					dc.Access(p.addr, p.store)
+				}
 			}
+			b.StopTimer()
+			is, ds := ic.Stats(), dc.Stats()
+			b.ReportMetric(float64(is.Misses()+ds.Misses())/float64(b.N), "misses/probe")
 		})
 	}
 }

@@ -138,29 +138,35 @@ type PointEval struct {
 // record, shared by the live serving path and the surface baker so they
 // can never drift.
 func (l *Lab) EvalPoint(ctx context.Context, q Query, dp DesignPoint) (PointEval, error) {
-	pass, err := l.StaticPass(ctx, dp.B, q.Policy)
+	if err := ValidateL2TimeNs(q.L2TimeNs); err != nil {
+		return PointEval{}, err
+	}
+	tab, err := l.staticTable(ctx, dp.B, q.Policy)
 	if err != nil {
 		return PointEval{}, err
 	}
 	l.obs.Counter("lab.tpi_points").Inc()
-	return l.eval(pass, q, dp)
+	return l.eval(tab, q, dp)
 }
 
-// eval is EvalPoint over dp's resolved pass: the point evaluator tpi plus
-// the breakdown and miss ratios.
-func (l *Lab) eval(pass *cpisim.Result, q Query, dp DesignPoint) (PointEval, error) {
-	pt, iIdx, dIdx, err := l.tpi(pass, q, dp)
+// eval is EvalPoint over the CPI table of dp's resolved pass: the point
+// evaluator tpi plus the breakdown and miss ratios. The caller has
+// validated q.
+func (l *Lab) eval(tab *cpisim.CPITable, q Query, dp DesignPoint) (PointEval, error) {
+	c := l.candidate(dp)
+	pt, err := tpi(tab, q, &c)
 	if err != nil {
 		return PointEval{}, err
 	}
-	noMiss, err := pass.CPIFor(dp.L, dp.Scheme, -1, -1, 0, 0)
+	noMiss, err := tab.CPIFor(dp.L, dp.Scheme, -1, -1, 0, 0)
 	if err != nil {
 		return PointEval{}, err
 	}
-	withIMiss, err := pass.CPIFor(dp.L, dp.Scheme, iIdx, -1, pt.PenCycles, 0)
+	withIMiss, err := tab.CPIFor(dp.L, dp.Scheme, c.iIdx, -1, pt.PenCycles, 0)
 	if err != nil {
 		return PointEval{}, err
 	}
+	pass := tab.Result()
 	branch := pass.BranchCPIComponent()
 	load := pass.LoadCPIComponentFor(dp.L, dp.Scheme)
 	return PointEval{
@@ -172,8 +178,8 @@ func (l *Lab) eval(pass *cpisim.Result, q Query, dp DesignPoint) (PointEval, err
 			IMiss:       withIMiss - noMiss,
 			DMiss:       pt.CPI - withIMiss,
 		},
-		IMissRate: pass.IMissRatio(iIdx),
-		DMissRate: pass.DMissRatio(dIdx),
+		IMissRate: pass.IMissRatio(c.iIdx),
+		DMissRate: pass.DMissRatio(c.dIdx),
 	}, nil
 }
 
@@ -185,8 +191,11 @@ func (l *Lab) eval(pass *cpisim.Result, q Query, dp DesignPoint) (PointEval, err
 // per-point table arithmetic, which runs on the calling goroutine; the
 // output is bit-identical at any Params.SweepWorkers setting.
 func (l *Lab) EvalSpace(ctx context.Context, q Query) ([]PointEval, error) {
+	if err := ValidateL2TimeNs(q.L2TimeNs); err != nil {
+		return nil, err
+	}
 	pts := DesignSpace(l.P)
-	passes, err := l.sweepPasses(ctx, q.Policy, depthsOf(pts))
+	passes, err := l.sweepPasses(ctx, q.Policy, everyDepth())
 	if err != nil {
 		return nil, err
 	}

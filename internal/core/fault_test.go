@@ -192,7 +192,7 @@ func TestInjectedCancelNotMemoized(t *testing.T) {
 // failed: every data-memo entry left behind is a completed success, the
 // trace store is intact and every goroutine is gone. A follower of a
 // panicked data job returns its ErrPassPanic; a follower of a cancelled one
-// takes another turn, as passContext's followers do. The retry completes
+// takes another turn, as a pass's followers do. The retry completes
 // Prewarm with exactly one data job run in all.
 func TestDataJobFaultLeavesMemoClean(t *testing.T) {
 	for _, kind := range []string{"panic", "cancel"} {

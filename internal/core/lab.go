@@ -22,7 +22,7 @@ import (
 
 // ErrPassPanic wraps the panic value of a simulation pass that panicked.
 // The pass boundary is the lab's panic containment line: the panic becomes
-// an ordinary pass error (never memoized, see passContext), so one crashing
+// an ordinary pass error (never memoized, see singleFlight), so one crashing
 // pass cannot poison the memo or kill a sweep worker's whole process.
 var ErrPassPanic = errors.New("core: simulation pass panicked")
 
@@ -119,10 +119,28 @@ func (p Params) Validate() error {
 	if len(p.Penalties) == 0 {
 		return fmt.Errorf("core: no penalties")
 	}
-	if p.L2TimeNs <= 0 {
-		return fmt.Errorf("core: non-positive L2 time")
+	if err := ValidateL2TimeNs(p.L2TimeNs); err != nil {
+		return err
 	}
 	return p.Model.Validate()
+}
+
+// maxL2TimeNs bounds the miss-service time a query may ask for: at the
+// 3.5 ns ALU floor a 1 ms service is under 300k cycles of penalty, so no
+// miss count a pass can reach overflows CyclesFor.
+const maxL2TimeNs = 1e6
+
+// ValidateL2TimeNs checks a constant-time L1 miss service in ns against
+// (0, 1e6], the one range check every design-point query and the server's
+// request decoding share. Outside it penaltyCyclesFor's conversion means
+// nothing: NaN, +Inf and 1e300 convert to the smallest int, every value
+// below 2 cycles is clamped up to 2, and at 1e15 misses x penalty can
+// overflow int64.
+func ValidateL2TimeNs(ns float64) error {
+	if !(ns > 0 && ns <= maxL2TimeNs) {
+		return fmt.Errorf("l2_time_ns %g out of range", ns)
+	}
+	return nil
 }
 
 // PenaltyCycles converts the constant-time miss service into cycles at the
@@ -163,9 +181,10 @@ type Lab struct {
 	tcpu [][maxDelaySlots + 1]tcpuCell
 
 	// cands holds Best's candidates per (scheme, symmetric), enumerated
-	// once by NewLab in DesignSpace order, so a Best allocates no
-	// candidate list.
-	cands map[candKey][]DesignPoint
+	// once by NewLab in DesignSpace order with their size indices and
+	// cycle times, so a Best allocates no candidate list and a point's
+	// per-query work is its penalty and one CPI table read.
+	cands map[candKey][]candidate
 
 	// traces is the event-trace tier below the result memo (nil when
 	// disabled): passes that differ only in architecture or cache
@@ -181,6 +200,37 @@ type Lab struct {
 type tcpuCell struct {
 	ns  float64
 	err error
+}
+
+// candidate is a design point with the query-independent half of its
+// evaluation done: its cycle time (tcpuSplit) and its size-bank indices,
+// or the first error those lookups returned, in that order.
+type candidate struct {
+	dp         DesignPoint
+	tcpu       float64
+	iIdx, dIdx int
+	err        error
+}
+
+// candidate resolves dp's cycle time and size indices.
+func (l *Lab) candidate(dp DesignPoint) candidate {
+	c := candidate{dp: dp}
+	if c.tcpu, c.err = l.tcpuSplit(dp.ISizeKW, dp.B, dp.DSizeKW, dp.L); c.err != nil {
+		return c
+	}
+	if c.iIdx, c.err = l.sizeIndex(dp.ISizeKW); c.err != nil {
+		return c
+	}
+	c.dIdx, c.err = l.sizeIndex(dp.DSizeKW)
+	return c
+}
+
+// point is c's TPIPoint at refill penalty pen and CPI cpi.
+func (c *candidate) point(pen int, cpi float64) TPIPoint {
+	return TPIPoint{
+		B: c.dp.B, L: c.dp.L, ISizeKW: c.dp.ISizeKW, DSizeKW: c.dp.DSizeKW, LoadScheme: c.dp.Scheme,
+		TCPUNs: c.tcpu, PenCycles: pen, CPI: cpi, TPINs: cpi * c.tcpu,
+	}
 }
 
 // candKey selects one of Best's candidate lists.
@@ -215,12 +265,17 @@ type dataKey struct {
 type passEntry struct {
 	done chan struct{}
 	res  *cpisim.Result
-	err  error
+	// tab is res's CPI table: the leader of a static pass builds it after
+	// the pass's data merge and before it wakes the waiters, so every
+	// design point of every sweep over the pass reads one table. Nil for
+	// the other passes and for data jobs.
+	tab *cpisim.CPITable
+	err error
 }
 
 // NewLab validates the parameters, wraps the suite and derives the tCPU
-// table from P.Model and Best's candidate lists from P; P must not change
-// afterwards.
+// table from P.Model and Best's candidate lists from P and the tCPU table;
+// P must not change afterwards.
 func NewLab(s *Suite, p Params) (*Lab, error) {
 	if s == nil || len(s.Progs) == 0 {
 		return nil, fmt.Errorf("core: empty suite")
@@ -236,13 +291,14 @@ func NewLab(s *Suite, p Params) (*Lab, error) {
 			c.ns, c.err = p.Model.TCPU(size, d)
 		}
 	}
-	l.cands = map[candKey][]DesignPoint{}
+	l.cands = map[candKey][]candidate{}
 	for _, dp := range DesignSpace(p) {
+		c := l.candidate(dp)
 		full := candKey{scheme: dp.Scheme}
-		l.cands[full] = append(l.cands[full], dp)
+		l.cands[full] = append(l.cands[full], c)
 		if dp.B == dp.L && dp.ISizeKW == dp.DSizeKW {
 			sym := candKey{scheme: dp.Scheme, symmetric: true}
-			l.cands[sym] = append(l.cands[sym], dp)
+			l.cands[sym] = append(l.cands[sym], c)
 		}
 	}
 	budget := p.TraceBudgetBytes
@@ -314,7 +370,21 @@ func (l *Lab) sizeIndex(sizeKW int) (int, error) {
 // afterwards, so the pass itself is load-depth-agnostic. ctx aborts both
 // waiting for an in-flight pass and the pass's own simulation loop.
 func (l *Lab) StaticPass(ctx context.Context, b int, pol cache.Policy) (*cpisim.Result, error) {
-	return l.passContext(ctx, passKey{b: b, scheme: cpisim.BranchStatic, policy: pol})
+	e, err := l.pass(ctx, passKey{b: b, scheme: cpisim.BranchStatic, policy: pol})
+	if err != nil {
+		return nil, err
+	}
+	return e.res, nil
+}
+
+// staticTable is StaticPass's CPI table: the design points' view of the
+// pass.
+func (l *Lab) staticTable(ctx context.Context, b int, pol cache.Policy) (*cpisim.CPITable, error) {
+	e, err := l.pass(ctx, passKey{b: b, scheme: cpisim.BranchStatic, policy: pol})
+	if err != nil {
+		return nil, err
+	}
+	return e.tab, nil
 }
 
 // StaticPassPolicyContext is StaticPass. It remains only because the
@@ -329,7 +399,11 @@ func (l *Lab) StaticPassPolicyContext(ctx context.Context, b int, pol cache.Poli
 // with the delay count, so one pass serves every depth
 // (Result.BTBStallPerCTIFor).
 func (l *Lab) BTBPass(ctx context.Context) (*cpisim.Result, error) {
-	return l.passContext(ctx, passKey{b: 0, scheme: cpisim.BranchBTB, policy: l.P.Policy})
+	e, err := l.pass(ctx, passKey{b: 0, scheme: cpisim.BranchBTB, policy: l.P.Policy})
+	if err != nil {
+		return nil, err
+	}
+	return e.res, nil
 }
 
 // isCtxErr reports whether err is a context cancellation or deadline.
@@ -337,11 +411,13 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func (l *Lab) passContext(ctx context.Context, k passKey) (*cpisim.Result, error) {
+// pass returns the memo entry of k's pass, running the pass first unless
+// it is memoized or in flight (singleFlight).
+func (l *Lab) pass(ctx context.Context, k passKey) (*passEntry, error) {
 	requests := l.obs.Counter("lab.pass_requests")
 	requests.Inc()
-	res, err := singleFlight(ctx, l, l.passes, k, "lab.pass_memo_hits", func() (*cpisim.Result, error) {
-		return l.runInstrumented(ctx, cpisim.Config{
+	e, err := singleFlight(ctx, l, l.passes, k, "lab.pass_memo_hits", func(e *passEntry) error {
+		res, err := l.runInstrumented(ctx, cpisim.Config{
 			BranchSlots:  k.b,
 			BranchScheme: k.scheme,
 			LoadSlots:    0,
@@ -349,17 +425,26 @@ func (l *Lab) passContext(ctx context.Context, k passKey) (*cpisim.Result, error
 			DCaches:      l.cacheBank(k.policy),
 			Quantum:      l.P.Quantum,
 		}, "lab.passes_run")
+		if err != nil {
+			return err
+		}
+		e.res = res
+		if k.scheme == cpisim.BranchStatic {
+			e.tab = cpisim.NewCPITable(res)
+		}
+		return nil
 	})
 	l.setMemoRatio(requests)
-	return res, err
+	return e, err
 }
 
-// singleFlight returns the result memoized under k in m (guarded by l.mu),
-// running run as the leader when k has no entry; see passEntry. A request
+// singleFlight returns the entry memoized under k in m (guarded by l.mu),
+// running run as the leader when k has no entry: run fills in the entry's
+// result, or returns the error that fails it; see passEntry. A request
 // that finds an entry, completed or in flight, counts once in the hits
 // counter and waits bounded by its own context; a follower whose leader
 // was cancelled takes another turn, and may lead.
-func singleFlight[K comparable](ctx context.Context, l *Lab, m map[K]*passEntry, k K, hits string, run func() (*cpisim.Result, error)) (*cpisim.Result, error) {
+func singleFlight[K comparable](ctx context.Context, l *Lab, m map[K]*passEntry, k K, hits string, run func(e *passEntry) error) (*passEntry, error) {
 	counted := false
 	for {
 		l.mu.Lock()
@@ -385,11 +470,13 @@ func singleFlight[K comparable](ctx context.Context, l *Lab, m map[K]*passEntry,
 				// entry; take another turn (and possibly become leader).
 				continue
 			}
-			return e.res, e.err
+			if e.err != nil {
+				return nil, e.err
+			}
+			return e, nil
 		}
 
-		e.res, e.err = run()
-		if e.err != nil {
+		if e.err = run(e); e.err != nil {
 			// Only successful results are memoized. A failed entry must be
 			// removed before waking the waiters: caching an error —
 			// cancellation or transient failure alike — would poison the
@@ -400,7 +487,10 @@ func singleFlight[K comparable](ctx context.Context, l *Lab, m map[K]*passEntry,
 			l.mu.Unlock()
 		}
 		close(e.done)
-		return e.res, e.err
+		if e.err != nil {
+			return nil, e.err
+		}
+		return e, nil
 	}
 }
 
@@ -536,9 +626,15 @@ func mergeData(res, data *cpisim.Result, dcaches []cache.Config) (*cpisim.Result
 // passes share one run (singleFlight).
 func (l *Lab) dataPass(ctx context.Context, cfg cpisim.Config, ws []cpisim.Workload) (*cpisim.Result, error) {
 	k := dataKey{trace: l.traceKey(ws), quantum: cfg.Quantum, dcaches: fmt.Sprint(cfg.DCaches)}
-	return singleFlight(ctx, l, l.data, k, "lab.data_memo_hits", func() (*cpisim.Result, error) {
-		return l.runData(ctx, cfg, ws)
+	e, err := singleFlight(ctx, l, l.data, k, "lab.data_memo_hits", func(e *passEntry) error {
+		var err error
+		e.res, err = l.runData(ctx, cfg, ws)
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
+	return e.res, nil
 }
 
 // runData runs one data job: cfg's D-cache ladder alone, at static b=0
@@ -720,7 +816,7 @@ func (l *Lab) Prewarm() error {
 		wg.Add(1)
 		go func(i int, k passKey) {
 			defer wg.Done()
-			_, errs[i] = l.passContext(context.Background(), k)
+			_, errs[i] = l.pass(context.Background(), k)
 			l.progress.Step(1)
 		}(i, k)
 	}

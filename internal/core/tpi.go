@@ -34,41 +34,38 @@ func (p TPIPoint) String() string {
 // time, and CPI from the simulation pass memoized per (depth, q.Policy).
 // ctx aborts that pass, or the wait for a concurrent one.
 func (l *Lab) TPI(ctx context.Context, q Query, dp DesignPoint) (TPIPoint, error) {
-	pass, err := l.StaticPass(ctx, dp.B, q.Policy)
+	if err := ValidateL2TimeNs(q.L2TimeNs); err != nil {
+		return TPIPoint{}, err
+	}
+	tab, err := l.staticTable(ctx, dp.B, q.Policy)
 	if err != nil {
 		return TPIPoint{}, err
 	}
 	l.obs.Counter("lab.tpi_points").Inc()
-	pt, _, _, err := l.tpi(pass, q, dp)
-	return pt, err
+	c := l.candidate(dp)
+	return tpi(tab, q, &c)
 }
 
-// tpi is the TPI arithmetic of dp over its resolved pass, the one point
-// evaluator under TPI, EvalPoint and every sweep; the caller counts the
-// point in lab.tpi_points. It also returns the point's indices in the size
-// bank, so eval derives the breakdown and miss ratios without a second
-// lookup.
-func (l *Lab) tpi(pass *cpisim.Result, q Query, dp DesignPoint) (p TPIPoint, iIdx, dIdx int, err error) {
-	p = TPIPoint{B: dp.B, L: dp.L, ISizeKW: dp.ISizeKW, DSizeKW: dp.DSizeKW, LoadScheme: dp.Scheme}
-	tcpu, err := l.tcpuSplit(dp.ISizeKW, dp.B, dp.DSizeKW, dp.L)
+// cpiAt is the one point evaluator under TPI, EvalPoint and every sweep:
+// c's refill penalty at q's miss service and its CPI read from its pass's
+// CPI table. The point's TPI is cpi x c.tcpu. The caller has validated q
+// and counts the point in lab.tpi_points.
+func cpiAt(tab *cpisim.CPITable, q Query, c *candidate) (pen int, cpi float64, err error) {
+	if c.err != nil {
+		return 0, 0, c.err
+	}
+	pen = penaltyCyclesFor(q.L2TimeNs, c.tcpu)
+	cpi, err = tab.CPIFor(c.dp.L, c.dp.Scheme, c.iIdx, c.dIdx, pen, pen)
+	return pen, cpi, err
+}
+
+// tpi is c's TPIPoint over its pass's CPI table (cpiAt).
+func tpi(tab *cpisim.CPITable, q Query, c *candidate) (TPIPoint, error) {
+	pen, cpi, err := cpiAt(tab, q, c)
 	if err != nil {
-		return p, 0, 0, err
+		return TPIPoint{}, err
 	}
-	p.TCPUNs = tcpu
-	p.PenCycles = penaltyCyclesFor(q.L2TimeNs, tcpu)
-	if iIdx, err = l.sizeIndex(dp.ISizeKW); err != nil {
-		return p, 0, 0, err
-	}
-	if dIdx, err = l.sizeIndex(dp.DSizeKW); err != nil {
-		return p, 0, 0, err
-	}
-	cpi, err := pass.CPIFor(dp.L, dp.Scheme, iIdx, dIdx, p.PenCycles, p.PenCycles)
-	if err != nil {
-		return p, 0, 0, err
-	}
-	p.CPI = cpi
-	p.TPINs = cpi * tcpu
-	return p, iIdx, dIdx, nil
+	return c.point(pen, cpi), nil
 }
 
 // tcpuSplit is P.Model.TCPUSplit read from the lab's tCPU table: the
@@ -103,24 +100,26 @@ func (l *Lab) tcpuCell(sizeKW, depth int) *tcpuCell {
 	return nil
 }
 
-// depthPasses holds a sweep's resolved static passes, indexed by depth.
-type depthPasses [maxDelaySlots + 1]*cpisim.Result
+// depthTables holds the CPI tables of a sweep's resolved static passes,
+// indexed by depth.
+type depthTables [maxDelaySlots + 1]*cpisim.CPITable
 
 // sweepPasses resolves the StaticPass under pol of each of depths, one
 // depth per sweep item, before a sweep evaluates its points: each point
-// then reads its pass from the table instead of taking the memo lock once
-// per point, and lab.pass_requests counts once per depth per sweep.
+// then reads its pass's CPI table from the array instead of taking the
+// memo lock once per point, and lab.pass_requests counts once per depth
+// per sweep.
 // Resolving the passes first also keeps a cold sweep from parking every
 // worker on one pass at a time, as a point sweep in enumeration order (b
 // outermost) would. Only a sweep with a pass still to run uses the pool;
 // when every pass is memoized, the lookups run on the calling goroutine,
 // so a warm sweep starts and wakes no worker. Every depth must lie in
 // 0..maxDelaySlots.
-func (l *Lab) sweepPasses(ctx context.Context, pol cache.Policy, depths []int) (depthPasses, error) {
-	var passes depthPasses
+func (l *Lab) sweepPasses(ctx context.Context, pol cache.Policy, depths []int) (depthTables, error) {
+	var passes depthTables
 	resolve := func(ctx context.Context, i int) error {
-		pass, err := l.StaticPass(ctx, depths[i], pol)
-		passes[depths[i]] = pass
+		tab, err := l.staticTable(ctx, depths[i], pol)
+		passes[depths[i]] = tab
 		return err
 	}
 	for _, d := range depths {
@@ -131,14 +130,15 @@ func (l *Lab) sweepPasses(ctx context.Context, pol cache.Policy, depths []int) (
 	return passes, eachSerial(ctx, len(depths), resolve)
 }
 
-// depthsOf returns the distinct branch depths of pts in first-seen order.
-func depthsOf(pts []DesignPoint) []int {
+// depthsOf returns the distinct branch depths of cands in first-seen
+// order.
+func depthsOf(cands []candidate) []int {
 	var seen [maxDelaySlots + 1]bool
 	var depths []int
-	for _, dp := range pts {
-		if !seen[dp.B] {
-			seen[dp.B] = true
-			depths = append(depths, dp.B)
+	for _, c := range cands {
+		if b := c.dp.B; !seen[b] {
+			seen[b] = true
+			depths = append(depths, b)
 		}
 	}
 	return depths
@@ -148,6 +148,9 @@ func depthsOf(pts []DesignPoint) []int {
 // the size bank: the curves of Figures 12 and 13. ctx is checked at every
 // design point.
 func (l *Lab) TPISweep(ctx context.Context, q Query, scheme cpisim.LoadScheme) (*FigureResult, error) {
+	if err := ValidateL2TimeNs(q.L2TimeNs); err != nil {
+		return nil, err
+	}
 	f := &FigureResult{
 		Title:  fmt.Sprintf("TPI vs total L1 size (split equally, b=l, %s loads, %.0fns miss service)", scheme, q.L2TimeNs),
 		XLabel: "total L1 size (KW)",
@@ -171,7 +174,8 @@ func (l *Lab) TPISweep(ctx context.Context, q Query, scheme cpisim.LoadScheme) (
 				return nil, err
 			}
 			points.Inc()
-			pt, _, _, err := l.tpi(passes[depth], q, DesignPoint{B: depth, L: depth, ISizeKW: side, DSizeKW: side, Scheme: scheme})
+			c := l.candidate(DesignPoint{B: depth, L: depth, ISizeKW: side, DSizeKW: side, Scheme: scheme})
+			pt, err := tpi(passes[depth], q, &c)
 			if err != nil {
 				return nil, err
 			}
@@ -229,6 +233,9 @@ type Optimum struct {
 // calling goroutine, and the first minimum wins ties, so the answer is
 // the same at every worker count.
 func (l *Lab) Best(ctx context.Context, q Query, scheme cpisim.LoadScheme, symmetric bool) (*Optimum, error) {
+	if err := ValidateL2TimeNs(q.L2TimeNs); err != nil {
+		return nil, err
+	}
 	cands := l.cands[candKey{scheme: scheme, symmetric: symmetric}]
 	l.progress.StartPhase("design-space sweep", int64(len(cands)))
 	defer l.progress.Finish()
@@ -241,22 +248,28 @@ func (l *Lab) Best(ctx context.Context, q Query, scheme cpisim.LoadScheme, symme
 
 // minTPI resolves the passes of cands, then evaluates the points in cands
 // order on the calling goroutine and returns the first point of minimum
-// TPI.
-func (l *Lab) minTPI(ctx context.Context, q Query, cands []DesignPoint) (TPIPoint, error) {
+// TPI (TPINs +Inf when no point has a TPI below it). Only the running
+// minimum becomes a TPIPoint. The caller has validated q.
+func (l *Lab) minTPI(ctx context.Context, q Query, cands []candidate) (TPIPoint, error) {
 	passes, err := l.sweepPasses(ctx, q.Policy, depthsOf(cands))
 	if err != nil {
 		return TPIPoint{}, err
 	}
 	points := l.obs.Counter("lab.tpi_points")
-	best := TPIPoint{TPINs: math.Inf(1)}
+	var (
+		best             *candidate
+		bestPen          int
+		bestCPI, bestTPI = 0.0, math.Inf(1)
+	)
 	err = eachSerial(ctx, len(cands), func(ctx context.Context, i int) error {
 		points.Inc()
-		pt, _, _, err := l.tpi(passes[cands[i].B], q, cands[i])
+		c := &cands[i]
+		pen, cpi, err := cpiAt(passes[c.dp.B], q, c)
 		if err != nil {
 			return err
 		}
-		if pt.TPINs < best.TPINs {
-			best = pt
+		if t := cpi * c.tcpu; t < bestTPI {
+			best, bestPen, bestCPI, bestTPI = c, pen, cpi, t
 		}
 		l.progress.Step(1)
 		return nil
@@ -264,7 +277,10 @@ func (l *Lab) minTPI(ctx context.Context, q Query, cands []DesignPoint) (TPIPoin
 	if err != nil {
 		return TPIPoint{}, err
 	}
-	return best, nil
+	if best == nil {
+		return TPIPoint{TPINs: math.Inf(1)}, nil
+	}
+	return best.point(bestPen, bestCPI), nil
 }
 
 // BestDesign is Best at the lab's policy without cancellation. It remains
@@ -330,6 +346,9 @@ type DepthMatrixResult struct {
 
 // DepthMatrix evaluates every (b, l) pair over equally split sizes.
 func (l *Lab) DepthMatrix(l2TimeNs float64) (*DepthMatrixResult, error) {
+	if err := ValidateL2TimeNs(l2TimeNs); err != nil {
+		return nil, err
+	}
 	depths := everyDepth()
 	l.progress.StartPhase("depth matrix", int64(len(depths)*len(depths)*len(l.P.SizesKW)))
 	defer l.progress.Finish()
@@ -348,8 +367,8 @@ func (l *Lab) DepthMatrix(l2TimeNs float64) (*DepthMatrixResult, error) {
 			bestSize := 0
 			for _, side := range l.P.SizesKW {
 				points.Inc()
-				pt, _, _, err := l.tpi(passes[b], q,
-					DesignPoint{B: b, L: ld, ISizeKW: side, DSizeKW: side, Scheme: cpisim.LoadStatic})
+				c := l.candidate(DesignPoint{B: b, L: ld, ISizeKW: side, DSizeKW: side, Scheme: cpisim.LoadStatic})
+				pt, err := tpi(passes[b], q, &c)
 				if err != nil {
 					return nil, err
 				}
@@ -428,6 +447,9 @@ type AsymmetryStudyResult struct {
 // equal sizes), I-heavy (b >= l, I side at least as large), and D-heavy
 // (the mirror image).
 func (l *Lab) AsymmetryStudy(l2TimeNs float64) (*AsymmetryStudyResult, error) {
+	if err := ValidateL2TimeNs(l2TimeNs); err != nil {
+		return nil, err
+	}
 	classes := []struct {
 		name string
 		ok   func(b, ld, iSize, dSize int) bool
@@ -438,7 +460,7 @@ func (l *Lab) AsymmetryStudy(l2TimeNs float64) (*AsymmetryStudyResult, error) {
 	}
 	// Collect every class's candidates first so the progress phase has a
 	// total.
-	cands := make([][]DesignPoint, len(classes))
+	cands := make([][]candidate, len(classes))
 	var total int64
 	for _, dp := range DesignSpace(l.P) {
 		if dp.Scheme != cpisim.LoadStatic {
@@ -446,7 +468,7 @@ func (l *Lab) AsymmetryStudy(l2TimeNs float64) (*AsymmetryStudyResult, error) {
 		}
 		for c, cl := range classes {
 			if cl.ok(dp.B, dp.L, dp.ISizeKW, dp.DSizeKW) {
-				cands[c] = append(cands[c], dp)
+				cands[c] = append(cands[c], l.candidate(dp))
 				total++
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"pipecache/internal/cache"
 	"pipecache/internal/cpisim"
+	"pipecache/internal/stats"
 )
 
 // TestTCPUTableIsModel pins the lab's tCPU table to the timing model: every
@@ -212,5 +213,131 @@ func TestBestWarmAllocs(t *testing.T) {
 					workers, registry, bytes)
 			}
 		}
+	}
+}
+
+// oracleCPIFor is the definition every CPI table read must reproduce:
+// stats.WeightedHarmonicMean of the per-benchmark BenchResult.CPIFor
+// values, weighted by the mix weights.
+func oracleCPIFor(r *cpisim.Result, l int, scheme cpisim.LoadScheme, icfg, dcfg, ipen, dpen int) (float64, error) {
+	values := make([]float64, len(r.Benches))
+	weights := make([]float64, len(r.Benches))
+	for k := range r.Benches {
+		values[k] = r.Benches[k].CPIFor(l, scheme, icfg, dcfg, ipen, dpen)
+		weights[k] = r.Benches[k].Weight
+	}
+	return stats.WeightedHarmonicMean(values, weights)
+}
+
+// TestCPITableDifferential runs every pass Prewarm memoizes through a CPI
+// table and through the oracle, bit for bit and error text for error text:
+// every load depth 0..3 and one on each side outside, both schemes, every
+// size index with -1 (no misses) on either side, and a spread of unequal
+// I and D penalties. A static pass must carry the table its leader built;
+// the BTB pass carries none and is checked through a table built here.
+func TestCPITableDifferential(t *testing.T) {
+	lab := getLab(t)
+	if err := lab.Prewarm(); err != nil {
+		t.Fatal(err)
+	}
+	lab.mu.Lock()
+	entries := make(map[passKey]*passEntry, len(lab.passes))
+	for k, e := range lab.passes {
+		entries[k] = e
+	}
+	lab.mu.Unlock()
+	if len(entries) < maxDelaySlots+2 {
+		t.Fatalf("%d memoized passes after Prewarm, want at least %d", len(entries), maxDelaySlots+2)
+	}
+	pens := []int{0, 2, 3, 6, 10, 18, 41, 1 << 20}
+	for k, e := range entries {
+		<-e.done
+		tab := e.tab
+		switch {
+		case k.scheme == cpisim.BranchStatic && tab == nil:
+			t.Fatalf("static pass %+v has no CPI table", k)
+		case k.scheme != cpisim.BranchStatic && tab != nil:
+			t.Fatalf("pass %+v has a CPI table", k)
+		case tab == nil:
+			tab = cpisim.NewCPITable(e.res)
+		}
+		if tab.Result() != e.res {
+			t.Fatalf("pass %+v: the table is not over the pass's result", k)
+		}
+		for l := -1; l <= maxDelaySlots+1; l++ {
+			for _, scheme := range []cpisim.LoadScheme{cpisim.LoadStatic, cpisim.LoadDynamic} {
+				for i := -1; i < len(lab.P.SizesKW); i++ {
+					for d := -1; d < len(lab.P.SizesKW); d++ {
+						for j, ipen := range pens {
+							dpen := pens[(j+3)%len(pens)]
+							got, gotErr := tab.CPIFor(l, scheme, i, d, ipen, dpen)
+							want, wantErr := oracleCPIFor(e.res, l, scheme, i, d, ipen, dpen)
+							if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+								t.Fatalf("pass %+v: CPIFor(%d, %v, %d, %d, %d, %d) = %v, %v; oracle %v, %v",
+									k, l, scheme, i, d, ipen, dpen, got, gotErr, want, wantErr)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQueryL2TimeRange checks that every design-point entry point refuses
+// a miss-service time outside (0, 1e6] ns with the server's error text,
+// before any arithmetic: the penalty conversion sends NaN, +Inf and 1e300
+// to the smallest int and clamps everything below 2 cycles up to 2, so
+// each of these used to answer with the 2-cycle-penalty design. The
+// bounds themselves are in range.
+func TestQueryL2TimeRange(t *testing.T) {
+	lab := getLab(t)
+	ctx := context.Background()
+	dp := DesignPoint{B: 2, L: 2, ISizeKW: 4, DSizeKW: 4, Scheme: cpisim.LoadStatic}
+	entry := map[string]func(l2 float64) error{
+		"Best": func(l2 float64) error {
+			_, err := lab.Best(ctx, lab.queryAt(l2), cpisim.LoadStatic, false)
+			return err
+		},
+		"TPI": func(l2 float64) error {
+			_, err := lab.TPI(ctx, lab.queryAt(l2), dp)
+			return err
+		},
+		"EvalPoint": func(l2 float64) error {
+			_, err := lab.EvalPoint(ctx, lab.queryAt(l2), dp)
+			return err
+		},
+		"EvalSpace": func(l2 float64) error {
+			_, err := lab.EvalSpace(ctx, lab.queryAt(l2))
+			return err
+		},
+		"TPISweep": func(l2 float64) error {
+			_, err := lab.TPISweep(ctx, lab.queryAt(l2), cpisim.LoadStatic)
+			return err
+		},
+		"DepthMatrix": func(l2 float64) error {
+			_, err := lab.DepthMatrix(l2)
+			return err
+		},
+		"AsymmetryStudy": func(l2 float64) error {
+			_, err := lab.AsymmetryStudy(l2)
+			return err
+		},
+	}
+	for name, run := range entry {
+		for _, l2 := range []float64{1e300, math.NaN(), math.Inf(1), math.Inf(-1), -5, 0, 1e15, math.Nextafter(1e6, 2e6)} {
+			want := fmt.Sprintf("l2_time_ns %g out of range", l2)
+			if err := run(l2); fmt.Sprint(err) != want {
+				t.Errorf("%s at l2=%g: err = %v, want %q", name, l2, err, want)
+			}
+		}
+		for _, l2 := range []float64{math.SmallestNonzeroFloat64, 1e6} {
+			if err := run(l2); err != nil {
+				t.Errorf("%s at l2=%g: %v", name, l2, err)
+			}
+		}
+	}
+	if err := (Params{Insts: 1, BlockWords: 4, SizesKW: []int{1}, Penalties: []int{6}, L2TimeNs: 2e6, Model: lab.P.Model}).Validate(); err == nil {
+		t.Error("Params.Validate accepts a 2 ms miss service")
 	}
 }

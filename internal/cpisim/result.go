@@ -69,10 +69,16 @@ func (b *BenchResult) CyclesAt(icfg, dcfg, ipen, dpen int) int64 {
 // CPI returns cycles per useful instruction for the given cache
 // configuration indexes and penalties.
 func (b *BenchResult) CPI(icfg, dcfg, ipen, dpen int) float64 {
-	if b.Insts == 0 {
+	return perInst(b.CyclesAt(icfg, dcfg, ipen, dpen), float64(b.Insts))
+}
+
+// perInst is cycles per useful instruction, 0 for a benchmark that ran
+// none: the per-benchmark value under every suite CPI.
+func perInst(cycles int64, insts float64) float64 {
+	if insts == 0 {
 		return 0
 	}
-	return float64(b.CyclesAt(icfg, dcfg, ipen, dpen)) / float64(b.Insts)
+	return float64(cycles) / insts
 }
 
 // IMissRatio returns instruction-fetch misses per fetch for the indexed
@@ -144,10 +150,7 @@ func (b *BenchResult) CyclesFor(l int, scheme LoadScheme, icfg, dcfg, ipen, dpen
 // CPIFor returns CPI with the load stall recomputed for depth l under the
 // given scheme.
 func (b *BenchResult) CPIFor(l int, scheme LoadScheme, icfg, dcfg, ipen, dpen int) float64 {
-	if b.Insts == 0 {
-		return 0
-	}
-	return float64(b.CyclesFor(l, scheme, icfg, dcfg, ipen, dpen)) / float64(b.Insts)
+	return perInst(b.CyclesFor(l, scheme, icfg, dcfg, ipen, dpen), float64(b.Insts))
 }
 
 // Result is a full multiprogrammed run.
@@ -162,31 +165,53 @@ func (r *Result) CPI(icfg, dcfg, ipen, dpen int) (float64, error) {
 	return r.harmonicCPI(func(b *BenchResult) float64 { return b.CPI(icfg, dcfg, ipen, dpen) })
 }
 
-// harmonicCPI is stats.WeightedHarmonicMean of cpi over the benchmarks,
-// weighted by their mix weights, reduced in place: the same operations in
-// the same order with the same error texts, without the two slices the
-// stats call needs. It sits under every design point's CPI, so it must not
-// allocate.
+// harmonicCPI is the weighted harmonic mean of cpi over the benchmarks,
+// weighted by their mix weights (see harmonic).
 func (r *Result) harmonicCPI(cpi func(b *BenchResult) float64) (float64, error) {
 	if len(r.Benches) == 0 {
 		return 0, fmt.Errorf("cpisim: empty result")
 	}
-	var wsum, inv float64
+	var h harmonic
 	for i := range r.Benches {
-		v, w := cpi(&r.Benches[i]), r.Benches[i].Weight
-		if v <= 0 {
-			return 0, fmt.Errorf("stats: non-positive value %g at index %d", v, i)
+		if v, w := cpi(&r.Benches[i]), r.Benches[i].Weight; !h.add(v, w) {
+			return 0, harmonicErr(i, v, w)
 		}
-		if w < 0 {
-			return 0, fmt.Errorf("stats: negative weight %g at index %d", w, i)
-		}
-		wsum += w
-		inv += w / v
 	}
-	if wsum <= 0 {
+	return h.mean()
+}
+
+// harmonic is stats.WeightedHarmonicMean reduced in place, one value at a
+// time: the same operations in the same order with the same error texts,
+// without the two slices the stats call needs. It sits under every design
+// point's CPI (harmonicCPI and CPITable.CPIFor), so it must not allocate.
+type harmonic struct{ wsum, inv float64 }
+
+// add folds in value v of weight w, or reports false, folding in nothing,
+// when either fails its check (harmonicErr says which).
+func (h *harmonic) add(v, w float64) bool {
+	if v <= 0 || w < 0 {
+		return false
+	}
+	h.wsum += w
+	h.inv += w / v
+	return true
+}
+
+// harmonicErr is the error of a value v of weight w at index k that add
+// refused: the value's check comes first.
+func harmonicErr(k int, v, w float64) error {
+	if v <= 0 {
+		return fmt.Errorf("stats: non-positive value %g at index %d", v, k)
+	}
+	return fmt.Errorf("stats: negative weight %g at index %d", w, k)
+}
+
+// mean is the reduction's result.
+func (h *harmonic) mean() (float64, error) {
+	if h.wsum <= 0 {
 		return 0, fmt.Errorf("stats: weights sum to zero")
 	}
-	return wsum / inv, nil
+	return h.wsum / h.inv, nil
 }
 
 // Agg sums a per-benchmark counter over the suite.

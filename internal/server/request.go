@@ -123,8 +123,9 @@ func normalizeLoads(s string) (string, error) {
 }
 
 // normalizeQuery normalizes the two core.Query coordinates every request
-// carries. A zero l2_time_ns takes the lab's default and is range-checked.
-// An empty policy keeps meaning "the lab's policy", and an explicit
+// carries. A zero l2_time_ns takes the lab's default, and the result is
+// range-checked by core.ValidateL2TimeNs, the check the lab's own entry
+// points make. An empty policy keeps meaning "the lab's policy", and an explicit
 // spelling of the lab's own policy collapses back to "", so two requests
 // naming the same effective policy share one content-addressed key and
 // marshal byte-identical bodies — and a pre-policy request keeps its
@@ -133,8 +134,8 @@ func normalizeQuery(l2TimeNs float64, policy string, p core.Params) (float64, st
 	if l2TimeNs == 0 {
 		l2TimeNs = p.L2TimeNs
 	}
-	if l2TimeNs < 0 || l2TimeNs > 1e6 {
-		return l2TimeNs, policy, fmt.Errorf("l2_time_ns %g out of range", l2TimeNs)
+	if err := core.ValidateL2TimeNs(l2TimeNs); err != nil {
+		return l2TimeNs, policy, err
 	}
 	if strings.TrimSpace(policy) == "" {
 		return l2TimeNs, "", nil

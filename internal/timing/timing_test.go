@@ -206,6 +206,61 @@ func TestTCPUPaperAnchors(t *testing.T) {
 	}
 }
 
+// TestTCPUPaperAnchorsUnsatisfiable pins the claim EXPERIMENTS.md makes
+// about Figure 13: the paper's depth-0 anchor (tCPU above 10 ns at every
+// size), its depth-2 anchor (read here as Figure 13's b=l=2, 16 KW-total
+// optimum running at the ALU floor at 8 KW per side) and its depth-3
+// anchor (ALU-limited up to 32 KW) cannot all hold under the model, so
+// the calibration keeps depths 0 and 3 and lets depth 2 float. The
+// model's cycle time at depth d is max(ALU, (t_addr + tL1)/(d+1) + latch)
+// with t_addr = add + drive: the cache loop holds d+1 latches around
+// t_addr, tL1 and d+1 latch overheads. Depth 0 above 10 ns at 1 KW and
+// depth 2 at the floor F at 8 KW together require tL1(8) - tL1(1) +
+// 2 latch < 3F - 10, whatever t_addr and the SRAM access time are; the
+// calibrated MCM growth and latch overhead do not meet it. The test fails
+// if a constant moves so that all three anchors hold, or so that some add
+// and SRAM time could make the first two hold.
+func TestTCPUPaperAnchorsUnsatisfiable(t *testing.T) {
+	m := DefaultModel()
+	sizes := []int{1, 2, 4, 8, 16, 32}
+	floor := m.ALULoopNs()
+	tcpu := func(s, d int) float64 {
+		tc, err := m.TCPU(s, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tc
+	}
+	// The closed form is the analyzer's answer.
+	taddr := m.ALUAddNs + m.DriveNs
+	for _, s := range sizes {
+		for d := 0; d <= 3; d++ {
+			want := math.Max(floor, (taddr+m.CacheAccessNs(s))/float64(d+1)+m.LatchNs)
+			if got := tcpu(s, d); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("TCPU(%d, %d) = %g, closed form %g", s, d, got, want)
+			}
+		}
+	}
+
+	depth0, depth3 := true, true
+	for _, s := range sizes {
+		depth0 = depth0 && tcpu(s, 0) > 10
+		depth3 = depth3 && math.Abs(tcpu(s, 3)-floor) <= 1e-6
+	}
+	depth2 := math.Abs(tcpu(8, 2)-floor) <= 1e-6
+	if !depth0 || !depth3 {
+		t.Fatalf("the kept anchors fail: depth 0 above 10 ns %v, depth 3 at the floor %v", depth0, depth3)
+	}
+	if depth2 {
+		t.Fatalf("all three anchors hold (depth 2 at 8 KW = %g ns): EXPERIMENTS.md's Figure 13 account is stale", tcpu(8, 2))
+	}
+	slack := 3*floor - 10 - (m.CacheAccessNs(8) - m.CacheAccessNs(1)) - 2*m.LatchNs
+	if slack > 0 {
+		t.Fatalf("slack %g ns > 0: some add and SRAM access time satisfy the depth-0 and depth-2 anchors together", slack)
+	}
+	t.Logf("depth 2 at 8 KW: %.2f ns against the %.2f ns floor; slack %.2f ns", tcpu(8, 2), floor, slack)
+}
+
 func TestTCPUMonotonic(t *testing.T) {
 	m := DefaultModel()
 	// Deeper pipeline never increases cycle time; larger cache never
