@@ -87,10 +87,11 @@ metrics:
 serve:
 	$(GO) run ./cmd/pipecache serve -addr :8080
 
-# Bake the full design space into a PSF1 surface artifact; serve it with
-# `pipecache serve -surface surface.psf1` (see README "Baking").
+# Bake the default simulation passes and Table 1 into a PSF2 surface
+# artifact; serve it with `pipecache serve -surface surface.psf2` (see
+# README "Baking").
 bake:
-	$(GO) run ./cmd/pipecache bake -out surface.psf1
+	$(GO) run ./cmd/pipecache bake -out surface.psf2
 
 # Regenerate the golden files after an intended behaviour change.
 golden:

@@ -993,8 +993,8 @@ func BenchmarkLabBest(b *testing.B) {
 	}
 }
 
-// ledgerSurface is the design space of warmLab, baked, encoded and decoded
-// as a server loads it.
+// ledgerSurface is warmLab's surface, baked, encoded and decoded as a
+// server loads it.
 var ledgerSurface = sync.OnceValues(func() (*Surface, error) {
 	l, err := warmLab()
 	if err != nil {
@@ -1021,11 +1021,11 @@ func serve(b *testing.B, sf *Surface) http.Handler {
 	return srv.Handler()
 }
 
-// BenchmarkSurfaceLookup measures one /v1/simulate answer served from a
-// baked surface, end to end through the HTTP handler (decode, index,
-// marshal, ETag). Compare against BenchmarkSimulatorThroughput: the baked
-// path replaces a full simulation pass with an index-and-read, so it should
-// be several orders of magnitude cheaper per request.
+// BenchmarkSurfaceLookup measures one repeated /v1/simulate answered by a
+// surface-seeded server, end to end through the HTTP handler (decode,
+// key, result-cache hit, ETag). Compare against
+// BenchmarkSimulatorThroughput: a seeded server never runs the simulation
+// pass a cold live one would.
 func BenchmarkSurfaceLookup(b *testing.B) {
 	h := serve(b, fixture(b, ledgerSurface))
 	body := []byte(`{"b":2,"l":2,"isize_kw":8,"dsize_kw":8}`)

@@ -12,14 +12,14 @@ import (
 	"pipecache/internal/surface"
 )
 
-// runBake enumerates the full design space on the sweep pool and writes
-// the PSF1 surface artifact `pipecache serve -surface` answers from. The
-// bake is deterministic: the same flags produce a byte-identical artifact
-// (and hash) at any -sweep-workers setting.
+// runBake runs the default simulation passes and Table 1's probe and
+// writes them as the PSF2 surface artifact `pipecache serve -surface`
+// seeds its lab from. The bake is deterministic: the same flags produce a
+// byte-identical artifact (and hash) at any -sweep-workers setting.
 func runBake(args []string) error {
 	fs := flag.NewFlagSet("bake", flag.ExitOnError)
 	o := commonFlags(fs)
-	out := fs.String("out", "surface.psf1", "output surface path")
+	out := fs.String("out", "surface.psf2", "output surface path")
 	fs.Parse(args)
 
 	lab, err := buildLab(o)
@@ -47,8 +47,8 @@ func runBake(args []string) error {
 		return fmt.Errorf("self-check: written surface does not decode: %w", err)
 	}
 	ph := sf.ParamsHash()
-	fmt.Printf("baked %s: %d points, %d best, %d figures, %d tables, %d bytes\n",
-		*out, sf.NumPoints(), len(d.Best), len(d.Figures), len(d.Tables), sf.Size())
+	fmt.Printf("baked %s: %d passes, %d Table 1 rows, %d bytes\n",
+		*out, sf.NumPasses(), len(d.Table1), sf.Size())
 	fmt.Printf("surface hash: %s\n", sf.Hash())
 	fmt.Printf("params hash:  %s\n", hex.EncodeToString(ph[:]))
 	return writeMetrics(lab, o)

@@ -14,8 +14,8 @@
 //	pipecache coordinate [flags] front a fleet of serve backends: consistent-
 //	                             hash routing with failover, answers
 //	                             byte-identical to a single node
-//	pipecache bake     [flags]   precompute the design-space surface into a
-//	                             PSF1 artifact for O(1) serving
+//	pipecache bake     [flags]   store the default simulation passes and
+//	                             Table 1 in a PSF2 surface artifact
 //	pipecache tracegen [flags]   write a multiprogrammed reference trace
 //	pipecache timing             print the timing model's Table 6 inputs
 //	pipecache metrics  [flags]   run an instrumented pass and print its
@@ -103,8 +103,8 @@ commands:
              /metrics, graceful drain)
   coordinate sharded coordinator tier: consistent-hash proxy over serve
              backends with byte-identical answers
-  bake       precompute the design-space surface into a PSF1 artifact
-             for O(1) serving (pipecache serve -surface)
+  bake       store the default simulation passes and Table 1 in a PSF2
+             surface artifact (pipecache serve -surface seeds from it)
   version    print the binary's build identity
   tracegen   write a multiprogrammed reference trace
   timing     timing model summary (Table 6, floorplan)

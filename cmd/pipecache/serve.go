@@ -30,20 +30,12 @@ func runServe(args []string) error {
 	cacheEntries := fs.Int("cache-entries", 512, "content-addressed result cache bound")
 	grace := fs.Duration("shutdown-grace", 30*time.Second, "in-flight drain bound on shutdown")
 	prewarm := fs.Bool("prewarm", false, "run all simulation passes before listening")
-	surfacePath := fs.String("surface", "", "baked PSF1 surface to serve /v1/* from (see pipecache bake)")
+	surfacePath := fs.String("surface", "", "baked PSF2 surface to seed the lab from (see pipecache bake)")
 	fs.Parse(args)
 
-	// The server runs passes lazily on demand (under request contexts)
-	// unless -prewarm asks for a hot start.
 	lab, err := newLab(o)
 	if err != nil {
 		return err
-	}
-	if *prewarm {
-		fmt.Fprintln(os.Stderr, "prewarming simulation passes...")
-		if err := lab.Prewarm(); err != nil {
-			return err
-		}
 	}
 
 	var sf *surface.Surface
@@ -52,8 +44,8 @@ func runServe(args []string) error {
 		if err != nil {
 			return fmt.Errorf("loading surface: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "loaded surface %s: %d points, %d bytes, hash %s\n",
-			*surfacePath, sf.NumPoints(), sf.Size(), sf.Hash())
+		fmt.Fprintf(os.Stderr, "loaded surface %s: %d passes, %d bytes, hash %s\n",
+			*surfacePath, sf.NumPasses(), sf.Size(), sf.Hash())
 	}
 
 	srv, err := server.New(lab, server.Config{
@@ -67,6 +59,17 @@ func runServe(args []string) error {
 	})
 	if err != nil {
 		return err
+	}
+	// The server runs passes lazily on demand (under request contexts)
+	// unless -prewarm asks for a hot start. Prewarming after New lets a
+	// mismatched surface fail before any pass runs, and finds a seeded
+	// lab's passes already memoized.
+	if *prewarm {
+		fmt.Fprintln(os.Stderr, "prewarming simulation passes...")
+		if err := lab.Prewarm(); err != nil {
+			srv.Close()
+			return err
+		}
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -54,12 +54,10 @@ func (l *Lab) queryAt(l2TimeNs float64) Query {
 	return Query{L2TimeNs: l2TimeNs, Policy: l.P.Policy}
 }
 
-// DesignSpace enumerates the full design space of p in the canonical
-// order every precomputed surface indexes by: b outermost, then l, then
-// the I-size bank in Params order, the D-size bank, and finally the load
-// scheme (static before dynamic). The ordering is part of the PSF1 surface
-// contract (DESIGN.md §13): a surface's point section stores one record
-// per entry of this slice, in this order, and DesignIndex inverts it.
+// DesignSpace enumerates the full design space of p in canonical order:
+// b outermost, then l, then the I-size bank in Params order, the D-size
+// bank, and finally the load scheme (static before dynamic). EvalSpace
+// returns its results in this order, and Best breaks TPI ties by it.
 func DesignSpace(p Params) []DesignPoint {
 	schemes := []cpisim.LoadScheme{cpisim.LoadStatic, cpisim.LoadDynamic}
 	pts := make([]DesignPoint, 0, (maxDelaySlots+1)*(maxDelaySlots+1)*len(p.SizesKW)*len(p.SizesKW)*len(schemes))
@@ -75,39 +73,6 @@ func DesignSpace(p Params) []DesignPoint {
 		}
 	}
 	return pts
-}
-
-// DesignIndex returns pt's index in DesignSpace(p), or -1 when the point
-// lies outside the space (size not in the bank, depth out of range, or an
-// unknown scheme). It is pure arithmetic — no enumeration — so the serving
-// hot path can map a request onto a baked record in O(len(SizesKW)).
-func DesignIndex(p Params, pt DesignPoint) int {
-	if pt.B < 0 || pt.B > maxDelaySlots || pt.L < 0 || pt.L > maxDelaySlots {
-		return -1
-	}
-	iIdx, dIdx := -1, -1
-	for i, s := range p.SizesKW {
-		if s == pt.ISizeKW {
-			iIdx = i
-		}
-		if s == pt.DSizeKW {
-			dIdx = i
-		}
-	}
-	if iIdx < 0 || dIdx < 0 {
-		return -1
-	}
-	var sc int
-	switch pt.Scheme {
-	case cpisim.LoadStatic:
-		sc = 0
-	case cpisim.LoadDynamic:
-		sc = 1
-	default:
-		return -1
-	}
-	ns := len(p.SizesKW)
-	return ((((pt.B*(maxDelaySlots+1))+pt.L)*ns+iIdx)*ns+dIdx)*2 + sc
 }
 
 // Breakdown decomposes a design point's CPI into its stall sources; the
@@ -184,8 +149,8 @@ func (l *Lab) eval(tab *cpisim.CPITable, q Query, dp DesignPoint) (PointEval, er
 }
 
 // EvalSpace evaluates every point of the canonical enumeration
-// DesignSpace(l.P), returning the results in enumeration order: the whole
-// space a surface bakes. The points behind a fixed b share one memoized
+// DesignSpace(l.P), returning the results in enumeration order. The
+// points behind a fixed b share one memoized
 // simulation pass, resolved once before the points (on the lab's bounded
 // sweep pool when any is cold), so a sweep costs a handful of passes plus
 // per-point table arithmetic, which runs on the calling goroutine; the

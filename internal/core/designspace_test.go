@@ -1,50 +1,32 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"pipecache/internal/cpisim"
 	"pipecache/internal/gen"
 )
 
-// TestDesignIndexInvertsDesignSpace pins the canonical-ordering contract
-// every baked surface depends on: DesignIndex must be the exact inverse
-// of the DesignSpace enumeration.
-func TestDesignIndexInvertsDesignSpace(t *testing.T) {
+// TestDesignSpaceEnumeration pins the canonical enumeration: every point
+// once, b outermost, then l, the I-size bank, the D-size bank and the load
+// scheme, static before dynamic.
+func TestDesignSpaceEnumeration(t *testing.T) {
 	p := DefaultParams()
-	pts := DesignSpace(p)
-	wantLen := 4 * 4 * len(p.SizesKW) * len(p.SizesKW) * 2
-	if len(pts) != wantLen {
-		t.Fatalf("DesignSpace has %d points, want %d", len(pts), wantLen)
-	}
-	seen := make(map[DesignPoint]bool, len(pts))
-	for i, pt := range pts {
-		if seen[pt] {
-			t.Fatalf("duplicate point %+v", pt)
-		}
-		seen[pt] = true
-		if got := DesignIndex(p, pt); got != i {
-			t.Fatalf("DesignIndex(%+v) = %d, want %d", pt, got, i)
+	var want []DesignPoint
+	for b := 0; b <= 3; b++ {
+		for l := 0; l <= 3; l++ {
+			for _, is := range p.SizesKW {
+				for _, ds := range p.SizesKW {
+					for _, sc := range []cpisim.LoadScheme{cpisim.LoadStatic, cpisim.LoadDynamic} {
+						want = append(want, DesignPoint{B: b, L: l, ISizeKW: is, DSizeKW: ds, Scheme: sc})
+					}
+				}
+			}
 		}
 	}
-}
-
-// TestDesignIndexRejectsOutside: anything outside the enumerated space
-// maps to -1 so the server routes it to the live fallback instead of
-// reading a wrong record.
-func TestDesignIndexRejectsOutside(t *testing.T) {
-	p := DefaultParams()
-	for _, pt := range []DesignPoint{
-		{B: -1, L: 0, ISizeKW: 1, DSizeKW: 1, Scheme: cpisim.LoadStatic},
-		{B: 4, L: 0, ISizeKW: 1, DSizeKW: 1, Scheme: cpisim.LoadStatic},
-		{B: 0, L: 4, ISizeKW: 1, DSizeKW: 1, Scheme: cpisim.LoadStatic},
-		{B: 0, L: 0, ISizeKW: 3, DSizeKW: 1, Scheme: cpisim.LoadStatic},
-		{B: 0, L: 0, ISizeKW: 1, DSizeKW: 64, Scheme: cpisim.LoadStatic},
-		{B: 0, L: 0, ISizeKW: 1, DSizeKW: 1, Scheme: cpisim.LoadScheme(9)},
-	} {
-		if got := DesignIndex(p, pt); got != -1 {
-			t.Errorf("DesignIndex(%+v) = %d, want -1", pt, got)
-		}
+	if got := DesignSpace(p); !slices.Equal(got, want) {
+		t.Fatalf("DesignSpace has %d points, not the %d of the canonical order", len(got), len(want))
 	}
 }
 

@@ -174,6 +174,9 @@ type Lab struct {
 	// data memoizes the data jobs of split passes (runSplit), under the
 	// same single-flight and failure rules as passes.
 	data map[dataKey]*passEntry
+	// table1 is Table 1 as a baked surface stored it (Seed), so Table1
+	// answers without a probe; nil until seeded.
+	table1 *Table1Result
 
 	// tcpu is Table 6 of the lab's model: tcpu[i][d] is
 	// P.Model.TCPU(P.SizesKW[i], d), built once by NewLab, so a design
@@ -417,14 +420,7 @@ func (l *Lab) pass(ctx context.Context, k passKey) (*passEntry, error) {
 	requests := l.obs.Counter("lab.pass_requests")
 	requests.Inc()
 	e, err := singleFlight(ctx, l, l.passes, k, "lab.pass_memo_hits", func(e *passEntry) error {
-		res, err := l.runInstrumented(ctx, cpisim.Config{
-			BranchSlots:  k.b,
-			BranchScheme: k.scheme,
-			LoadSlots:    0,
-			ICaches:      l.cacheBank(k.policy),
-			DCaches:      l.cacheBank(k.policy),
-			Quantum:      l.P.Quantum,
-		}, "lab.passes_run")
+		res, err := l.runInstrumented(ctx, l.passConfig(k), "lab.passes_run")
 		if err != nil {
 			return err
 		}
@@ -436,6 +432,18 @@ func (l *Lab) pass(ctx context.Context, k passKey) (*passEntry, error) {
 	})
 	l.setMemoRatio(requests)
 	return e, err
+}
+
+// passConfig is the configuration k's pass runs: both cache banks at k's
+// policy, with no load delay (load stalls are derived afterwards).
+func (l *Lab) passConfig(k passKey) cpisim.Config {
+	return cpisim.Config{
+		BranchSlots:  k.b,
+		BranchScheme: k.scheme,
+		ICaches:      l.cacheBank(k.policy),
+		DCaches:      l.cacheBank(k.policy),
+		Quantum:      l.P.Quantum,
+	}
 }
 
 // singleFlight returns the entry memoized under k in m (guarded by l.mu),
@@ -796,27 +804,45 @@ func (l *Lab) capture(ctx context.Context, key string, ws []cpisim.Workload) (*t
 	return tr, nil
 }
 
-// Prewarm runs the standard simulation passes (static delayed branches at
-// every depth plus the BTB scheme) concurrently, so the experiments that
-// follow hit the memo. Each pass is an independent simulator over the
-// shared read-only programs; results are deterministic regardless of
-// completion order.
-func (l *Lab) Prewarm() error {
-	keys := []passKey{
+// defaultKeys are the passes every default-policy design point, figure
+// and table (but Table 1) reads: static delayed branches at b = 0..3, then
+// the BTB scheme, all under the lab's policy.
+func (l *Lab) defaultKeys() []passKey {
+	return []passKey{
 		{b: 0, scheme: cpisim.BranchStatic, policy: l.P.Policy},
 		{b: 1, scheme: cpisim.BranchStatic, policy: l.P.Policy},
 		{b: 2, scheme: cpisim.BranchStatic, policy: l.P.Policy},
 		{b: 3, scheme: cpisim.BranchStatic, policy: l.P.Policy},
 		{b: 0, scheme: cpisim.BranchBTB, policy: l.P.Policy},
 	}
+}
+
+// Prewarm runs the default passes (DefaultPasses), so the experiments that
+// follow hit the memo.
+func (l *Lab) Prewarm() error {
+	_, err := l.DefaultPasses(context.Background())
+	return err
+}
+
+// DefaultPasses returns the results of the default passes, in defaultKeys
+// order, running the ones not yet memoized concurrently. Each pass is an
+// independent simulator over the shared read-only programs; results are
+// deterministic regardless of completion order.
+func (l *Lab) DefaultPasses(ctx context.Context) ([]*cpisim.Result, error) {
+	keys := l.defaultKeys()
 	l.progress.StartPhase("simulation passes", int64(len(keys)))
+	res := make([]*cpisim.Result, len(keys))
 	errs := make([]error, len(keys))
 	var wg sync.WaitGroup
 	for i, k := range keys {
 		wg.Add(1)
 		go func(i int, k passKey) {
 			defer wg.Done()
-			_, errs[i] = l.pass(context.Background(), k)
+			if e, err := l.pass(ctx, k); err != nil {
+				errs[i] = err
+			} else {
+				res[i] = e.res
+			}
 			l.progress.Step(1)
 		}(i, k)
 	}
@@ -824,7 +850,79 @@ func (l *Lab) Prewarm() error {
 	l.progress.Finish()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// Seed fills the lab's memo from stored results: passes are copies of
+// DefaultPasses' results, in its order, and table1 is Table 1's rows. A
+// pass already memoized or in flight, and a Table 1 already seeded, keep
+// their entries. Each seeded result takes its configuration from its key
+// and the lab's parameters, as a run would, and each static pass gets its
+// CPI table, so nothing the seeds cover ever runs a simulation or a probe.
+// Seed checks the shape of every result against the lab's suite and size
+// bank before it changes anything.
+func (l *Lab) Seed(passes []*cpisim.Result, table1 []Table1Row) error {
+	keys := l.defaultKeys()
+	if len(passes) != len(keys) {
+		return fmt.Errorf("core: seeding %d passes, want %d", len(passes), len(keys))
+	}
+	ws := l.workloads()
+	for i, r := range passes {
+		if err := l.checkSeed(r, ws); err != nil {
+			return fmt.Errorf("core: seeding %s pass b=%d: %w", keys[i].scheme, keys[i].b, err)
+		}
+	}
+	if len(table1) != len(l.Suite.Specs) {
+		return fmt.Errorf("core: seeding Table 1 with %d rows, suite has %d benchmarks", len(table1), len(l.Suite.Specs))
+	}
+	for i, row := range table1 {
+		if row.Name != l.Suite.Specs[i].Name {
+			return fmt.Errorf("core: seeding Table 1 row %d with %q, want %q", i, row.Name, l.Suite.Specs[i].Name)
+		}
+	}
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i, k := range keys {
+		if _, ok := l.passes[k]; ok {
+			continue
+		}
+		res := *passes[i]
+		res.Config = l.passConfig(k)
+		e := &passEntry{done: make(chan struct{}), res: &res}
+		if k.scheme == cpisim.BranchStatic {
+			e.tab = cpisim.NewCPITable(e.res)
+		}
+		close(e.done)
+		l.passes[k] = e
+	}
+	if l.table1 == nil {
+		l.table1 = newTable1Result(slices.Clone(table1))
+	}
+	return nil
+}
+
+// checkSeed reports why r cannot stand in for a default pass over ws: one
+// result per workload, by name, each with one miss count per size of the
+// bank on either side and no second-level results.
+func (l *Lab) checkSeed(r *cpisim.Result, ws []cpisim.Workload) error {
+	if r == nil {
+		return fmt.Errorf("no result")
+	}
+	if len(r.Benches) != len(ws) {
+		return fmt.Errorf("%d benchmarks, suite has %d", len(r.Benches), len(ws))
+	}
+	n := len(l.P.SizesKW)
+	for i := range r.Benches {
+		b := &r.Benches[i]
+		if b.Name != ws[i].Prog.Name {
+			return fmt.Errorf("benchmark %d is %q, want %q", i, b.Name, ws[i].Prog.Name)
+		}
+		if len(b.IMisses) != n || len(b.DReadMisses) != n || len(b.DWriteMisses) != n || b.L2 != nil {
+			return fmt.Errorf("%s does not fit the %d-size bank", b.Name, n)
 		}
 	}
 	return nil

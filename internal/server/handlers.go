@@ -105,30 +105,16 @@ type HealthResponse struct {
 	Benchmarks    []string  `json:"benchmarks"`
 	Insts         int64     `json:"insts"`
 	PassesRun     int64     `json:"passes_run"`
-	// Surface identifies the baked surface the server answers from, when
-	// one is loaded.
+	// Surface identifies the baked surface the server was seeded from,
+	// when one is loaded.
 	Surface *SurfaceInfo `json:"surface,omitempty"`
 }
 
-// serveCached answers the request from the cheapest tier that has it:
-// the baked surface (an index-and-read with zero simulation), then the
-// content-addressed result cache and the live compute path — cache hits
-// return immediately, concurrent identical requests collapse onto one
-// computation, and fresh work competes for a pool slot.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, baked func() (any, bool), compute func(context.Context) (any, error)) {
-	if s.surface != nil && baked != nil {
-		if v, ok := baked(); ok {
-			s.reg.Counter("surface.hits").Inc()
-			body, err := json.Marshal(v)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			s.writeBody(w, r, body, "surface")
-			return
-		}
-		s.reg.Counter("surface.misses").Inc()
-	}
+// serveCached answers the request from the content-addressed result cache
+// or the live compute path: cache hits return immediately, concurrent
+// identical requests collapse onto one computation, and fresh work
+// competes for a pool slot.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) (any, error)) {
 	body, outcome, err := s.cache.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
 		var out []byte
 		err := s.pool.Run(ctx, func(ctx context.Context) error {
@@ -189,15 +175,13 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, RequestKey("simulate", req),
-		func() (any, bool) { return s.bakedSimulate(req) },
 		func(ctx context.Context) (any, error) {
 			return s.simulate(ctx, req)
 		})
 }
 
-// simulate evaluates one design point and decomposes its CPI. The point
-// math lives in core.Lab.EvalPoint, the single definition the surface
-// baker shares, so baked and live answers cannot drift.
+// simulate evaluates one design point and decomposes its CPI
+// (core.Lab.EvalPoint).
 func (s *Server) simulate(ctx context.Context, req DesignRequest) (*SimulateResponse, error) {
 	scheme, err := cpisim.ParseLoadScheme(req.Loads)
 	if err != nil {
@@ -219,7 +203,6 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, RequestKey("best", req),
-		func() (any, bool) { return s.bakedBest(req) },
 		func(ctx context.Context) (any, error) {
 			scheme, err := cpisim.ParseLoadScheme(req.Loads)
 			if err != nil {
@@ -240,7 +223,6 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, q.Key(),
-		func() (any, bool) { return s.bakedFigure(strconv.Itoa(q.N), q.Penalty) },
 		func(ctx context.Context) (any, error) {
 			var f *core.FigureResult
 			var err error
@@ -266,7 +248,6 @@ func (s *Server) handleTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCached(w, r, q.Key(),
-		func() (any, bool) { return s.bakedTable(q.N) },
 		func(ctx context.Context) (any, error) {
 			var v fmt.Stringer
 			var terr error

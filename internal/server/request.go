@@ -198,14 +198,16 @@ func inBank(size int, bank []int) bool {
 type ReportRequest struct {
 	Figure  bool
 	N       int
-	Penalty int // figures only: the Figure 11 miss penalty in cycles
+	Penalty int // Figure 11 only: its miss penalty in cycles; 0 otherwise
 }
 
 // ParseReportRequest validates a figure (figure true) or table request,
 // for the server and the coordinator alike. A figure's penalty is checked
 // before its number, so a request wrong on both counts gets the same 400
-// from every tier. On a bad request it returns the status and message to
-// answer with; status is 0 for a valid one.
+// from every tier. Figures 12 and 13 do not read the penalty, so it is
+// dropped from their requests, and every spelling of one of them shares
+// one key and one path. On a bad request it returns the status and
+// message to answer with; status is 0 for a valid one.
 func ParseReportRequest(r *http.Request, figure bool) (q ReportRequest, status int, msg string) {
 	n := r.PathValue("n")
 	if !figure {
@@ -226,6 +228,9 @@ func ParseReportRequest(r *http.Request, figure bool) (q ReportRequest, status i
 	switch n {
 	case "11", "12", "13":
 		q.N, _ = strconv.Atoi(n)
+		if q.N != 11 {
+			q.Penalty = 0
+		}
 		return q, 0, ""
 	}
 	return q, http.StatusNotFound, "unknown figure (serving 11, 12, 13)"
@@ -234,7 +239,11 @@ func ParseReportRequest(r *http.Request, figure bool) (q ReportRequest, status i
 // Key is the request's content address (see RequestKey).
 func (q ReportRequest) Key() string {
 	if q.Figure {
-		return RequestKey("figures", map[string]any{"n": strconv.Itoa(q.N), "penalty": q.Penalty})
+		k := map[string]any{"n": strconv.Itoa(q.N)}
+		if q.N == 11 {
+			k["penalty"] = q.Penalty
+		}
+		return RequestKey("figures", k)
 	}
 	return RequestKey("tables", map[string]int{"n": q.N})
 }
@@ -242,7 +251,11 @@ func (q ReportRequest) Key() string {
 // Path is the request's canonical path, the one the coordinator forwards.
 func (q ReportRequest) Path() string {
 	if q.Figure {
-		return "/v1/figures/" + strconv.Itoa(q.N) + "?penalty=" + strconv.Itoa(q.Penalty)
+		p := "/v1/figures/" + strconv.Itoa(q.N)
+		if q.N == 11 {
+			p += "?penalty=" + strconv.Itoa(q.Penalty)
+		}
+		return p
 	}
 	return "/v1/tables/" + strconv.Itoa(q.N)
 }

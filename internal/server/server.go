@@ -57,11 +57,10 @@ type Config struct {
 	// AccessLog receives one structured line per request (default
 	// os.Stderr; io.Discard silences it).
 	AccessLog io.Writer
-	// Surface is an optional baked design-space surface (see
-	// internal/surface): when set, the /v1 endpoints answer from it as
-	// O(1) lookups, falling back to the result cache and live simulation
-	// for anything outside the baked space. New rejects a surface baked
-	// for a different lab.
+	// Surface is an optional baked surface (see internal/surface): New
+	// seeds the lab's pass memo and Table 1 from it, so every default-
+	// policy request is answered with no simulation. New rejects a
+	// surface baked for a different lab.
 	Surface *surface.Surface
 }
 
@@ -99,7 +98,7 @@ type Server struct {
 	pool    *Pool
 	shell   *Shell
 	build   BuildInfo
-	surface *surface.Surface // nil when serving live-only
+	surface *surface.Surface // nil when not seeded from a surface
 }
 
 // New wraps lab with the HTTP service. The server shares the lab's metric
@@ -125,28 +124,15 @@ func New(lab *core.Lab, cfg Config) (*Server, error) {
 		build: VersionInfo(),
 	}
 	if cfg.Surface != nil {
-		if err := validateSurface(cfg.Surface, lab); err != nil {
-			return nil, err
+		// Serving a mismatched surface would silently return another
+		// experiment's numbers.
+		if err := cfg.Surface.Seed(lab); err != nil {
+			return nil, fmt.Errorf("server: %w", err)
 		}
 		s.surface = cfg.Surface
 	}
 	s.routes()
 	return s, nil
-}
-
-// validateSurface refuses a surface that was baked for a different design
-// space: the params hash must match the lab's fingerprint and the point
-// section must cover the lab's enumeration exactly. Serving a mismatched
-// surface would silently return another experiment's numbers.
-func validateSurface(sf *surface.Surface, lab *core.Lab) error {
-	want := surface.HashParams(core.Fingerprint(lab.Suite, lab.P))
-	if sf.ParamsHash() != want {
-		return fmt.Errorf("server: surface %s was baked for a different lab (params hash mismatch); rebake with matching -insts/-benchmarks", sf.Hash()[:12])
-	}
-	if n := len(core.DesignSpace(lab.P)); sf.NumPoints() != n {
-		return fmt.Errorf("server: surface has %d points, lab's design space has %d", sf.NumPoints(), n)
-	}
-	return nil
 }
 
 // Registry returns the shared metric registry.

@@ -229,6 +229,25 @@ func TestEndpoints(t *testing.T) {
 		}
 	})
 
+	t.Run("figure12_penalty_shares_the_cache_entry", func(t *testing.T) {
+		// Figure 12 does not read the penalty, so a spelling that carries
+		// one is the same request: one key, one body, one ETag.
+		resp1, body1 := get(t, ts.URL+"/v1/figures/12?penalty=6")
+		if resp1.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp1.StatusCode, body1)
+		}
+		resp2, body2 := get(t, ts.URL+"/v1/figures/12")
+		if xc := resp2.Header.Get("X-Cache"); xc != string(OutcomeHit) {
+			t.Fatalf("second spelling X-Cache = %q, want hit", xc)
+		}
+		if !bytes.Equal(body1, body2) {
+			t.Fatal("the two spellings of figure 12 answered different bodies")
+		}
+		if e1, e2 := resp1.Header.Get("ETag"), resp2.Header.Get("ETag"); e1 == "" || e1 != e2 {
+			t.Fatalf("ETags differ: %q, %q", e1, e2)
+		}
+	})
+
 	t.Run("metrics", func(t *testing.T) {
 		resp, body := get(t, ts.URL+"/metrics")
 		if resp.StatusCode != http.StatusOK {

@@ -133,7 +133,7 @@ func (h *Shell) Handle(pattern, name string, fn http.HandlerFunc) {
 }
 
 // strongETag derives the strong entity tag of a response body: the
-// truncated hex SHA-256 of the exact bytes served. Baked and live paths
+// truncated hex SHA-256 of the exact bytes served. Seeded and live labs
 // produce byte-identical bodies, and the coordinator relays a shard's
 // body through the same WriteBody, so every tier's tag for one answer
 // matches, across restarts and bake/no-bake deployments alike.

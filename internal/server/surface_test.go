@@ -6,19 +6,21 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
-	"pipecache/internal/core"
 	"pipecache/internal/surface"
 )
 
 // bakedSurface bakes (once per test binary) a surface matching the testLab
 // parameters, on a throwaway lab so the serving lab under test starts with
-// zero passes.
+// zero passes. bakedData keeps what was baked, for tests that build
+// altered surfaces from it.
 var (
 	bakedOnce sync.Once
+	bakedData *surface.Data
 	bakedSurf *surface.Surface
 	bakedErr  error
 )
@@ -27,12 +29,11 @@ func bakedSurface(t testing.TB) *surface.Surface {
 	t.Helper()
 	bakedOnce.Do(func() {
 		lab := testLab(t, 20_000)
-		d, err := surface.Bake(context.Background(), lab)
-		if err != nil {
-			bakedErr = err
+		bakedData, bakedErr = surface.Bake(context.Background(), lab)
+		if bakedErr != nil {
 			return
 		}
-		b, err := surface.Encode(d)
+		b, err := surface.Encode(bakedData)
 		if err != nil {
 			bakedErr = err
 			return
@@ -45,9 +46,9 @@ func bakedSurface(t testing.TB) *surface.Surface {
 	return bakedSurf
 }
 
-// TestSurfaceServing: a surface-backed server answers baked requests as
-// pure lookups — provenance and identity headers set, zero simulation on
-// the serving lab — and reports the surface in /healthz.
+// TestSurfaceServing: a surface-seeded server answers default-policy
+// requests through the live handlers with zero simulation on the serving
+// lab, sets the identity headers, and reports the surface in /healthz.
 func TestSurfaceServing(t *testing.T) {
 	sf := bakedSurface(t)
 	lab := testLab(t, 20_000)
@@ -57,8 +58,8 @@ func TestSurfaceServing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	if xc := resp.Header.Get("X-Cache"); xc != "surface" {
-		t.Fatalf("X-Cache = %q, want surface", xc)
+	if xc := resp.Header.Get("X-Cache"); xc != string(OutcomeMiss) {
+		t.Fatalf("X-Cache = %q, want miss (computed on the seeded passes)", xc)
 	}
 	if xs := resp.Header.Get("X-Surface"); xs != sf.Hash() {
 		t.Fatalf("X-Surface = %q, want %q", xs, sf.Hash())
@@ -67,12 +68,9 @@ func TestSurfaceServing(t *testing.T) {
 		t.Fatalf("ETag %q is not a quoted strong tag", et)
 	}
 	c := srv.Registry().Snapshot().Counters
-	if c["lab.pass_requests"] != 0 || c["lab.passes_run"] != 0 {
-		t.Fatalf("surface-served request ran simulation: pass_requests=%d passes_run=%d",
-			c["lab.pass_requests"], c["lab.passes_run"])
-	}
-	if c["surface.hits"] != 1 {
-		t.Fatalf("surface.hits = %d, want 1", c["surface.hits"])
+	if c["lab.passes_run"] != 0 || c["lab.captures"] != 0 {
+		t.Fatalf("surface-seeded request ran simulation: passes_run=%d captures=%d",
+			c["lab.passes_run"], c["lab.captures"])
 	}
 
 	_, hbody := get(t, ts.URL+"/healthz")
@@ -80,32 +78,34 @@ func TestSurfaceServing(t *testing.T) {
 	if err := json.Unmarshal(hbody, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Surface == nil || h.Surface.Hash != sf.Hash() || h.Surface.Points != sf.NumPoints() {
-		t.Fatalf("healthz surface block = %+v, want hash %s with %d points", h.Surface, sf.Hash(), sf.NumPoints())
+	if h.Surface == nil || h.Surface.Hash != sf.Hash() || h.Surface.Passes != sf.NumPasses() || h.PassesRun != 0 {
+		t.Fatalf("healthz = %+v with surface block %+v, want hash %s with %d passes and none run",
+			h, h.Surface, sf.Hash(), sf.NumPasses())
 	}
 }
 
-// TestSurfaceFallbackServesFromResultCache: a request outside the baked
-// space is computed live exactly once, and the second identical request is
-// a result-cache hit with the same body and ETag — then revalidates to 304.
+// TestSurfaceFallbackServesFromResultCache: on a surface-seeded server a
+// request at an l2_time_ns the bake never saw is computed once, with no
+// simulation, and the second identical request is a result-cache hit with
+// the same body and ETag — then revalidates to 304.
 func TestSurfaceFallbackServesFromResultCache(t *testing.T) {
 	sf := bakedSurface(t)
 	lab := testLab(t, 20_000)
 	srv, ts := testServer(t, lab, Config{Surface: sf})
 
-	// l2_time_ns 50 is off the baked surface (baked at the lab default).
+	// l2_time_ns 50 is not the lab default the bake ran at.
 	unbaked := `{"b":2,"l":2,"isize_kw":8,"dsize_kw":8,"l2_time_ns":50}`
 	resp1, body1 := postJSON(t, ts.URL+"/v1/simulate", unbaked)
 	if resp1.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp1.StatusCode, body1)
 	}
 	if xc := resp1.Header.Get("X-Cache"); xc != string(OutcomeMiss) {
-		t.Fatalf("first un-baked request X-Cache = %q, want miss", xc)
+		t.Fatalf("first request X-Cache = %q, want miss", xc)
 	}
 
 	resp2, body2 := postJSON(t, ts.URL+"/v1/simulate", unbaked)
 	if xc := resp2.Header.Get("X-Cache"); xc != string(OutcomeHit) {
-		t.Fatalf("second un-baked request X-Cache = %q, want hit", xc)
+		t.Fatalf("second request X-Cache = %q, want hit", xc)
 	}
 	if !bytes.Equal(body1, body2) {
 		t.Fatalf("cached body differs from the live body:\nlive:   %s\ncached: %s", body1, body2)
@@ -139,14 +139,17 @@ func TestSurfaceFallbackServesFromResultCache(t *testing.T) {
 		t.Fatalf("result cache misses=%d hits=%d, want 1 live compute and 2 hits",
 			c["server.cache.misses"], c["server.cache.hits"])
 	}
+	if c["lab.passes_run"] != 0 {
+		t.Fatalf("a fresh l2_time_ns ran %d passes on a seeded lab", c["lab.passes_run"])
+	}
 }
 
 // TestNewRejectsMismatchedSurface: New must refuse a surface whose params
-// hash or point count disagrees with the lab, instead of silently serving
+// hash or pass shapes disagree with the lab, instead of silently serving
 // another experiment's numbers.
 func TestNewRejectsMismatchedSurface(t *testing.T) {
+	bakedSurface(t)
 	lab := testLab(t, 20_000)
-	want := surface.HashParams(core.Fingerprint(lab.Suite, lab.P))
 
 	mk := func(d *surface.Data) *surface.Surface {
 		t.Helper()
@@ -161,18 +164,22 @@ func TestNewRejectsMismatchedSurface(t *testing.T) {
 		return sf
 	}
 
-	wrongParams := mk(&surface.Data{ParamsHash: [32]byte{0xde, 0xad}})
-	if _, err := New(lab, Config{Surface: wrongParams, AccessLog: io.Discard}); err == nil ||
+	wrongParams := *bakedData
+	wrongParams.ParamsHash = [32]byte{0xde, 0xad}
+	if _, err := New(lab, Config{Surface: mk(&wrongParams), AccessLog: io.Discard}); err == nil ||
 		!strings.Contains(err.Error(), "params hash mismatch") {
 		t.Fatalf("New accepted a surface with a foreign params hash: %v", err)
 	}
 
-	wrongCount := mk(&surface.Data{
-		ParamsHash: want,
-		Points:     make([]surface.PointRecord, 3),
-	})
-	if _, err := New(lab, Config{Surface: wrongCount, AccessLog: io.Discard}); err == nil ||
-		!strings.Contains(err.Error(), "points") {
-		t.Fatalf("New accepted a surface with the wrong point count: %v", err)
+	// The right fingerprint over a pass whose I-cache ladder is short.
+	wrongShape := *bakedData
+	wrongShape.Passes = slices.Clone(bakedData.Passes)
+	short := *wrongShape.Passes[0]
+	short.Benches = slices.Clone(short.Benches)
+	short.Benches[0].IMisses = short.Benches[0].IMisses[:1]
+	wrongShape.Passes[0] = &short
+	if _, err := New(lab, Config{Surface: mk(&wrongShape), AccessLog: io.Discard}); err == nil ||
+		!strings.Contains(err.Error(), "size bank") {
+		t.Fatalf("New accepted a surface with a short miss ladder: %v", err)
 	}
 }

@@ -6,74 +6,51 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
+
+	"pipecache/internal/core"
+	"pipecache/internal/cpisim"
+	"pipecache/internal/stats"
 )
 
 const (
 	magicPrefix  = "PSF"
-	magicVersion = '1'
+	magicVersion = '2'
 
 	// Decode bounds: a surface is a small artifact, so anything that
 	// claims more than these is corrupt or hostile. Lengths are always
 	// cross-checked against the remaining input before allocating.
 	maxSections = 1 << 12
 	maxNameLen  = 256
-	maxStrLen   = 1 << 20
+	maxStrLen   = 1 << 16
 )
 
-// Section names of the v1 layout. Unknown names are skipped on decode so
+// Section names of the v2 layout. Unknown names are skipped on decode so
 // the format can grow additively without a magic bump.
-const (
-	secPoints       = "points"
-	secBest         = "best"
-	secFigurePrefix = "figure:"
-	secTablePrefix  = "table:"
-)
+var passSections = [...]string{"pass:static/0", "pass:static/1", "pass:static/2", "pass:static/3", "pass:btb"}
 
-// Encode serializes d into the PSF1 byte format. The output is
-// deterministic: sections are emitted in a fixed order (points, best,
-// figures sorted by key, tables sorted by number), so equal Data encodes
-// to equal bytes and the golden-file tier can diff format drift.
+const secTable1 = "table:1"
+
+// Encode serializes d into the PSF2 byte format. The output is
+// deterministic: the pass sections in core.Lab.DefaultPasses order, then
+// Table 1, so equal Data encodes to equal bytes and the golden-file tier
+// can diff format drift.
 func Encode(d *Data) ([]byte, error) {
 	if d == nil {
 		return nil, fmt.Errorf("surface: nil data")
 	}
-	figs := append([]FigureRecord(nil), d.Figures...)
-	sort.Slice(figs, func(i, j int) bool { return figs[i].Key < figs[j].Key })
-	tabs := append([]TableRecord(nil), d.Tables...)
-	sort.Slice(tabs, func(i, j int) bool { return tabs[i].N < tabs[j].N })
-
-	var sections []section
-	sections = append(sections,
-		section{name: secPoints, payload: encodePoints(d.Points)},
-		section{name: secBest, payload: encodeBest(d.Best)},
-	)
-	for i := range figs {
-		if len(figs[i].Key) == 0 || len(figs[i].Key) > maxNameLen-len(secFigurePrefix) {
-			return nil, fmt.Errorf("surface: bad figure key %q", figs[i].Key)
+	if len(d.Passes) != len(passSections) {
+		return nil, fmt.Errorf("surface: %d passes, the layout stores %d", len(d.Passes), len(passSections))
+	}
+	payload := binary.AppendUvarint(nil, uint64(len(passSections)+1))
+	for i, r := range d.Passes {
+		body, err := encodePass(r)
+		if err != nil {
+			return nil, fmt.Errorf("surface: section %q: %w", passSections[i], err)
 		}
-		sections = append(sections, section{
-			name:    secFigurePrefix + figs[i].Key,
-			payload: encodeFigure(&figs[i]),
-		})
+		payload = appendSection(payload, passSections[i], body)
 	}
-	for _, t := range tabs {
-		sections = append(sections, section{
-			name:    secTablePrefix + strconv.Itoa(t.N),
-			payload: []byte(t.Text),
-		})
-	}
-
-	var payload []byte
-	payload = binary.AppendUvarint(payload, uint64(len(sections)))
-	for _, s := range sections {
-		payload = binary.AppendUvarint(payload, uint64(len(s.name)))
-		payload = append(payload, s.name...)
-		payload = binary.AppendUvarint(payload, uint64(len(s.payload)))
-		payload = append(payload, s.payload...)
-	}
+	payload = appendSection(payload, secTable1, encodeTable1(d.Table1))
 
 	sum := sha256.Sum256(payload)
 	out := make([]byte, 0, 4+32+32+len(payload))
@@ -85,12 +62,22 @@ func Encode(d *Data) ([]byte, error) {
 	return out, nil
 }
 
-type section struct {
-	name    string
-	payload []byte
+func appendSection(b []byte, name string, payload []byte) []byte {
+	b = appendStr(b, name)
+	b = binary.AppendUvarint(b, uint64(len(payload)))
+	return append(b, payload...)
 }
 
-// Decode parses and validates a PSF1 surface: magic, version, payload
+func appendStr(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func appendFloat(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// Decode parses and validates a PSF2 surface: magic, version, payload
 // hash, and every internal length. The returned Surface pins the decoded
 // content in memory.
 func Decode(b []byte) (*Surface, error) {
@@ -112,17 +99,17 @@ func decode(b []byte, verify bool) (*Surface, error) {
 	switch v := magic[3]; {
 	case v == magicVersion:
 	case v > magicVersion && v <= '9':
-		return nil, fmt.Errorf("surface: format version %c is newer than this reader (PSF1); rebake or upgrade", v)
+		return nil, fmt.Errorf("surface: format version %c is newer than this reader (PSF2); rebake or upgrade", v)
+	case v >= '1' && v < magicVersion:
+		return nil, fmt.Errorf("surface: format version %c is older than this reader (PSF2) and stores answers, not passes; rebake it", v)
 	default:
 		return nil, fmt.Errorf("surface: bad magic %q", magic)
 	}
-	d := &Data{}
+	d := &Data{Passes: make([]*cpisim.Result, len(passSections))}
 	copy(d.ParamsHash[:], b[4:36])
-	var want [32]byte
-	copy(want[:], b[36:68])
 	payload := b[68:]
 	sum := sha256.Sum256(payload)
-	if verify && sum != want {
+	if verify && !bytes.Equal(sum[:], b[36:68]) {
 		return nil, fmt.Errorf("surface: payload hash mismatch (corrupt or truncated surface)")
 	}
 
@@ -134,6 +121,7 @@ func decode(b []byte, verify bool) (*Surface, error) {
 	if nsec > maxSections {
 		return nil, fmt.Errorf("surface: %d sections exceeds the format bound %d", nsec, maxSections)
 	}
+	seen := map[string]bool{}
 	for i := uint64(0); i < nsec; i++ {
 		name, err := r.str(maxNameLen)
 		if err != nil {
@@ -147,47 +135,172 @@ func decode(b []byte, verify bool) (*Surface, error) {
 		if err != nil {
 			return nil, fmt.Errorf("surface: section %q: %w", name, err)
 		}
+		if seen[name] {
+			return nil, fmt.Errorf("surface: duplicate section %q", name)
+		}
+		seen[name] = true
 		sr := &reader{b: body}
-		switch {
-		case name == secPoints:
-			if d.Points, err = decodePoints(sr); err != nil {
-				return nil, fmt.Errorf("surface: points section: %w", err)
-			}
-		case name == secBest:
-			if d.Best, err = decodeBest(sr); err != nil {
-				return nil, fmt.Errorf("surface: best section: %w", err)
-			}
-		case strings.HasPrefix(name, secFigurePrefix):
-			f, err := decodeFigure(sr, strings.TrimPrefix(name, secFigurePrefix))
-			if err != nil {
-				return nil, fmt.Errorf("surface: section %q: %w", name, err)
-			}
-			d.Figures = append(d.Figures, *f)
-		case strings.HasPrefix(name, secTablePrefix):
-			n, err := strconv.Atoi(strings.TrimPrefix(name, secTablePrefix))
-			if err != nil {
-				return nil, fmt.Errorf("surface: section %q: bad table number", name)
-			}
-			d.Tables = append(d.Tables, TableRecord{N: n, Text: string(body)})
-		default:
-			// Unknown section from an additive format extension: skip.
+		if name == secTable1 {
+			d.Table1, err = decodeTable1(sr)
+		} else if p := slices.Index(passSections[:], name); p >= 0 {
+			d.Passes[p], err = decodePass(sr)
+		}
+		// Any other name is an additive format extension: skip it.
+		if err != nil {
+			return nil, fmt.Errorf("surface: section %q: %w", name, err)
 		}
 	}
+	for _, name := range append(passSections[:], secTable1) {
+		if !seen[name] {
+			return nil, fmt.Errorf("surface: missing section %q", name)
+		}
+	}
+	return &Surface{d: d, hash: fmt.Sprintf("%x", sum), size: len(b)}, nil
+}
 
-	s := &Surface{
-		d:       d,
-		hash:    fmt.Sprintf("%x", sum),
-		size:    len(b),
-		figures: make(map[string]*FigureRecord, len(d.Figures)),
-		tables:  make(map[int]string, len(d.Tables)),
+// benchCounters lists a benchmark's scalar counters in the order a pass
+// section stores them; encode and decode walk the same list.
+func benchCounters(b *cpisim.BenchResult) []*int64 {
+	cs := []*int64{
+		&b.Insts, &b.CTIs, &b.BranchStall, &b.FillStall,
+		&b.PredTaken, &b.PredTakenRight, &b.PredNotTaken, &b.PredNotTakenRight,
+		&b.Loads, &b.LoadUses, &b.LoadStall, &b.IFetches, &b.DReads, &b.DWrites,
 	}
-	for i := range d.Figures {
-		s.figures[d.Figures[i].Key] = &d.Figures[i]
+	for i := range b.BTBOutcomes {
+		cs = append(cs, &b.BTBOutcomes[i])
 	}
-	for _, t := range d.Tables {
-		s.tables[t.N] = t.Text
+	return cs
+}
+
+// benchLadders lists a benchmark's per-size miss ladders in stored order.
+func benchLadders(b *cpisim.BenchResult) []*[]int64 {
+	return []*[]int64{&b.IMisses, &b.DReadMisses, &b.DWriteMisses}
+}
+
+// minBenchBytes is the fewest bytes one stored benchmark occupies: a name
+// length, the weight, one byte per counter, ladder length and histogram
+// bin count.
+var minBenchBytes = 1 + 8 + len(benchCounters(&cpisim.BenchResult{})) + 3 + 2
+
+// encodePass lays out one pass result: per benchmark its name, weight,
+// counters, miss ladders and epsilon histograms. The configuration is not
+// stored; a seeded lab rebuilds it from the pass key and its parameters.
+func encodePass(r *cpisim.Result) ([]byte, error) {
+	if r == nil {
+		return nil, fmt.Errorf("no result")
 	}
-	return s, nil
+	b := binary.AppendUvarint(nil, uint64(len(r.Benches)))
+	for i := range r.Benches {
+		br := &r.Benches[i]
+		if br.L2 != nil {
+			return nil, fmt.Errorf("%s has second-level results, which the layout does not store", br.Name)
+		}
+		b = appendStr(b, br.Name)
+		b = appendFloat(b, br.Weight)
+		for _, c := range benchCounters(br) {
+			b = binary.AppendVarint(b, *c)
+		}
+		for _, l := range benchLadders(br) {
+			b = binary.AppendUvarint(b, uint64(len(*l)))
+			for _, v := range *l {
+				b = binary.AppendVarint(b, v)
+			}
+		}
+		b = appendHist(b, br.Eps)
+		b = appendHist(b, br.EpsBlock)
+	}
+	return b, nil
+}
+
+// appendHist stores a histogram as its bin count (0 for none), then every
+// bin's count and the overflow count.
+func appendHist(b []byte, h *stats.Hist) []byte {
+	if h == nil {
+		return binary.AppendUvarint(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(h.Bins()))
+	for v := 0; v <= h.Bins(); v++ {
+		b = binary.AppendUvarint(b, h.Count(v))
+	}
+	return b
+}
+
+func decodePass(r *reader) (*cpisim.Result, error) {
+	n, err := r.count(minBenchBytes)
+	if err != nil {
+		return nil, fmt.Errorf("benchmark count: %w", err)
+	}
+	res := &cpisim.Result{Benches: make([]cpisim.BenchResult, n)}
+	for i := range res.Benches {
+		br := &res.Benches[i]
+		if br.Name, err = r.str(maxNameLen); err != nil {
+			return nil, fmt.Errorf("benchmark %d name: %w", i, err)
+		}
+		if br.Weight, err = r.float(); err != nil {
+			return nil, fmt.Errorf("%s weight: %w", br.Name, err)
+		}
+		for _, c := range benchCounters(br) {
+			if *c, err = r.varint(); err != nil {
+				return nil, fmt.Errorf("%s counters: %w", br.Name, err)
+			}
+		}
+		for _, l := range benchLadders(br) {
+			if *l, err = r.int64s(); err != nil {
+				return nil, fmt.Errorf("%s miss ladder: %w", br.Name, err)
+			}
+		}
+		if br.Eps, err = r.hist(); err != nil {
+			return nil, fmt.Errorf("%s epsilon histogram: %w", br.Name, err)
+		}
+		if br.EpsBlock, err = r.hist(); err != nil {
+			return nil, fmt.Errorf("%s block epsilon histogram: %w", br.Name, err)
+		}
+	}
+	return res, nil
+}
+
+// rowStrings and rowFloats list a Table 1 row's fields in stored order.
+func rowStrings(row *core.Table1Row) []*string {
+	return []*string{&row.Name, &row.Desc, &row.Kind}
+}
+
+func rowFloats(row *core.Table1Row) []*float64 {
+	return []*float64{&row.MInsts, &row.LoadPct, &row.StorePct, &row.CTIPct}
+}
+
+func encodeTable1(rows []core.Table1Row) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(rows)))
+	for i := range rows {
+		for _, s := range rowStrings(&rows[i]) {
+			b = appendStr(b, *s)
+		}
+		for _, f := range rowFloats(&rows[i]) {
+			b = appendFloat(b, *f)
+		}
+	}
+	return b
+}
+
+func decodeTable1(r *reader) ([]core.Table1Row, error) {
+	// Three string lengths and four fixed floats per row.
+	n, err := r.count(3 + 4*8)
+	if err != nil {
+		return nil, fmt.Errorf("row count: %w", err)
+	}
+	rows := make([]core.Table1Row, n)
+	for i := range rows {
+		for _, s := range rowStrings(&rows[i]) {
+			if *s, err = r.str(maxStrLen); err != nil {
+				return nil, fmt.Errorf("row %d: %w", i, err)
+			}
+		}
+		for _, f := range rowFloats(&rows[i]) {
+			if *f, err = r.float(); err != nil {
+				return nil, fmt.Errorf("row %d: %w", i, err)
+			}
+		}
+	}
+	return rows, nil
 }
 
 // reader is a bounds-checked cursor over a decode buffer. Every length it
@@ -203,6 +316,15 @@ func (r *reader) remaining() int { return len(r.b) - r.off }
 
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		return 0, fmt.Errorf("truncated or overlong varint at offset %d", r.off)
+	}
+	r.off += n
+	return v, nil
+}
+
+func (r *reader) varint() (int64, error) {
+	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
 		return 0, fmt.Errorf("truncated or overlong varint at offset %d", r.off)
 	}
@@ -234,6 +356,14 @@ func (r *reader) str(max int) (string, error) {
 	return string(b), nil
 }
 
+func (r *reader) float() (float64, error) {
+	b, err := r.bytes(8)
+	if err != nil {
+		return 0, err
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
+}
+
 // count reads an element count and sanity-checks it against the remaining
 // bytes assuming each element occupies at least minBytes, bounding any
 // allocation by the input size.
@@ -242,238 +372,41 @@ func (r *reader) count(minBytes int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if minBytes < 1 {
-		minBytes = 1
-	}
 	if n > uint64(r.remaining()/minBytes) {
 		return 0, fmt.Errorf("count %d exceeds what %d remaining bytes can hold", n, r.remaining())
 	}
 	return int(n), nil
 }
 
-// floatCol delta-encodes a float64 column: each value's bit pattern is
-// written as a zigzag varint of its difference from the previous pattern.
-// Exactly invertible — the round trip reproduces every bit, including
-// negative zeros and NaN payloads.
-func appendFloatCol(b []byte, vs []float64) []byte {
-	var prev uint64
-	for _, v := range vs {
-		bits := math.Float64bits(v)
-		b = binary.AppendUvarint(b, zigzag(int64(bits-prev)))
-		prev = bits
+// int64s reads a length-prefixed ladder of signed varints.
+func (r *reader) int64s() ([]int64, error) {
+	n, err := r.count(1)
+	if err != nil {
+		return nil, err
 	}
-	return b
-}
-
-func (r *reader) floatCol(n int) ([]float64, error) {
-	if n > r.remaining() {
-		return nil, fmt.Errorf("float column of %d entries exceeds remaining %d bytes", n, r.remaining())
-	}
-	vs := make([]float64, n)
-	var prev uint64
-	for i := 0; i < n; i++ {
-		u, err := r.uvarint()
-		if err != nil {
+	vs := make([]int64, n)
+	for i := range vs {
+		if vs[i], err = r.varint(); err != nil {
 			return nil, err
 		}
-		prev += uint64(unzigzag(u))
-		vs[i] = math.Float64frombits(prev)
 	}
 	return vs, nil
 }
 
-func zigzag(d int64) uint64   { return uint64(d<<1) ^ uint64(d>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// encodePoints lays the point grid out columnar: the penalty column as
-// plain uvarints, then the ten float columns delta-encoded.
-func encodePoints(pts []PointRecord) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(pts)))
-	for _, p := range pts {
-		b = binary.AppendUvarint(b, uint64(p.PenCycles))
-	}
-	for _, col := range pointColumns(pts) {
-		b = appendFloatCol(b, col)
-	}
-	return b
-}
-
-// pointColumns projects the records onto the fixed column order of the
-// points section.
-func pointColumns(pts []PointRecord) [][]float64 {
-	cols := make([][]float64, 10)
-	for i := range cols {
-		cols[i] = make([]float64, len(pts))
-	}
-	for i, p := range pts {
-		cols[0][i] = p.TCPUNs
-		cols[1][i] = p.CPI
-		cols[2][i] = p.TPINs
-		cols[3][i] = p.Base
-		cols[4][i] = p.BranchStall
-		cols[5][i] = p.LoadStall
-		cols[6][i] = p.IMiss
-		cols[7][i] = p.DMiss
-		cols[8][i] = p.IMissRate
-		cols[9][i] = p.DMissRate
-	}
-	return cols
-}
-
-func decodePoints(r *reader) ([]PointRecord, error) {
-	// Each point occupies at least 11 bytes: one penalty varint plus one
-	// byte per float column.
-	n, err := r.count(11)
-	if err != nil {
+// hist reads a histogram stored by appendHist, rebuilding it with the
+// same operations that filled it, so it round-trips bit for bit.
+func (r *reader) hist() (*stats.Hist, error) {
+	bins, err := r.count(1)
+	if err != nil || bins == 0 {
 		return nil, err
 	}
-	pts := make([]PointRecord, n)
-	for i := range pts {
-		pen, err := r.uvarint()
-		if err != nil {
-			return nil, fmt.Errorf("penalty column entry %d: %w", i, err)
-		}
-		if pen > 1<<20 {
-			return nil, fmt.Errorf("penalty %d out of range at entry %d", pen, i)
-		}
-		pts[i].PenCycles = int(pen)
-	}
-	cols := make([][]float64, 10)
-	for c := range cols {
-		col, err := r.floatCol(n)
-		if err != nil {
-			return nil, fmt.Errorf("float column %d: %w", c, err)
-		}
-		cols[c] = col
-	}
-	for i := range pts {
-		pts[i].TCPUNs = cols[0][i]
-		pts[i].CPI = cols[1][i]
-		pts[i].TPINs = cols[2][i]
-		pts[i].Base = cols[3][i]
-		pts[i].BranchStall = cols[4][i]
-		pts[i].LoadStall = cols[5][i]
-		pts[i].IMiss = cols[6][i]
-		pts[i].DMiss = cols[7][i]
-		pts[i].IMissRate = cols[8][i]
-		pts[i].DMissRate = cols[9][i]
-	}
-	return pts, nil
-}
-
-func encodeBest(best []BestRecord) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(best)))
-	for _, r := range best {
-		sym := byte(0)
-		if r.Symmetric {
-			sym = 1
-		}
-		b = append(b, r.Scheme, sym)
-		b = binary.AppendUvarint(b, uint64(r.Evaluated))
-		for _, v := range []int{r.B, r.L, r.ISizeKW, r.DSizeKW, r.PenCycles} {
-			b = binary.AppendUvarint(b, uint64(v))
-		}
-		for _, f := range []float64{r.TCPUNs, r.CPI, r.TPINs} {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-		}
-	}
-	return b
-}
-
-func decodeBest(r *reader) ([]BestRecord, error) {
-	// scheme + symmetric + 6 varints (>=1 byte each) + 3 fixed floats.
-	n, err := r.count(2 + 6 + 24)
-	if err != nil {
-		return nil, err
-	}
-	best := make([]BestRecord, n)
-	for i := range best {
-		hdr, err := r.bytes(2)
+	h := stats.NewHist(bins)
+	for v := 0; v <= bins; v++ {
+		c, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if hdr[1] > 1 {
-			return nil, fmt.Errorf("entry %d: bad symmetric flag %d", i, hdr[1])
-		}
-		best[i].Scheme = hdr[0]
-		best[i].Symmetric = hdr[1] == 1
-		ints := make([]uint64, 6)
-		for j := range ints {
-			if ints[j], err = r.uvarint(); err != nil {
-				return nil, fmt.Errorf("entry %d: %w", i, err)
-			}
-			if ints[j] > 1<<30 {
-				return nil, fmt.Errorf("entry %d: field %d out of range", i, j)
-			}
-		}
-		best[i].Evaluated = int(ints[0])
-		best[i].B, best[i].L = int(ints[1]), int(ints[2])
-		best[i].ISizeKW, best[i].DSizeKW = int(ints[3]), int(ints[4])
-		best[i].PenCycles = int(ints[5])
-		fb, err := r.bytes(24)
-		if err != nil {
-			return nil, fmt.Errorf("entry %d floats: %w", i, err)
-		}
-		best[i].TCPUNs = math.Float64frombits(binary.LittleEndian.Uint64(fb[0:8]))
-		best[i].CPI = math.Float64frombits(binary.LittleEndian.Uint64(fb[8:16]))
-		best[i].TPINs = math.Float64frombits(binary.LittleEndian.Uint64(fb[16:24]))
+		h.AddN(v, c)
 	}
-	return best, nil
-}
-
-func encodeFigure(f *FigureRecord) []byte {
-	var b []byte
-	for _, s := range []string{f.Title, f.XLabel, f.YLabel} {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
-	b = binary.AppendUvarint(b, uint64(len(f.X)))
-	b = appendFloatCol(b, f.X)
-	b = binary.AppendUvarint(b, uint64(len(f.Labels)))
-	for i, lab := range f.Labels {
-		b = binary.AppendUvarint(b, uint64(len(lab)))
-		b = append(b, lab...)
-		b = appendFloatCol(b, f.Y[i])
-	}
-	return b
-}
-
-func decodeFigure(r *reader, key string) (*FigureRecord, error) {
-	f := &FigureRecord{Key: key}
-	var err error
-	if f.Title, err = r.str(maxStrLen); err != nil {
-		return nil, fmt.Errorf("title: %w", err)
-	}
-	if f.XLabel, err = r.str(maxStrLen); err != nil {
-		return nil, fmt.Errorf("x label: %w", err)
-	}
-	if f.YLabel, err = r.str(maxStrLen); err != nil {
-		return nil, fmt.Errorf("y label: %w", err)
-	}
-	nx, err := r.count(1)
-	if err != nil {
-		return nil, fmt.Errorf("x count: %w", err)
-	}
-	if f.X, err = r.floatCol(nx); err != nil {
-		return nil, fmt.Errorf("x column: %w", err)
-	}
-	nl, err := r.count(1)
-	if err != nil {
-		return nil, fmt.Errorf("label count: %w", err)
-	}
-	f.Labels = make([]string, 0, nl)
-	f.Y = make([][]float64, 0, nl)
-	for i := 0; i < nl; i++ {
-		lab, err := r.str(maxStrLen)
-		if err != nil {
-			return nil, fmt.Errorf("label %d: %w", i, err)
-		}
-		ys, err := r.floatCol(nx)
-		if err != nil {
-			return nil, fmt.Errorf("series %d: %w", i, err)
-		}
-		f.Labels = append(f.Labels, lab)
-		f.Y = append(f.Y, ys)
-	}
-	return f, nil
+	return h, nil
 }

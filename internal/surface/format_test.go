@@ -2,39 +2,53 @@ package surface
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
+
+	"pipecache/internal/core"
+	"pipecache/internal/cpisim"
+	"pipecache/internal/stats"
 )
 
-// sampleData builds a small synthetic surface exercising every section
-// kind, including float values the delta encoding must reproduce exactly
-// (negative zero, denormals, huge magnitudes).
+// sampleData builds a small synthetic surface exercising every field the
+// layout stores, including values a live pass never produces (a negative
+// counter, a negative-zero weight, an empty ladder, a missing histogram),
+// so the codec is pinned on more than the shapes the simulator happens to
+// emit.
 func sampleData() *Data {
 	d := &Data{ParamsHash: sha256.Sum256([]byte("params"))}
-	d.Points = []PointRecord{
-		{PenCycles: 10, TCPUNs: 3.5, CPI: 1.25, TPINs: 4.375, Base: 1, BranchStall: 0.1, LoadStall: 0.05, IMiss: 0.07, DMiss: 0.03, IMissRate: 0.01, DMissRate: 0.02},
-		{PenCycles: 2, TCPUNs: math.Copysign(0, -1), CPI: 5e-324, TPINs: 1e308, Base: -1.5, BranchStall: 0, LoadStall: 0, IMiss: 0, DMiss: 0, IMissRate: 1, DMissRate: 0},
-		{PenCycles: 18, TCPUNs: 7.25, CPI: 1.2500000000000002, TPINs: 9.0625, Base: 1.1, BranchStall: 0.2, LoadStall: 0.1, IMiss: 0.02, DMiss: 0.08, IMissRate: 0.003, DMissRate: 0.004},
+	for i := range passSections {
+		eps := stats.NewHist(3)
+		eps.AddN(0, 7)
+		eps.AddN(2, 1<<40)
+		eps.AddN(9, 3) // overflow
+		b := cpisim.BenchResult{
+			Name: "gcc", Weight: 0.25, Insts: 1_000_000 + int64(i), CTIs: 123_456,
+			BranchStall: -1, FillStall: math.MaxInt64, BTBOutcomes: [5]int64{1, 2, 3, 4, 5},
+			Loads: 9, LoadUses: 8, LoadStall: 7, IFetches: 6, DReads: 5, DWrites: 4,
+			IMisses: []int64{10, 5}, DReadMisses: []int64{3, 1}, DWriteMisses: []int64{2, 0},
+			Eps: eps, EpsBlock: stats.NewHist(1),
+		}
+		odd := cpisim.BenchResult{Name: "yacc", Weight: math.Copysign(0, -1),
+			IMisses: []int64{}, DReadMisses: []int64{}, DWriteMisses: []int64{}}
+		d.Passes = append(d.Passes, &cpisim.Result{Benches: []cpisim.BenchResult{b, odd}})
 	}
-	d.Best = []BestRecord{
-		{Scheme: 0, Symmetric: false, Evaluated: 576, B: 2, L: 2, ISizeKW: 8, DSizeKW: 8, PenCycles: 10, TCPUNs: 3.5, CPI: 1.3, TPINs: 4.55},
-		{Scheme: 1, Symmetric: true, Evaluated: 24, B: 1, L: 1, ISizeKW: 16, DSizeKW: 16, PenCycles: 9, TCPUNs: 3.9, CPI: 1.2, TPINs: 4.68},
+	d.Table1 = []core.Table1Row{
+		{Name: "gcc", Desc: "compiler", Kind: "int", MInsts: 22.7, LoadPct: 5e-324, StorePct: 1e308, CTIPct: 16.25},
+		{Name: "yacc", Desc: "parser generator", Kind: "int", MInsts: 1.1},
 	}
-	// Keyed in sorted order: Encode writes figures sorted by key, so the
-	// decoded slice comes back in this order.
-	d.Figures = []FigureRecord{
-		{Key: "11?penalty=10", Title: "t11", XLabel: "x", YLabel: "y", X: []float64{1}, Labels: []string{"l=1"}, Y: [][]float64{{0.5}}},
-		{Key: "12", Title: "t", XLabel: "x", YLabel: "y", X: []float64{2, 4, 8}, Labels: []string{"a", "b"}, Y: [][]float64{{1, 2, 3}, {4, 5, 6}}},
-	}
-	d.Tables = []TableRecord{{N: 1, Text: "table one\n"}, {N: 6, Text: "table six\n"}}
 	return d
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	d := sampleData()
+// roundTrip encodes d, decodes it, and checks that re-encoding the
+// decoded content reproduces the bytes (and therefore the hash).
+func roundTrip(t *testing.T, d *Data) *Surface {
+	t.Helper()
 	b, err := Encode(d)
 	if err != nil {
 		t.Fatal(err)
@@ -43,36 +57,56 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.ParamsHash() != d.ParamsHash {
-		t.Error("params hash did not round-trip")
+	if s.ParamsHash() != d.ParamsHash || s.Size() != len(b) || s.NumPasses() != len(passSections) {
+		t.Fatalf("header: params %x size %d passes %d", s.ParamsHash(), s.Size(), s.NumPasses())
 	}
-	if !reflect.DeepEqual(s.d.Points, d.Points) {
-		t.Errorf("points did not round-trip:\n got %+v\nwant %+v", s.d.Points, d.Points)
-	}
-	if !reflect.DeepEqual(s.d.Best, d.Best) {
-		t.Errorf("best did not round-trip:\n got %+v\nwant %+v", s.d.Best, d.Best)
-	}
-	if !reflect.DeepEqual(s.d.Figures, d.Figures) {
-		t.Errorf("figures did not round-trip:\n got %+v\nwant %+v", s.d.Figures, d.Figures)
-	}
-	if got, ok := s.Table(6); !ok || got != "table six\n" {
-		t.Errorf("Table(6) = %q, %v", got, ok)
-	}
-	if _, ok := s.Figure("11?penalty=10"); !ok {
-		t.Error("Figure lookup missed a baked key")
-	}
-	if s.Size() != len(b) {
-		t.Errorf("Size() = %d, want %d", s.Size(), len(b))
-	}
-
-	// Determinism: re-encoding the decoded content reproduces the bytes
-	// (and therefore the hash).
 	b2, err := Encode(s.d)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b, b2) {
-		t.Error("re-encoding is not byte-identical")
+		t.Fatal("re-encoding is not byte-identical")
+	}
+	return s
+}
+
+func TestEncodeDecodeRoundTrip(t *testing.T) {
+	d := sampleData()
+	s := roundTrip(t, d)
+	for i := range d.Passes {
+		if !reflect.DeepEqual(s.d.Passes[i].Benches, d.Passes[i].Benches) {
+			t.Errorf("pass %s did not round-trip:\n got %+v\nwant %+v", passSections[i], s.d.Passes[i].Benches, d.Passes[i].Benches)
+		}
+	}
+	if !reflect.DeepEqual(s.d.Table1, d.Table1) {
+		t.Errorf("Table 1 did not round-trip:\n got %+v\nwant %+v", s.d.Table1, d.Table1)
+	}
+}
+
+// TestLivePassesRoundTrip: a live pass of each kind, static and BTB,
+// round-trips bit for bit — counters, weights, miss ladders, the BTB
+// outcomes and both epsilon histograms.
+func TestLivePassesRoundTrip(t *testing.T) {
+	lab := goldenLab(t)
+	d, err := Bake(context.Background(), lab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := roundTrip(t, d)
+	for i, name := range passSections {
+		got, want := s.d.Passes[i].Benches, d.Passes[i].Benches
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("live pass %s did not round-trip:\n got %+v\nwant %+v", name, got, want)
+		}
+		if want[0].Eps.Total() == 0 || want[0].IMisses[0] == 0 {
+			t.Errorf("live pass %s is degenerate: %+v", name, want[0])
+		}
+	}
+	if btb := d.Passes[len(passSections)-1]; btb.Benches[0].BTBOutcomes == [5]int64{} {
+		t.Error("the BTB pass recorded no BTB outcomes")
+	}
+	if !reflect.DeepEqual(s.d.Table1, d.Table1) {
+		t.Errorf("Table 1 did not round-trip:\n got %+v\nwant %+v", s.d.Table1, d.Table1)
 	}
 }
 
@@ -97,35 +131,59 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestDecodeSkipsUnknownSections pins the additive-evolution rule: a
-// PSF1 reader must ignore sections it does not know instead of erroring,
-// so new sections never force a magic bump.
-func TestDecodeSkipsUnknownSections(t *testing.T) {
-	var payload []byte
-	payload = binary.AppendUvarint(payload, 2)
-	// An unknown section first...
-	payload = binary.AppendUvarint(payload, uint64(len("wavelets")))
-	payload = append(payload, "wavelets"...)
-	payload = binary.AppendUvarint(payload, 3)
-	payload = append(payload, 1, 2, 3)
-	// ...then a known one.
-	tab := []byte("hello\n")
-	name := "table:4"
-	payload = binary.AppendUvarint(payload, uint64(len(name)))
-	payload = append(payload, name...)
-	payload = binary.AppendUvarint(payload, uint64(len(tab)))
-	payload = append(payload, tab...)
+// TestDecodeRefusesPSF1: a PSF1 artifact stored answers, not passes, so a
+// PSF2 reader refuses it by version instead of misparsing it.
+func TestDecodeRefusesPSF1(t *testing.T) {
+	b, err := Encode(sampleData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[3] = '1'
+	_, err = Decode(b)
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("PSF1: err = %v, want a refusal naming version 1", err)
+	}
+}
 
+// withSections re-frames d's encoded payload with extra sections in
+// front, under a recomputed payload hash.
+func withSections(t *testing.T, d *Data, extra ...[]byte) []byte {
+	t.Helper()
+	b, err := Encode(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &reader{b: b[68:]}
+	n, err := r.uvarint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.AppendUvarint(nil, n+uint64(len(extra)))
+	for _, s := range extra {
+		payload = append(payload, s...)
+	}
+	payload = append(payload, r.b[r.off:]...)
 	sum := sha256.Sum256(payload)
-	b := append([]byte("PSF1"), make([]byte, 32)...)
-	b = append(b, sum[:]...)
-	b = append(b, payload...)
+	out := append([]byte(nil), b[:36]...)
+	out = append(out, sum[:]...)
+	return append(out, payload...)
+}
 
-	s, err := Decode(b)
+// TestDecodeSkipsUnknownSections pins the additive-evolution rule: a
+// PSF2 reader must ignore sections it does not know instead of erroring,
+// so new sections never force a magic bump — while a repeated known
+// section is corruption.
+func TestDecodeSkipsUnknownSections(t *testing.T) {
+	d := sampleData()
+	s, err := Decode(withSections(t, d, appendSection(nil, "wavelets", []byte{1, 2, 3})))
 	if err != nil {
 		t.Fatalf("unknown section was not skipped: %v", err)
 	}
-	if got, ok := s.Table(4); !ok || got != "hello\n" {
-		t.Fatalf("Table(4) = %q, %v", got, ok)
+	if !reflect.DeepEqual(s.d.Table1, d.Table1) || s.NumPasses() != len(passSections) {
+		t.Fatal("known sections did not decode around the unknown one")
+	}
+	dup := appendSection(nil, secTable1, encodeTable1(d.Table1))
+	if _, err := Decode(withSections(t, d, dup)); err == nil || !strings.Contains(err.Error(), "duplicate") {
+		t.Fatalf("duplicate section: err = %v", err)
 	}
 }

@@ -5,11 +5,12 @@ import (
 )
 
 // FuzzSurfaceReader pins the decoder's safety contract: arbitrary bytes —
-// truncations, bit flips, hostile lengths, wrong magics — must produce a
-// clean error or a valid surface, never a panic and never an allocation
-// larger than the input justifies. The harness also drives the unverified
-// decode path (verify=false), because mutated inputs cannot recompute the
-// payload hash and would otherwise never reach the section decoders.
+// truncations, bit flips, hostile ladder lengths and histogram bin counts,
+// wrong magics — must produce a clean error or a valid surface, never a
+// panic and never an allocation larger than the input justifies. The
+// harness also drives the unverified decode path (verify=false), because
+// mutated inputs cannot recompute the payload hash and would otherwise
+// never reach the section decoders.
 func FuzzSurfaceReader(f *testing.F) {
 	valid, err := Encode(sampleData())
 	if err != nil {
@@ -18,8 +19,8 @@ func FuzzSurfaceReader(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:68])           // header only, zero payload
 	f.Add(valid[:len(valid)/2]) // mid-section truncation
-	f.Add([]byte("PSF1"))
-	f.Add([]byte("PSF2")) // future version
+	f.Add([]byte("PSF2"))
+	f.Add([]byte("PSF1")) // the older, answer-storing layout
 	f.Add([]byte("PCT2")) // a sibling format's magic
 	f.Add([]byte{})
 	corrupt := append([]byte(nil), valid...)
@@ -34,15 +35,17 @@ func FuzzSurfaceReader(f *testing.F) {
 			if s.Size() != len(data) {
 				t.Fatalf("Size() = %d on %d input bytes", s.Size(), len(data))
 			}
-			if _, ok := s.Point(-1); ok {
-				t.Fatal("Point(-1) returned ok")
+			if s.NumPasses() != len(passSections) {
+				t.Fatalf("decoded %d passes", s.NumPasses())
 			}
-			_, _ = s.Point(s.NumPoints() - 1)
-			_, _ = s.Best(0, false)
-			_, _ = s.Figure("12")
-			_, _ = s.Table(1)
 		}
 		// The unverified path must hold the same no-panic guarantee.
-		_, _ = decode(data, false)
+		if s, err := decode(data, false); err == nil {
+			for _, p := range s.d.Passes {
+				if p == nil {
+					t.Fatal("decoded a surface with a missing pass")
+				}
+			}
+		}
 	})
 }

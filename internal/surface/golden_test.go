@@ -46,7 +46,7 @@ func goldenLab(t testing.TB) *core.Lab {
 }
 
 // TestGoldenBakedSurface pins the whole bake-and-encode pipeline byte for
-// byte: simulation results, section layout, and the delta/varint encoding.
+// byte: simulation results, section layout, and the varint encoding.
 // Any intended change to either regenerates with -update; an unintended
 // diff here is format or simulation drift that would invalidate deployed
 // artifacts.
@@ -61,7 +61,7 @@ func TestGoldenBakedSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join("testdata", "golden", "small.psf1")
+	path := filepath.Join("testdata", "golden", "small.psf2")
 	if *updateGolden {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
@@ -81,16 +81,13 @@ func TestGoldenBakedSurface(t *testing.T) {
 			len(b), len(want), hashOf(s1), e1, hashOf(s2), e2)
 	}
 
-	// The golden artifact must decode and cover the lab's space exactly.
+	// The golden artifact must decode and seed a lab with its parameters.
 	sf, err := Decode(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(core.DesignSpace(lab.P)); sf.NumPoints() != n {
-		t.Fatalf("golden surface has %d points, design space has %d", sf.NumPoints(), n)
-	}
-	if sf.ParamsHash() != HashParams(core.Fingerprint(lab.Suite, lab.P)) {
-		t.Fatal("golden surface params hash does not match the golden lab")
+	if err := sf.Seed(goldenLab(t)); err != nil {
+		t.Fatalf("golden surface does not seed the golden lab: %v", err)
 	}
 }
 
@@ -102,15 +99,16 @@ func hashOf(s *Surface) string {
 }
 
 // TestGoldenHeaderCompat pins the versioning rules against the real
-// artifact: a future PSF version is refused with an upgrade hint (never
-// misparsed), a foreign magic is refused as such, and truncations of the
-// genuine artifact all fail cleanly.
+// artifact: a future PSF version is refused with an upgrade hint and the
+// older PSF1 with a rebake hint (never misparsed), a foreign magic is
+// refused as such, and truncations of the genuine artifact all fail
+// cleanly.
 func TestGoldenHeaderCompat(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "golden", "small.psf1"))
+	want, err := os.ReadFile(filepath.Join("testdata", "golden", "small.psf2"))
 	if err != nil {
 		t.Skipf("golden artifact missing (run with -update first): %v", err)
 	}
-	for _, v := range []byte{'2', '9'} {
+	for _, v := range []byte{'3', '9'} {
 		cp := append([]byte(nil), want...)
 		cp[3] = v
 		_, err := Decode(cp)
@@ -119,7 +117,11 @@ func TestGoldenHeaderCompat(t *testing.T) {
 		}
 	}
 	cp := append([]byte(nil), want...)
-	copy(cp, "QQQ1")
+	cp[3] = '1'
+	if _, err := Decode(cp); err == nil || !strings.Contains(err.Error(), "older than this reader") {
+		t.Errorf("PSF1: err = %v, want a refusal of the older layout", err)
+	}
+	copy(cp, "QQQ2")
 	if _, err := Decode(cp); err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Errorf("foreign magic: err = %v, want bad-magic refusal", err)
 	}

@@ -1,13 +1,17 @@
-// Package surface implements the precomputed design-space tier: every
-// result the HTTP service returns is a pure function of a finite,
-// enumerable design space (the paper's TPI/CPI surfaces over cache size ×
-// pipelining depth × load scheme), so instead of simulating at request
-// time the space is baked once into a versioned on-disk artifact and
-// served as O(1) index-and-read lookups.
+// Package surface implements the baked design-space tier: every result
+// the HTTP service returns at the lab's default policy is arithmetic over
+// five simulation passes (static delayed branches at b = 0..3 and the BTB
+// scheme, core.Lab.DefaultPasses) plus Table 1's probe, so the artifact
+// stores exactly those, and a server seeds its lab's pass memo from it
+// (core.Lab.Seed). Every request then runs the live handlers, but no
+// request that the seeds cover ever runs a simulation pass: any cache
+// size, load depth, l2_time_ns, figure penalty or table is answered from
+// the stored passes, as the paper's cacheSIM reads every cache size and
+// penalty out of one pass per branch depth.
 //
-// The artifact is the PSF1 format, a sibling of the PCT2 trace format:
+// The artifact is the PSF2 format, a sibling of the PCT2 trace format:
 //
-//	magic "PSF1" (4 bytes; "PSF" + version digit)
+//	magic "PSF2" (4 bytes; "PSF" + version digit)
 //	params hash  (32 bytes: SHA-256 of core.Fingerprint — the generator
 //	              parameters and suite identity the surface was baked for)
 //	payload hash (32 bytes: SHA-256 of everything after the header; the
@@ -16,77 +20,26 @@
 //	    name length (uvarint) + name bytes
 //	    payload length (uvarint) + payload bytes
 //
-// Sections are named, so the format evolves additively: readers skip
-// sections they do not know, and only an incompatible layout change bumps
-// the magic (a PSF1 reader rejects "PSF2" with a clear version error
-// rather than misparsing it). The point section is columnar with
-// delta/varint encoding — per-column, consecutive float64 bit patterns are
-// delta-encoded as zigzag varints, which keeps slowly-varying CPI/TPI
-// columns to a few bytes per value while remaining exactly invertible, a
-// requirement for the byte-identical serving contract.
+// Sections are named (one per pass, and "table:1"), so the format evolves
+// additively: readers skip sections they do not know, and only an
+// incompatible layout change bumps the magic. A reader refuses an older
+// layout (PSF1 stored answers, not passes) and a newer one with a clear
+// version error rather than misparsing it.
 //
 // Decoding validates the payload hash and every length against the input
 // size before allocating, so a truncated or corrupt surface fails cleanly
-// at load time instead of panicking or over-allocating mid-request
-// (FuzzSurfaceReader pins this).
+// at load time instead of panicking or over-allocating (FuzzSurfaceReader
+// pins this).
 package surface
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"os"
+
+	"pipecache/internal/core"
+	"pipecache/internal/cpisim"
 )
-
-// PointRecord is one baked design point: the per-point tuple of the
-// TPI/CPI surface plus the CPI breakdown and the cache-side miss ratios.
-// The point's coordinates (b, l, sizes, scheme) are not stored — a record
-// is addressed by its core.DesignIndex in the canonical enumeration.
-type PointRecord struct {
-	PenCycles   int
-	TCPUNs      float64
-	CPI         float64
-	TPINs       float64
-	Base        float64
-	BranchStall float64
-	LoadStall   float64
-	IMiss       float64
-	DMiss       float64
-	IMissRate   float64
-	DMissRate   float64
-}
-
-// BestRecord is one baked design-space optimization: the winning point of
-// a /v1/best search for one (scheme, symmetric) combination.
-type BestRecord struct {
-	Scheme    uint8 // cpisim.LoadScheme value
-	Symmetric bool
-	Evaluated int
-
-	B, L             int
-	ISizeKW, DSizeKW int
-	PenCycles        int
-	TCPUNs           float64
-	CPI              float64
-	TPINs            float64
-}
-
-// FigureRecord is one baked figure: the curve family a figure endpoint
-// serves, keyed by the figure number (plus "?penalty=N" for the figures
-// that take the parameter).
-type FigureRecord struct {
-	Key    string
-	Title  string
-	XLabel string
-	YLabel string
-	X      []float64
-	Labels []string
-	Y      [][]float64
-}
-
-// TableRecord is one baked table's rendered text.
-type TableRecord struct {
-	N    int
-	Text string
-}
 
 // Data is the decoded (or to-be-encoded) content of a surface: what
 // `pipecache bake` produces and Encode serializes.
@@ -95,14 +48,12 @@ type Data struct {
 	// baked for; a server refuses a surface whose hash does not match its
 	// own lab.
 	ParamsHash [32]byte
-	// Points holds one record per entry of core.DesignSpace, in canonical
-	// order.
-	Points []PointRecord
-	// Best holds the four (scheme × symmetric) optimization results.
-	Best []BestRecord
-	// Figures and Tables are the baked figure/table endpoint payloads.
-	Figures []FigureRecord
-	Tables  []TableRecord
+	// Passes are the lab's default passes, in core.Lab.DefaultPasses
+	// order. Only the per-benchmark results are stored; a seeded lab
+	// rebuilds each configuration from its own parameters.
+	Passes []*cpisim.Result
+	// Table1 holds Table 1's rows; the total derives from them.
+	Table1 []core.Table1Row
 }
 
 // HashParams returns the surface-header hash of a lab fingerprint
@@ -111,14 +62,13 @@ func HashParams(fingerprint string) [32]byte {
 	return sha256.Sum256([]byte(fingerprint))
 }
 
-// Surface is a decoded, pinned-in-memory surface ready for O(1) lookups.
-// It is immutable after Decode and safe for concurrent use.
+// Surface is a decoded surface pinned in memory. It is immutable after
+// Decode and safe for concurrent use; any number of labs may be seeded
+// from it.
 type Surface struct {
-	d       *Data
-	hash    string // hex payload hash: the surface's content identity
-	size    int    // encoded byte size
-	figures map[string]*FigureRecord
-	tables  map[int]string
+	d    *Data
+	hash string // hex payload hash: the surface's content identity
+	size int    // encoded byte size
 }
 
 // Hash returns the surface's content identity: the hex SHA-256 of the
@@ -132,57 +82,24 @@ func (s *Surface) ParamsHash() [32]byte { return s.d.ParamsHash }
 // Size returns the encoded artifact size in bytes.
 func (s *Surface) Size() int { return s.size }
 
-// NumPoints returns the number of baked design points.
-func (s *Surface) NumPoints() int { return len(s.d.Points) }
+// NumPasses returns the number of stored simulation passes.
+func (s *Surface) NumPasses() int { return len(s.d.Passes) }
 
-// Point returns the i-th baked design point (i is a core.DesignIndex).
-func (s *Surface) Point(i int) (PointRecord, bool) {
-	if i < 0 || i >= len(s.d.Points) {
-		return PointRecord{}, false
+// Seed fills lab's pass memo and Table 1 from the surface, after checking
+// that the surface was baked for lab's fingerprint (core.Lab.Seed keeps
+// entries the lab already has).
+func (s *Surface) Seed(lab *core.Lab) error {
+	if s.d.ParamsHash != HashParams(core.Fingerprint(lab.Suite, lab.P)) {
+		return fmt.Errorf("surface %s was baked for a different lab (params hash mismatch); rebake with matching -insts/-benchmarks", s.hash[:12])
 	}
-	return s.d.Points[i], true
+	return lab.Seed(s.d.Passes, s.d.Table1)
 }
 
-// Best returns the baked optimization result for one (scheme, symmetric)
-// combination.
-func (s *Surface) Best(scheme uint8, symmetric bool) (BestRecord, bool) {
-	for _, b := range s.d.Best {
-		if b.Scheme == scheme && b.Symmetric == symmetric {
-			return b, true
-		}
-	}
-	return BestRecord{}, false
-}
-
-// Figure returns the baked figure with the given key.
-func (s *Surface) Figure(key string) (*FigureRecord, bool) {
-	f, ok := s.figures[key]
-	return f, ok
-}
-
-// Table returns the baked text of table n.
-func (s *Surface) Table(n int) (string, bool) {
-	t, ok := s.tables[n]
-	return t, ok
-}
-
-// Load reads and decodes a surface file. The whole artifact is read once
-// and pinned in memory — baked surfaces are tens of kilobytes, so holding
-// the decoded form resident is cheaper than faulting pages in on the
-// request path would be.
+// Load reads and decodes a surface file.
 func Load(path string) (*Surface, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	return Decode(b)
-}
-
-// WriteFile encodes d and writes it to path.
-func WriteFile(path string, d *Data) error {
-	b, err := Encode(d)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, b, 0o644)
 }

@@ -138,7 +138,7 @@ func (t *Writer) Write(r Ref) error {
 	buf := t.scratch[:0]
 	buf = append(buf, uint8(r.Kind)<<6|r.PID)
 	delta := int64(r.Addr) - int64(t.prev[r.PID][r.Kind])
-	buf = binary.AppendUvarint(buf, zigzag(delta))
+	buf = binary.AppendVarint(buf, delta)
 	t.prev[r.PID][r.Kind] = r.Addr
 	if _, err := t.w.Write(buf); err != nil {
 		t.err = err
@@ -147,13 +147,6 @@ func (t *Writer) Write(r Ref) error {
 	t.count++
 	return nil
 }
-
-// zigzag folds a signed delta into an unsigned varint-friendly value
-// (small magnitudes of either sign encode short).
-func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
-
-// unzigzag inverts zigzag.
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Count returns the number of records written.
 func (t *Writer) Count() uint64 { return t.count }
@@ -246,14 +239,14 @@ func (t *Reader) readV2() (Ref, error) {
 		return Ref{}, fmt.Errorf("trace: bad kind %d at record %d", kind, t.count)
 	}
 	pid := head & maxPID
-	u, err := binary.ReadUvarint(t.r)
+	delta, err := binary.ReadVarint(t.r)
 	if err != nil {
 		if err == io.EOF {
 			return Ref{}, fmt.Errorf("trace: truncated record after %d records", t.count)
 		}
 		return Ref{}, fmt.Errorf("trace: record %d: %w", t.count, err)
 	}
-	addr := int64(t.prev[pid][kind]) + unzigzag(u)
+	addr := int64(t.prev[pid][kind]) + delta
 	if addr < 0 || addr > math.MaxUint32 {
 		return Ref{}, fmt.Errorf("trace: record %d: address delta out of range", t.count)
 	}

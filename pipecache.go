@@ -366,27 +366,29 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) { return cluste
 // VersionInfo reads the running binary's build metadata.
 func VersionInfo() BuildInfo { return server.VersionInfo() }
 
-// Baked design-space surfaces (internal/surface).
+// Baked surfaces (internal/surface).
 type (
-	// Surface is a decoded PSF1 design-space artifact pinned in memory; a
-	// Server configured with one answers /v1/* as O(1) lookups.
+	// Surface is a decoded PSF2 artifact pinned in memory: the lab's five
+	// default-policy simulation passes and Table 1. A Server configured
+	// with one seeds its lab's pass memo from it, so no default-policy
+	// request runs a simulation.
 	Surface = surface.Surface
 	// SurfaceData is the decoded (or to-be-encoded) content of a surface:
 	// what BakeSurface produces and EncodeSurface serializes.
 	SurfaceData = surface.Data
 )
 
-// BakeSurface evaluates lab's whole design space — every point, the four
-// optimizations, the figures, and the tables — into a SurfaceData ready for
-// EncodeSurface. The bake is deterministic at any Params.SweepWorkers.
+// BakeSurface runs lab's default passes and Table 1's probe (or reads them
+// from its memo) into a SurfaceData ready for EncodeSurface. The bake is
+// deterministic at any Params.SweepWorkers.
 func BakeSurface(ctx context.Context, lab *Lab) (*SurfaceData, error) {
 	return surface.Bake(ctx, lab)
 }
 
-// EncodeSurface serializes a baked surface into the PSF1 byte format.
+// EncodeSurface serializes a baked surface into the PSF2 byte format.
 func EncodeSurface(d *SurfaceData) ([]byte, error) { return surface.Encode(d) }
 
-// DecodeSurface parses and validates a PSF1 surface.
+// DecodeSurface parses and validates a PSF2 surface.
 func DecodeSurface(b []byte) (*Surface, error) { return surface.Decode(b) }
 
 // LoadSurface reads and decodes a surface file.
