@@ -2,13 +2,16 @@
 // root package's ledger benchmarks once through `go test -bench` and writes
 // their results as a machine-readable summary, so CI can archive
 // per-commit performance (make bench-json -> BENCH_sim.json). Every row is
-// a func Benchmark… of the root package; this command defines none.
+// a func Benchmark… of the root package; this command defines none. A run
+// fails, after writing its report, when the replay row falls below the
+// -replay-floor or a same-run speedup falls below its checked-in floor.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,14 +45,26 @@ var rows = []string{
 	"BenchmarkCoordinatorBest",
 }
 
-// speedups relate two rows: baseline ns/op over against ns/op.
-var speedups = []struct{ name, baseline, against string }{
-	{"trace_replay_vs_live_pass", "BenchmarkSimulatorThroughput", "BenchmarkTraceReplay"},
-	{"surface_lookup_vs_live_pass", "BenchmarkSimulatorThroughput", "BenchmarkSurfaceLookup"},
-	{"ablation_suite_replay_vs_live", "BenchmarkAblationSuite/live", "BenchmarkAblationSuite/replay"},
+// speedups relate two rows: baseline ns/op over against ns/op. Each has a
+// floor, the speedup of the recording that last set it: a run whose
+// speedup falls more than speedupTolerance below its floor fails. Both
+// rows of a speedup run in one go test process, so the ratio moves with
+// the code and much less with the host than either row does. Moving a
+// floor is an edit to this table.
+var speedups = []struct {
+	name, baseline, against string
+	floor                   float64
+}{
+	{"trace_replay_vs_live_pass", "BenchmarkSimulatorThroughput", "BenchmarkTraceReplay", 5.45},
+	{"surface_lookup_vs_live_pass", "BenchmarkSimulatorThroughput", "BenchmarkSurfaceLookup", 1170},
+	{"ablation_suite_replay_vs_live", "BenchmarkAblationSuite/live", "BenchmarkAblationSuite/replay", 5.66},
 	// The coordinator's proxy overhead: below 1 by the cost of its hop.
-	{"coordinator_vs_single_node", "BenchmarkServerBest", "BenchmarkCoordinatorBest"},
+	{"coordinator_vs_single_node", "BenchmarkServerBest", "BenchmarkCoordinatorBest", 0.408},
 }
+
+// speedupTolerance is how far, as a fraction of its floor, a speedup may
+// fall below the floor before the run fails.
+const speedupTolerance = 0.25
 
 // floorRow is the row -replay-floor guards.
 const floorRow = "BenchmarkTraceReplay"
@@ -175,8 +190,8 @@ func parse(transcript io.Reader) (report, error) {
 }
 
 // record writes the report of transcript to path, then applies the replay
-// floor (0 disables it). A run below the floor still writes its numbers
-// for inspection before it fails.
+// floor (0 disables it) and the speedup floors. A run below a floor still
+// writes its numbers for inspection before it fails.
 func record(transcript io.Reader, path string, replayFloor float64) error {
 	rep, err := parse(transcript)
 	if err != nil {
@@ -195,7 +210,21 @@ func record(transcript io.Reader, path string, replayFloor float64) error {
 			return fmt.Errorf("%s at %.0f insts/s is below the floor of %.0f insts/s", r.Name, r.InstsPerSec, replayFloor)
 		}
 	}
-	return nil
+	return checkSpeedups(rep)
+}
+
+// checkSpeedups fails, naming each one, the speedups of rep that fall more
+// than speedupTolerance below their floors.
+func checkSpeedups(rep report) error {
+	var errs []error
+	for i, s := range rep.Speedups {
+		floor := speedups[i].floor
+		if min := floor * (1 - speedupTolerance); s.Speedup < min {
+			errs = append(errs, fmt.Errorf("speedup %s at %.4g is below %.4g, its floor of %.4g less %.0f%%",
+				s.Name, s.Speedup, min, floor, 100*speedupTolerance))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func main() {

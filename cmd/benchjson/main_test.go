@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -18,25 +19,25 @@ const transcript = `goos: linux
 goarch: amd64
 pkg: pipecache
 cpu: Intel(R) Xeon(R) Processor
-BenchmarkSimulatorThroughput-2   	     478	   7778446 ns/op	  25712076 insts/s
-BenchmarkSimInstrumented-2       	     471	   7465114 ns/op	  26791283 insts/s
-BenchmarkTraceReplay-2           	    2853	   1437149 ns/op	 139164383 insts/s
-BenchmarkCapture-2               	     180	  13750830 ns/op	  29089467 insts/s
-BenchmarkPrewarmCold-2           	     124	  31492487 ns/op
-BenchmarkSurfaceLookup-2         	  270169	     12737 ns/op
-BenchmarkAblationSuite/live-2    	       9	 348576514 ns/op
-BenchmarkAblationSuite/replay-2  	      42	 103059926 ns/op
-BenchmarkPolicyStudy-2           	      27	 132965634 ns/op
-BenchmarkCacheAccess/direct-2    	493801626	         6.823 ns/op
-BenchmarkCacheBankAccess/packed-2         	69977504	        17.30 ns/op	         2.883 ns/probe/config
-BenchmarkCacheBankAccess/lru4-2           	29125906	        37.72 ns/op	         6.286 ns/probe/config
-BenchmarkCacheBankAccess/fifo4-2          	27681256	        42.71 ns/op	         7.119 ns/probe/config
-BenchmarkCacheBankAccess/plru4-2          	16841958	        70.06 ns/op	        11.68 ns/probe/config
-BenchmarkLabBest-2               	   52923	     60625 ns/op	     240 B/op	       6 allocs/op
-BenchmarkServerBest-2            	   64006	     61171 ns/op
-BenchmarkCoordinatorBest-2       	   17583	    186376 ns/op
+BenchmarkSimulatorThroughput-2   	     715	   5033598 ns/op	  39733022 insts/s
+BenchmarkSimInstrumented-2       	     716	   5023735 ns/op	  39811033 insts/s
+BenchmarkTraceReplay-2           	    3861	    922953 ns/op	 216695866 insts/s
+BenchmarkCacheAccess/direct-2    	447670866	         8.005 ns/op	         0.1802 misses/probe
+BenchmarkCacheBankAccess/packed-2         	216356712	        16.61 ns/op	         2.768 ns/probe/config
+BenchmarkCacheBankAccess/lru4-2           	97289143	        36.27 ns/op	         6.045 ns/probe/config
+BenchmarkCacheBankAccess/fifo4-2          	83647940	        42.43 ns/op	         7.071 ns/probe/config
+BenchmarkCacheBankAccess/plru4-2          	71346534	        49.06 ns/op	         8.177 ns/probe/config
+BenchmarkAblationSuite/live-2             	      15	 220913885 ns/op
+BenchmarkAblationSuite/replay-2           	      92	  39007756 ns/op
+BenchmarkCapture-2                        	     510	   6743762 ns/op	  59314689 insts/s
+BenchmarkPrewarmCold-2                    	     152	  23521606 ns/op
+BenchmarkPolicyStudy-2                    	     172	  20775947 ns/op
+BenchmarkLabBest-2                        	  525021	      6689 ns/op	     232 B/op	       6 allocs/op
+BenchmarkSurfaceLookup-2                  	  833880	      4303 ns/op
+BenchmarkServerBest-2                     	  203335	     15973 ns/op
+BenchmarkCoordinatorBest-2                	   87034	     39154 ns/op
 PASS
-ok  	pipecache	120.5s
+ok  	pipecache	75.587s
 `
 
 // atProcs1 rewrites the transcript as a GOMAXPROCS 1 run, whose names carry
@@ -76,11 +77,11 @@ func TestRecordTranscript(t *testing.T) {
 				t.Fatalf("rows %v, want %v", names, rows)
 			}
 			for name, want := range map[string]benchRecord{
-				"BenchmarkTraceReplay":           {Iterations: 2853, NsPerOp: 1437149, InstsPerSec: 139164383},
-				"BenchmarkAblationSuite/live":    {Iterations: 9, NsPerOp: 348576514},
-				"BenchmarkCacheAccess/direct":    {Iterations: 493801626, NsPerOp: 6.823},
-				"BenchmarkCacheBankAccess/plru4": {Iterations: 16841958, NsPerOp: 70.06, NsPerProbeConfig: 11.68},
-				"BenchmarkLabBest":               {Iterations: 52923, NsPerOp: 60625},
+				"BenchmarkTraceReplay":           {Iterations: 3861, NsPerOp: 922953, InstsPerSec: 216695866},
+				"BenchmarkAblationSuite/live":    {Iterations: 15, NsPerOp: 220913885},
+				"BenchmarkCacheAccess/direct":    {Iterations: 447670866, NsPerOp: 8.005},
+				"BenchmarkCacheBankAccess/plru4": {Iterations: 71346534, NsPerOp: 49.06, NsPerProbeConfig: 8.177},
+				"BenchmarkLabBest":               {Iterations: 525021, NsPerOp: 6689},
 			} {
 				want.Name = name
 				if got := byName[name]; got != want {
@@ -90,7 +91,7 @@ func TestRecordTranscript(t *testing.T) {
 			if len(rep.Speedups) != len(speedups) {
 				t.Fatalf("%d speedups, want %d", len(rep.Speedups), len(speedups))
 			}
-			if s := rep.Speedups[0]; s.Name != "trace_replay_vs_live_pass" || s.Speedup != 7778446.0/1437149 {
+			if s := rep.Speedups[0]; s.Name != "trace_replay_vs_live_pass" || s.Speedup != 5033598.0/922953 {
 				t.Errorf("first speedup = %+v", s)
 			}
 		})
@@ -116,12 +117,52 @@ func TestRecordMissingRowFails(t *testing.T) {
 
 func TestReplayFloorFailsAfterWriting(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
-	err := record(strings.NewReader(transcript), path, 200e6)
+	err := record(strings.NewReader(transcript), path, 300e6)
 	if err == nil || !strings.Contains(err.Error(), floorRow) {
 		t.Fatalf("err = %v, want %s below the floor", err, floorRow)
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Errorf("the report of a run below the floor was not written: %v", err)
+	}
+}
+
+// TestSpeedupFloorFailsAfterWriting slows the coordinator row so that its
+// speedup falls below its floor by more than the tolerance: the report is
+// still written, and the error names that speedup and no other.
+func TestSpeedupFloorFailsAfterWriting(t *testing.T) {
+	slow := strings.Replace(transcript, "39154 ns/op", "99154 ns/op", 1)
+	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	err := record(strings.NewReader(slow), path, 70e6)
+	if err == nil || !strings.Contains(err.Error(), "coordinator_vs_single_node") || strings.Count(err.Error(), "speedup ") != 1 {
+		t.Fatalf("err = %v, want coordinator_vs_single_node alone below its floor", err)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("the report of a run below a speedup floor was not written: %v", err)
+	}
+}
+
+// TestCheckSpeedupsTolerance puts every speedup at its floor less the
+// tolerance, which passes, and then each in turn just below that, which
+// fails naming it; a speedup above its floor always passes.
+func TestCheckSpeedupsTolerance(t *testing.T) {
+	at := func(scale float64) report {
+		var rep report
+		for _, s := range speedups {
+			rep.Speedups = append(rep.Speedups, speedupRecord{Name: s.name, Speedup: s.floor * scale})
+		}
+		return rep
+	}
+	for _, scale := range []float64{1 - speedupTolerance, 1, 3} {
+		if err := checkSpeedups(at(scale)); err != nil {
+			t.Errorf("every speedup at %g x its floor: %v", scale, err)
+		}
+	}
+	for i, s := range speedups {
+		rep := at(1 - speedupTolerance)
+		rep.Speedups[i].Speedup = math.Nextafter(rep.Speedups[i].Speedup, 0)
+		if err := checkSpeedups(rep); err == nil || !strings.Contains(err.Error(), s.name) {
+			t.Errorf("%s just below its floor less the tolerance: err = %v", s.name, err)
+		}
 	}
 }
 
@@ -150,7 +191,9 @@ func TestBenchPatternSelectsRows(t *testing.T) {
 }
 
 // TestCommittedLedgerMatchesRows pins the committed BENCH_sim.json to the
-// row and speedup lists, so an edit to either is re-recorded.
+// row and speedup lists, so an edit to either is re-recorded, and holds
+// the committed speedups to their floors, so a floor is never set above
+// what the committed recording measured less the tolerance.
 func TestCommittedLedgerMatchesRows(t *testing.T) {
 	rep := readReport(t, "../../BENCH_sim.json")
 	var names []string
@@ -168,6 +211,12 @@ func TestCommittedLedgerMatchesRows(t *testing.T) {
 		if got.Name != s.name || got.Baseline != s.baseline || got.Against != s.against {
 			t.Errorf("BENCH_sim.json speedup %d = %+v, want %+v", i, got, s)
 		}
+		if !(s.floor > 0) {
+			t.Errorf("speedup %s has floor %v; want a positive floor", s.name, s.floor)
+		}
+	}
+	if err := checkSpeedups(rep); err != nil {
+		t.Errorf("BENCH_sim.json: %v", err)
 	}
 }
 

@@ -56,8 +56,8 @@ func (l *Lab) queryAt(l2TimeNs float64) Query {
 
 // DesignSpace enumerates the full design space of p in canonical order:
 // b outermost, then l, then the I-size bank in Params order, the D-size
-// bank, and finally the load scheme (static before dynamic). EvalSpace
-// returns its results in this order, and Best breaks TPI ties by it.
+// bank, and finally the load scheme (static before dynamic). Best breaks
+// TPI ties by this order.
 func DesignSpace(p Params) []DesignPoint {
 	schemes := []cpisim.LoadScheme{cpisim.LoadStatic, cpisim.LoadDynamic}
 	pts := make([]DesignPoint, 0, (maxDelaySlots+1)*(maxDelaySlots+1)*len(p.SizesKW)*len(p.SizesKW)*len(schemes))
@@ -88,8 +88,7 @@ type Breakdown struct {
 }
 
 // PointEval is one fully evaluated design point: the TPI result, the CPI
-// breakdown, and the miss ratios of the two cache sides — the per-point
-// tuple a baked surface stores.
+// breakdown, and the miss ratios of the two cache sides.
 type PointEval struct {
 	Point     TPIPoint
 	Breakdown Breakdown
@@ -98,10 +97,9 @@ type PointEval struct {
 }
 
 // EvalPoint evaluates one design point with its CPI breakdown and miss
-// ratios, all from one lookup of the point's memoized pass. It is the
-// single definition of the /v1/simulate result and of a baked surface
-// record, shared by the live serving path and the surface baker so they
-// can never drift.
+// ratios, all read from the CPI table of the point's memoized pass: the
+// point evaluator tpi plus the breakdown. It is the single definition of
+// the /v1/simulate result.
 func (l *Lab) EvalPoint(ctx context.Context, q Query, dp DesignPoint) (PointEval, error) {
 	if err := ValidateL2TimeNs(q.L2TimeNs); err != nil {
 		return PointEval{}, err
@@ -111,13 +109,6 @@ func (l *Lab) EvalPoint(ctx context.Context, q Query, dp DesignPoint) (PointEval
 		return PointEval{}, err
 	}
 	l.obs.Counter("lab.tpi_points").Inc()
-	return l.eval(tab, q, dp)
-}
-
-// eval is EvalPoint over the CPI table of dp's resolved pass: the point
-// evaluator tpi plus the breakdown and miss ratios. The caller has
-// validated q.
-func (l *Lab) eval(tab *cpisim.CPITable, q Query, dp DesignPoint) (PointEval, error) {
 	c := l.candidate(dp)
 	pt, err := tpi(tab, q, &c)
 	if err != nil {
@@ -131,9 +122,8 @@ func (l *Lab) eval(tab *cpisim.CPITable, q Query, dp DesignPoint) (PointEval, er
 	if err != nil {
 		return PointEval{}, err
 	}
-	pass := tab.Result()
-	branch := pass.BranchCPIComponent()
-	load := pass.LoadCPIComponentFor(dp.L, dp.Scheme)
+	branch := tab.BranchCPIComponent()
+	load := tab.LoadCPIComponentFor(dp.L, dp.Scheme)
 	return PointEval{
 		Point: pt,
 		Breakdown: Breakdown{
@@ -143,45 +133,9 @@ func (l *Lab) eval(tab *cpisim.CPITable, q Query, dp DesignPoint) (PointEval, er
 			IMiss:       withIMiss - noMiss,
 			DMiss:       pt.CPI - withIMiss,
 		},
-		IMissRate: pass.IMissRatio(c.iIdx),
-		DMissRate: pass.DMissRatio(c.dIdx),
+		IMissRate: tab.IMissRatio(c.iIdx),
+		DMissRate: tab.DMissRatio(c.dIdx),
 	}, nil
-}
-
-// EvalSpace evaluates every point of the canonical enumeration
-// DesignSpace(l.P), returning the results in enumeration order. The
-// points behind a fixed b share one memoized
-// simulation pass, resolved once before the points (on the lab's bounded
-// sweep pool when any is cold), so a sweep costs a handful of passes plus
-// per-point table arithmetic, which runs on the calling goroutine; the
-// output is bit-identical at any Params.SweepWorkers setting.
-func (l *Lab) EvalSpace(ctx context.Context, q Query) ([]PointEval, error) {
-	if err := ValidateL2TimeNs(q.L2TimeNs); err != nil {
-		return nil, err
-	}
-	pts := DesignSpace(l.P)
-	passes, err := l.sweepPasses(ctx, q.Policy, everyDepth())
-	if err != nil {
-		return nil, err
-	}
-	points := l.obs.Counter("lab.tpi_points")
-	out := make([]PointEval, len(pts))
-	l.progress.StartPhase("design space", int64(len(pts)))
-	defer l.progress.Finish()
-	err = eachSerial(ctx, len(pts), func(ctx context.Context, i int) error {
-		points.Inc()
-		ev, err := l.eval(passes[pts[i].B], q, pts[i])
-		if err != nil {
-			return err
-		}
-		out[i] = ev
-		l.progress.Step(1)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Fingerprint canonically describes everything the design-space results

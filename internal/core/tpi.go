@@ -249,31 +249,43 @@ func (l *Lab) Best(ctx context.Context, q Query, scheme cpisim.LoadScheme, symme
 // minTPI resolves the passes of cands, then evaluates the points in cands
 // order on the calling goroutine and returns the first point of minimum
 // TPI (TPINs +Inf when no point has a TPI below it). Only the running
-// minimum becomes a TPIPoint. The caller has validated q.
+// minimum becomes a TPIPoint. The points run as one sweep item, so the
+// panic boundary and the lab.sweep.item fault point are paid once per
+// sweep; ctx is still checked at every point, by a non-blocking receive
+// on its Done channel. The caller has validated q.
 func (l *Lab) minTPI(ctx context.Context, q Query, cands []candidate) (TPIPoint, error) {
 	passes, err := l.sweepPasses(ctx, q.Policy, depthsOf(cands))
 	if err != nil {
 		return TPIPoint{}, err
 	}
-	points := l.obs.Counter("lab.tpi_points")
 	var (
 		best             *candidate
 		bestPen          int
 		bestCPI, bestTPI = 0.0, math.Inf(1)
+		evaluated        int
 	)
-	err = eachSerial(ctx, len(cands), func(ctx context.Context, i int) error {
-		points.Inc()
-		c := &cands[i]
-		pen, cpi, err := cpiAt(passes[c.dp.B], q, c)
-		if err != nil {
-			return err
+	done := ctx.Done()
+	err = runSweepItem(ctx, 0, func(ctx context.Context, _ int) error {
+		for i := range cands {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
+			}
+			evaluated++
+			c := &cands[i]
+			pen, cpi, err := cpiAt(passes[c.dp.B], q, c)
+			if err != nil {
+				return err
+			}
+			if t := cpi * c.tcpu; t < bestTPI {
+				best, bestPen, bestCPI, bestTPI = c, pen, cpi, t
+			}
 		}
-		if t := cpi * c.tcpu; t < bestTPI {
-			best, bestPen, bestCPI, bestTPI = c, pen, cpi, t
-		}
-		l.progress.Step(1)
 		return nil
 	})
+	l.obs.Counter("lab.tpi_points").Add(int64(evaluated))
+	l.progress.Step(int64(evaluated))
 	if err != nil {
 		return TPIPoint{}, err
 	}

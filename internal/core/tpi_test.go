@@ -2,13 +2,19 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"runtime"
+	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pipecache/internal/cache"
 	"pipecache/internal/cpisim"
+	"pipecache/internal/fault"
 	"pipecache/internal/stats"
 )
 
@@ -69,8 +75,8 @@ func TestTCPUTableIsModel(t *testing.T) {
 // once per depth against pointwise evaluation, bit for bit, at two miss
 // service times and under the non-default replacement policies (the
 // goldens cover only the defaults): Best against a serial first minimum
-// over TPI, EvalSpace against EvalPoint, and TPISweep and DepthMatrix
-// against TPI.
+// over TPI, EvalPoint at every point of DesignSpace against TPI and the
+// pass's Result methods, and TPISweep and DepthMatrix against TPI.
 func TestSweepsMatchPointwise(t *testing.T) {
 	lab, _ := diffLab(t, 0, 2)
 	ctx := context.Background()
@@ -120,17 +126,13 @@ func TestSweepsMatchPointwise(t *testing.T) {
 				}
 			}
 
-			evs, err := lab.EvalSpace(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, dp := range DesignSpace(lab.P) {
+			for _, dp := range DesignSpace(lab.P) {
 				ev, err := lab.EvalPoint(ctx, q, dp)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if evs[i] != ev {
-					t.Errorf("%s: EvalSpace[%d] = %+v, EvalPoint %+v", name, i, evs[i], ev)
+				if want := evalOracle(t, lab, q, dp); ev != want {
+					t.Errorf("%s: EvalPoint(%+v) = %+v, Result methods %+v", name, dp, ev, want)
 				}
 			}
 		}
@@ -159,6 +161,58 @@ func TestSweepsMatchPointwise(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// evalOracle is EvalPoint computed without the CPI table: the point from
+// TPI, whose CPI it checks against Result.CPIFor, and the breakdown and
+// miss ratios from the methods of the point's pass Result.
+func evalOracle(t *testing.T, lab *Lab, q Query, dp DesignPoint) PointEval {
+	t.Helper()
+	ctx := context.Background()
+	pt, err := lab.TPI(ctx, q, dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass, err := lab.StaticPass(ctx, dp.B, q.Policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, err := lab.sizeIndex(dp.ISizeKW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := lab.sizeIndex(dp.DSizeKW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpi, err := pass.CPIFor(dp.L, dp.Scheme, i, d, pt.PenCycles, pt.PenCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(pt.CPI) != math.Float64bits(cpi) {
+		t.Errorf("TPI(%+v).CPI = %v, Result.CPIFor %v", dp, pt.CPI, cpi)
+	}
+	noMiss, err := pass.CPIFor(dp.L, dp.Scheme, -1, -1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withIMiss, err := pass.CPIFor(dp.L, dp.Scheme, i, -1, pt.PenCycles, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	branch, load := pass.BranchCPIComponent(), pass.LoadCPIComponentFor(dp.L, dp.Scheme)
+	return PointEval{
+		Point: pt,
+		Breakdown: Breakdown{
+			Base:        noMiss - branch - load,
+			BranchStall: branch,
+			LoadStall:   load,
+			IMiss:       withIMiss - noMiss,
+			DMiss:       pt.CPI - withIMiss,
+		},
+		IMissRate: pass.IMissRatio(i),
+		DMissRate: pass.DMissRatio(d),
 	}
 }
 
@@ -232,9 +286,13 @@ func oracleCPIFor(r *cpisim.Result, l int, scheme cpisim.LoadScheme, icfg, dcfg,
 // TestCPITableDifferential runs every pass Prewarm memoizes through a CPI
 // table and through the oracle, bit for bit and error text for error text:
 // every load depth 0..3 and one on each side outside, both schemes, every
-// size index with -1 (no misses) on either side, and a spread of unequal
-// I and D penalties. A static pass must carry the table its leader built;
-// the BTB pass carries none and is checked through a table built here.
+// size index with -1 (no misses) on either side, a spread of unequal I and
+// D penalties, and equal penalties through the memo: the floor of 2, both
+// edges of the memo window (2..65), one penalty past each edge and a large
+// one, each read twice, from the pass's table and from a fresh one (whose
+// first read fills the cell). A static pass must carry the table its
+// leader built; the BTB pass carries none and is checked through a table
+// built here.
 func TestCPITableDifferential(t *testing.T) {
 	lab := getLab(t)
 	if err := lab.Prewarm(); err != nil {
@@ -250,6 +308,7 @@ func TestCPITableDifferential(t *testing.T) {
 		t.Fatalf("%d memoized passes after Prewarm, want at least %d", len(entries), maxDelaySlots+2)
 	}
 	pens := []int{0, 2, 3, 6, 10, 18, 41, 1 << 20}
+	memoPens := []int{1, 2, 3, 64, 65, 66, 300_000}
 	for k, e := range entries {
 		<-e.done
 		tab := e.tab
@@ -264,6 +323,7 @@ func TestCPITableDifferential(t *testing.T) {
 		if tab.Result() != e.res {
 			t.Fatalf("pass %+v: the table is not over the pass's result", k)
 		}
+		fresh := cpisim.NewCPITable(e.res)
 		for l := -1; l <= maxDelaySlots+1; l++ {
 			for _, scheme := range []cpisim.LoadScheme{cpisim.LoadStatic, cpisim.LoadDynamic} {
 				for i := -1; i < len(lab.P.SizesKW); i++ {
@@ -277,11 +337,201 @@ func TestCPITableDifferential(t *testing.T) {
 									k, l, scheme, i, d, ipen, dpen, got, gotErr, want, wantErr)
 							}
 						}
+						for _, pen := range memoPens {
+							want, wantErr := oracleCPIFor(e.res, l, scheme, i, d, pen, pen)
+							for read, tab := range []*cpisim.CPITable{tab, fresh, tab, fresh} {
+								got, gotErr := tab.CPIFor(l, scheme, i, d, pen, pen)
+								if math.Float64bits(got) != math.Float64bits(want) || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+									t.Fatalf("pass %+v: read %d of CPIFor(%d, %v, %d, %d, %d, %d) = %v, %v; oracle %v, %v",
+										k, read, l, scheme, i, d, pen, pen, got, gotErr, want, wantErr)
+								}
+							}
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestBestMatchesOracle checks Best against a brute-force first minimum
+// over Result.CPIFor and the timing model, at 3000 miss-service times,
+// most of them inside the CPI memo's window and some far beyond it, each
+// asked twice (the repeat reads what the first filled) and each over one
+// of the four candidate lists in turn.
+func TestBestMatchesOracle(t *testing.T) {
+	lab, _ := diffLab(t, 0, 1)
+	ctx := context.Background()
+	type cand struct {
+		dp   DesignPoint
+		tcpu float64
+		i, d int
+	}
+	var cands []cand
+	for _, dp := range DesignSpace(lab.P) {
+		tcpu, err := lab.P.Model.TCPUSplit(dp.ISizeKW, dp.B, dp.DSizeKW, dp.L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands = append(cands, cand{dp, tcpu, slices.Index(lab.P.SizesKW, dp.ISizeKW), slices.Index(lab.P.SizesKW, dp.DSizeKW)})
+	}
+	var passes [maxDelaySlots + 1]*cpisim.Result
+	for b := range passes {
+		var err error
+		if passes[b], err = lab.StaticPass(ctx, b, lab.P.Policy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle := func(l2 float64, scheme cpisim.LoadScheme, symmetric bool) Optimum {
+		want := Optimum{Best: TPIPoint{TPINs: math.Inf(1)}}
+		for _, c := range cands {
+			dp := c.dp
+			if dp.Scheme != scheme || (symmetric && (dp.B != dp.L || dp.ISizeKW != dp.DSizeKW)) {
+				continue
+			}
+			want.Evaluated++
+			pen := penaltyCyclesFor(l2, c.tcpu)
+			cpi, err := passes[dp.B].CPIFor(dp.L, dp.Scheme, c.i, c.d, pen, pen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tpi := cpi * c.tcpu; tpi < want.Best.TPINs {
+				want.Best = TPIPoint{B: dp.B, L: dp.L, ISizeKW: dp.ISizeKW, DSizeKW: dp.DSizeKW, LoadScheme: dp.Scheme,
+					TCPUNs: c.tcpu, PenCycles: pen, CPI: cpi, TPINs: tpi}
+			}
+		}
+		return want
+	}
+	rng := rand.New(rand.NewPCG(7, 27))
+	l2s := make([]float64, 3000)
+	for k := range l2s {
+		if k%5 == 0 {
+			l2s[k] = 1e6 * rng.Float64()
+		} else {
+			l2s[k] = 1 + 150*rng.Float64()
+		}
+	}
+	wants := make([]Optimum, len(l2s))
+	for round := range 2 {
+		for k, l2 := range l2s {
+			scheme, symmetric := cpisim.LoadScheme(k%2), k/2%2 == 1
+			if round == 0 {
+				wants[k] = oracle(l2, scheme, symmetric)
+			}
+			got, err := lab.Best(ctx, lab.queryAt(l2), scheme, symmetric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got != wants[k] {
+				t.Fatalf("round %d: Best(%v, %v, symmetric=%v) = %+v, oracle %+v", round, l2, scheme, symmetric, *got, wants[k])
+			}
+		}
+	}
+}
+
+// doneAt is a context that closes reached at the at-th call of its Done
+// method, counting from 1 (0 never).
+type doneAt struct {
+	context.Context
+	calls   atomic.Int64
+	at      int64
+	reached chan struct{}
+}
+
+func (c *doneAt) Done() <-chan struct{} {
+	if c.calls.Add(1) == c.at {
+		close(c.reached)
+	}
+	return c.Context.Done()
+}
+
+// TestBestCancelMidSweep cancels Best's point loop (minTPI) from another
+// goroutine as the loop starts, at the call of Done it hoists: the run
+// returns the context's error and no answer, with lab.tpi_points moved by
+// the points evaluated before the loop saw the cancellation, neither none
+// nor all. The list is Best's static candidates 200 times over, at a miss
+// service whose penalties all lie past the CPI memo's window, so the loop
+// outlasts the canceller's wake-up by far; a run that still finishes
+// first must give the uncancelled answer, and at least one of 20 must stop
+// part way.
+func TestBestCancelMidSweep(t *testing.T) {
+	lab, reg := diffLab(t, 0, 1)
+	var cands []candidate
+	for range 200 {
+		cands = append(cands, lab.cands[candKey{scheme: cpisim.LoadStatic}]...)
+	}
+	q := lab.queryAt(5000)
+	dry := &doneAt{Context: context.Background()}
+	want, err := lab.minTPI(dry, q, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hoist := dry.calls.Load()
+	points := func() int64 { return reg.Snapshot().Counters["lab.tpi_points"] }
+	midway := 0
+	for attempt := 0; attempt < 20 && midway == 0; attempt++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		c := &doneAt{Context: ctx, at: hoist, reached: make(chan struct{})}
+		go func() {
+			<-c.reached
+			cancel()
+		}()
+		before := points()
+		got, err := lab.minTPI(c, q, cands)
+		<-ctx.Done()
+		n := points() - before
+		switch {
+		case err == nil:
+			if got != want || n != int64(len(cands)) {
+				t.Fatalf("attempt %d: uncancelled sweep = %+v over %d points, want %+v over %d", attempt, got, n, want, len(cands))
+			}
+		case !errors.Is(err, context.Canceled) || got != (TPIPoint{}):
+			t.Fatalf("attempt %d: sweep = %+v, %v; want no answer and context.Canceled", attempt, got, err)
+		case n <= 0 || n >= int64(len(cands)):
+			t.Fatalf("attempt %d: a cancelled sweep counted %d of %d points", attempt, n, len(cands))
+		default:
+			midway++
+		}
+	}
+	if midway == 0 {
+		t.Error("no cancellation landed inside the point loop in 20 attempts")
+	}
+}
+
+// TestBestSweepItemPanic fires an injected panic at the lab.sweep.item
+// seam of Best's point sweep: a warm Best hits the seam once per depth
+// (hits 0..3) and once for its points (hit 4), so the test takes the first
+// plan seed that fires at hit 4 alone. Best must return ErrPassPanic and no
+// answer, and the lab must answer the next Best correctly.
+func TestBestSweepItemPanic(t *testing.T) {
+	lab, _ := diffLab(t, 0, 1)
+	ctx := context.Background()
+	want, err := lab.Best(ctx, lab.Query(), cpisim.LoadDynamic, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fault.Disable)
+	for seed := 1; seed <= 1000; seed++ {
+		p, err := fault.ParsePlan(fmt.Sprintf("seed=%d,rate=512/1024,kinds=panic,points=lab.sweep.item", seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault.Enable(p)
+		got, err := lab.Best(ctx, lab.Query(), cpisim.LoadDynamic, false)
+		fault.Disable()
+		if err == nil || !strings.Contains(err.Error(), "(hit 4)") {
+			continue
+		}
+		if !errors.Is(err, ErrPassPanic) || got != nil || p.Fired() != 1 {
+			t.Fatalf("seed %d: Best = %v, %v after %d fires; want no answer and ErrPassPanic after 1", seed, got, err, p.Fired())
+		}
+		got, err = lab.Best(ctx, lab.Query(), cpisim.LoadDynamic, false)
+		if err != nil || *got != *want {
+			t.Fatalf("Best after the contained panic = %v, %v; want %+v", got, err, *want)
+		}
+		return
+	}
+	t.Fatal("no seed in 1..1000 fires at hit 4 alone")
 }
 
 // TestQueryL2TimeRange checks that every design-point entry point refuses
@@ -307,9 +557,13 @@ func TestQueryL2TimeRange(t *testing.T) {
 			_, err := lab.EvalPoint(ctx, lab.queryAt(l2), dp)
 			return err
 		},
-		"EvalSpace": func(l2 float64) error {
-			_, err := lab.EvalSpace(ctx, lab.queryAt(l2))
-			return err
+		"EvalPoint over DesignSpace": func(l2 float64) error {
+			for _, dp := range DesignSpace(lab.P) {
+				if _, err := lab.EvalPoint(ctx, lab.queryAt(l2), dp); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 		"TPISweep": func(l2 float64) error {
 			_, err := lab.TPISweep(ctx, lab.queryAt(l2), cpisim.LoadStatic)
