@@ -20,10 +20,11 @@ race:
 
 # The race-detector package list shared with CI: concurrency-bearing
 # packages, including the replay plan cache that concurrent passes share
-# (cpisim) and the pooled bank slabs (cache).
+# (cpisim), the bank kernels (cache) and the program memo that parallel
+# sweep passes reach translations and block tables through (program).
 RACE_PKGS = ./internal/server ./internal/core ./internal/obs ./internal/trace \
 	./internal/fault ./internal/chaos ./internal/surface ./internal/cluster \
-	./internal/cpisim ./internal/cache
+	./internal/cpisim ./internal/cache ./internal/program
 
 # The race job CI runs (make ci and the workflow's race job).
 race-ci:

@@ -414,7 +414,6 @@ func BenchmarkTraceReplay(b *testing.B) {
 			b.Fatal(err)
 		}
 		total += res.Benches[0].Insts
-		sim.Release()
 	}
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "insts/s")
 }
@@ -916,7 +915,6 @@ func BenchmarkCapture(b *testing.B) {
 		for j := 0; j < tr.Len(); j++ {
 			insts += tr.Bench(j).Insts()
 		}
-		tr.Release()
 	}
 	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "insts/s")
 }

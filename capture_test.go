@@ -79,7 +79,6 @@ func TestCaptureStageMatchesLiveTee(t *testing.T) {
 		t.Fatal(err)
 	}
 	tee := rec.Finish()
-	defer tee.Release()
 	want := streams(tee)
 
 	for _, workers := range []int{1, 2, 3} {
@@ -102,7 +101,6 @@ func TestCaptureStageMatchesLiveTee(t *testing.T) {
 				t.Errorf("workers=%d bench %s: columns differ from the tee's", workers, g.Name())
 			}
 		}
-		tr.Release()
 	}
 
 	live, stage := newLab(3, -1), newLab(3, 0)

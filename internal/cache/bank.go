@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"pipecache/internal/mempool"
 	"pipecache/internal/obs"
 )
 
@@ -197,10 +196,10 @@ func NewBank(cfgs []Config) (*Bank, error) {
 		total += lines
 	}
 	if total > 0 {
-		b.lines = mempool.Uint64s(total)
+		b.lines = make([]uint64, total)
 	}
 	if plruWords > 0 {
-		b.plru = mempool.Uint64s(plruWords)
+		b.plru = make([]uint64, plruWords)
 	}
 	if b.AllPacked() && len(b.packed) == 1 {
 		b.solo = b.packed[0]
@@ -211,7 +210,7 @@ func NewBank(cfgs []Config) (*Bank, error) {
 				minSets = s
 			}
 		}
-		b.last = mempool.Uint64s(int(minSets))
+		b.last = make([]uint64, minSets)
 		b.lastBits = uint32(bits.TrailingZeros32(uint32(cfgs[0].BlockWords)))
 		b.lastMask = minSets - 1
 	}
@@ -260,21 +259,11 @@ func (b *Bank) AllPacked() bool {
 // PackedGroups returns the number of lane-packed groups.
 func (b *Bank) PackedGroups() int { return len(b.packed) }
 
-// Release returns the bank's pooled slabs. The bank must not be used
-// afterwards.
-func (b *Bank) Release() {
-	for _, g := range b.packed {
-		g.release()
-	}
-	b.packed = nil
-	for _, slab := range [][]uint64{b.lines, b.plru, b.last} {
-		if slab != nil {
-			mempool.PutUint64s(slab)
-		}
-	}
-	b.lines, b.plru, b.last = nil, nil, nil
-	b.meta, b.metaPLRU = nil, nil
-}
+// Release does nothing: a bank's slabs are ordinary garbage-collected
+// memory. It remains only because the end-to-end benchmark
+// (perfbench/layers.go) calls it; delete it at the next change to the
+// benchmark.
+func (b *Bank) Release() {}
 
 // Stats returns a copy of the i'th configuration's statistics.
 func (b *Bank) Stats(i int) Stats {

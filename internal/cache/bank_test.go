@@ -420,6 +420,5 @@ func TestBankLastBlockDifferential(t *testing.T) {
 		} else if !c.served && f != 0 {
 			t.Errorf("%s: %d reads answered by a bank the table may not serve", c.name, f)
 		}
-		bank.Release()
 	}
 }

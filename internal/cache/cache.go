@@ -177,9 +177,6 @@ func New(cfg Config) (*Cache, error) {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Stats returns a copy of the access statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

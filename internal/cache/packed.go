@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"math/bits"
-
-	"pipecache/internal/mempool"
-)
+import "math/bits"
 
 // The lane-packed bank kernel. A ladder of direct-mapped configurations
 // sharing one block size and one write policy satisfies the inclusion
@@ -77,7 +73,7 @@ func newPackedGroup(cfgs []Config, idx []int) *packedGroup {
 		setBits:   uint32(bits.TrailingZeros32(maxSets)),
 		maskMax:   maxSets - 1,
 		writeBack: cfgs[idx[0]].WriteBack,
-		table:     mempool.Uint64s(int(maxSets)),
+		table:     make([]uint64, maxSets),
 		lanes:     make([]packedLane, len(idx)),
 	}
 	for l, ci := range idx {
@@ -87,7 +83,7 @@ func newPackedGroup(cfgs []Config, idx []int) *packedGroup {
 		lane.cibit = uint64(1) << uint(ci)
 		lane.mask = sets - 1
 		if sets < maxSets {
-			lane.holder = mempool.Int32s(int(sets))
+			lane.holder = make([]int32, sets)
 			for i := range lane.holder {
 				lane.holder[i] = -1
 			}
@@ -95,17 +91,6 @@ func newPackedGroup(cfgs []Config, idx []int) *packedGroup {
 		g.allValid |= uint64(1) << uint(l)
 	}
 	return g
-}
-
-func (g *packedGroup) release() {
-	mempool.PutUint64s(g.table)
-	g.table = nil
-	for i := range g.lanes {
-		if h := g.lanes[i].holder; h != nil {
-			mempool.PutInt32s(h)
-			g.lanes[i].holder = nil
-		}
-	}
 }
 
 // probe sends one block access through every lane of the group and

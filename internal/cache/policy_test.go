@@ -184,7 +184,6 @@ func TestBankPolicyDifferentialExhaustive(t *testing.T) {
 							t.Fatalf("pol=%v cfg=%v: bank stats %+v, cache stats %+v", pol, cfgs[ci], got, want)
 						}
 					}
-					bank.Release()
 				}
 			}
 		}
@@ -418,32 +417,5 @@ func TestPackedGateMixedLadders(t *testing.T) {
 		if got, want := bank.Stats(ci), refs[ci].Stats(); got != want {
 			t.Fatalf("cfg=%v: bank stats %+v, cache stats %+v", cfgs[ci], got, want)
 		}
-	}
-}
-
-// TestBankPolicyRelease exercises slab recycling for a policy-mixed bank:
-// Release and rebuild must hand back zeroed state (a rebuilt bank starts
-// cold even when its slabs are recycled).
-func TestBankPolicyRelease(t *testing.T) {
-	cfgs := []Config{
-		{SizeKW: 1, BlockWords: 4, Assoc: 4, WriteBack: true, Policy: PolicyTreePLRU},
-		{SizeKW: 1, BlockWords: 4, Assoc: 2, WriteBack: true, Policy: PolicyFIFO},
-	}
-	for round := 0; round < 3; round++ {
-		bank := mustBank(t, cfgs)
-		refs := refCaches(t, cfgs)
-		r := stats.NewRNG(uint64(round + 1))
-		for i := 0; i < 5000; i++ {
-			addr := uint32(r.Intn(8_192))
-			write := r.Bool(0.4)
-			mask := bank.Access(addr, write)
-			for ci, c := range refs {
-				res := c.Access(addr, write)
-				if gotMiss := mask&(1<<uint(ci)) != 0; gotMiss == res.Hit {
-					t.Fatalf("round %d cfg=%v probe %d: bank miss=%v, cache hit=%v", round, cfgs[ci], i, gotMiss, res.Hit)
-				}
-			}
-		}
-		bank.Release()
 	}
 }

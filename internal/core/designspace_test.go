@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -62,5 +63,39 @@ func TestFingerprintSensitivity(t *testing.T) {
 		if Fingerprint(s, q) == base {
 			t.Errorf("fingerprint did not move with %s", name)
 		}
+	}
+}
+
+// TestEvalPointNoObsAllocs: on a lab without a registry, a warm EvalPoint
+// allocates nothing. A nil registry hands out nil instruments whose
+// methods do nothing, so counting a point costs no allocation.
+func TestEvalPointNoObsAllocs(t *testing.T) {
+	spec, ok := gen.LookupSpec("loops")
+	if !ok {
+		t.Fatal("spec loops missing")
+	}
+	suite, err := BuildSuite([]gen.Spec{spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.Insts = 20_000
+	lab, err := NewLab(suite, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := lab.Query()
+	dp := DesignPoint{B: 1, L: 1, ISizeKW: 4, DSizeKW: 4, Scheme: cpisim.LoadStatic}
+	if _, err := lab.EvalPoint(ctx, q, dp); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := lab.EvalPoint(ctx, q, dp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm EvalPoint without a registry makes %.1f allocations, want 0", allocs)
 	}
 }

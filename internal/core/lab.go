@@ -719,20 +719,17 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 		if tr, err = l.capture(ctx, key, ws); err != nil {
 			return nil, err
 		}
-		// Commit takes the store's own reference (none when the trace is
-		// oversize and tombstoned); the capturer replays from its creator
-		// reference either way.
+		// The capturer replays its own trace whether Commit installs it or
+		// tombstones it as oversize.
 		tok.Commit(tr)
 	} else if tr == nil {
 		// Oversize tombstone: interpret live without capturing.
 		return sim.RunContext(ctx, l.P.Insts)
 	}
 	res, rerr := sim.ReplayContext(ctx, l.P.Insts, tr)
-	tr.Release()
 	if rerr == nil {
 		l.obs.Counter(replays).Inc()
 		sim.PublishReplayGate()
-		sim.Release()
 		return res, nil
 	}
 	if isCtxErr(rerr) {
@@ -751,8 +748,8 @@ func (l *Lab) runOrReplay(ctx context.Context, cfg cpisim.Config, ws []cpisim.Wo
 }
 
 // Capture records the event streams of the lab's workloads with the
-// capture stage and returns the trace, with one reference held by the
-// caller. It neither reads nor fills the lab's trace store.
+// capture stage and returns the trace. It neither reads nor fills the
+// lab's trace store.
 func (l *Lab) Capture(ctx context.Context) (*trace.EventTrace, error) {
 	ws := l.workloads()
 	return l.capture(ctx, l.traceKey(ws), ws)
@@ -790,12 +787,11 @@ func (l *Lab) capture(ctx context.Context, key string, ws []cpisim.Workload) (*t
 		}
 		return nil
 	})
-	// forEach has joined every worker, so no sink is still appending.
-	tr := rec.Finish()
 	if err != nil {
-		tr.Release()
 		return nil, err
 	}
+	// forEach has joined every worker, so no sink is still appending.
+	tr := rec.Finish()
 	if l.obs != nil {
 		l.obs.Counter("lab.captures").Inc()
 		l.obs.Histogram("lab.capture_seconds", obs.ExponentialBounds(0.01, 2, 16)...).

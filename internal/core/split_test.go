@@ -27,7 +27,6 @@ func TestSplitPassMatchesFused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Release()
 
 	dm := lab.cacheBank(cache.PolicyLRU)
 	assoc := func(pol cache.Policy) []cache.Config {

@@ -47,31 +47,23 @@ type blockMeta struct {
 	predTaken   bool
 }
 
-// blockMetaCache shares one table per translation identity across
-// simulators: a sweep builds thousands of Sims over the same few
-// workloads, and the table is a pure function of (program, slot budget,
-// profile), so rebuilding it per Sim was a measurable slice of every
-// replay iteration. Entries are read-only once published and live as
-// long as the process (the key pins the program, which sweeps hold
-// anyway); the key space is tiny — programs x slot budgets x profiles.
-var blockMetaCache sync.Map // metaKey -> []blockMeta
-
-type metaKey struct {
-	prog  *program.Program
+// blockMetaKey memoizes one block table on its program (Program.Memo):
+// a sweep builds thousands of Sims over the same few workloads, and the
+// table is a pure function of (program, slot budget, profile), so
+// rebuilding it per Sim was a measurable slice of every replay iteration.
+// Program.Invalidate drops it together with the translation it decodes.
+type blockMetaKey struct {
 	slots int
 	prof  *sched.Profile
 }
 
 // cachedBlockMeta returns the shared table for one translation identity,
-// building it on first sight. Concurrent builders (parallel sweep passes
-// over one workload) converge on one canonical table.
+// building it from xlat on first sight. Concurrent builders (parallel
+// sweep passes over one workload) converge on one canonical table.
 func cachedBlockMeta(prog *program.Program, xlat *sched.Translation, slots int, prof *sched.Profile) []blockMeta {
-	key := metaKey{prog: prog, slots: slots, prof: prof}
-	if v, ok := blockMetaCache.Load(key); ok {
-		return v.([]blockMeta)
-	}
-	ms := buildBlockMeta(xlat)
-	v, _ := blockMetaCache.LoadOrStore(key, ms)
+	v, _ := prog.Memo(blockMetaKey{slots: slots, prof: prof}, func() (any, error) {
+		return buildBlockMeta(xlat), nil
+	})
 	return v.([]blockMeta)
 }
 

@@ -32,22 +32,6 @@ func (s *Sim) SetCapture(rec *trace.Recorder) {
 	}
 }
 
-// checkTraceLive rejects a nil or fully released trace before any of its
-// chunks are touched. Compiled chunk plans (plan.go) key on column slices
-// whose backing chunks recycle to the pool at the last Release; replaying
-// a dead trace would deliver plans — and raw columns — against memory the
-// pool may already have handed to someone else, a silent use-after-release.
-// The refcount makes that a clean error instead.
-func checkTraceLive(tr *trace.EventTrace) error {
-	if tr == nil {
-		return fmt.Errorf("cpisim: nil trace")
-	}
-	if tr.Refs() <= 0 {
-		return fmt.Errorf("cpisim: trace %q already released (refs=%d); its chunks may be recycled", tr.Key(), tr.Refs())
-	}
-	return nil
-}
-
 // Replay is ReplayContext without cancellation.
 func (s *Sim) Replay(instsPerBench int64, tr *trace.EventTrace) (*Result, error) {
 	return s.ReplayContext(context.Background(), instsPerBench, tr)
@@ -73,8 +57,8 @@ func (s *Sim) ReplaySharded(instsPerBench int64, tr *trace.EventTrace, workers i
 // exhaustion error leaves the simulator in an undefined intermediate
 // state; build a fresh Sim to fall back to live interpretation.
 func (s *Sim) ReplayContext(ctx context.Context, instsPerBench int64, tr *trace.EventTrace) (*Result, error) {
-	if err := checkTraceLive(tr); err != nil {
-		return nil, err
+	if tr == nil {
+		return nil, fmt.Errorf("cpisim: nil trace")
 	}
 	names := make([]string, len(s.benches))
 	seeds := make([]uint64, len(s.benches))
@@ -90,8 +74,8 @@ func (s *Sim) ReplayContext(ctx context.Context, instsPerBench int64, tr *trace.
 		cursors[i] = tr.Cursor(i)
 	}
 	// Expose the trace's plan cache to the column dispatch for the
-	// duration of the pass (plan.go); cleared on success so the simulator
-	// does not pin a released trace's memory.
+	// duration of the pass (plan.go); cleared afterwards so the simulator
+	// does not keep an evicted trace alive.
 	s.replayAux = tr.Aux()
 	defer func() { s.replayAux = nil }()
 	quantum := s.cfg.Quantum

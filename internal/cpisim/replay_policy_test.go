@@ -1,7 +1,6 @@
 package cpisim
 
 import (
-	"strings"
 	"testing"
 
 	"pipecache/internal/cache"
@@ -17,62 +16,6 @@ func policyLadder(pol cache.Policy) []cache.Config {
 	}
 }
 
-// TestReplayAfterReleaseRejected is the plan-lifetime regression: compiled
-// replay plans key on column slices whose backing chunks recycle to the
-// mempool at the trace's final Release, so replaying a released trace
-// must fail cleanly instead of delivering plans against recycled memory.
-func TestReplayAfterReleaseRejected(t *testing.T) {
-	ws := replayWorkloads(t)
-	const insts = 8_000
-	cfg := Config{ICaches: []cache.Config{icfg()}, DCaches: []cache.Config{icfg()}, Quantum: 2_000}
-	_, tr := captureTrace(t, cfg, ws, insts)
-
-	// A live trace replays fine (and compiles plans onto its Aux cache).
-	sim, err := New(cfg, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Replay(insts, tr); err != nil {
-		t.Fatal(err)
-	}
-
-	// An extra Retain/Release pair keeps it live: replay must still work.
-	tr.Retain()
-	tr.Release()
-	sim2, err := New(cfg, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim2.Replay(insts, tr); err != nil {
-		t.Fatalf("replay of a retained trace failed: %v", err)
-	}
-
-	// The final Release recycles the chunks; both replay entry points must
-	// reject the dead trace before touching them.
-	tr.Release()
-	if tr.Refs() != 0 {
-		t.Fatalf("refs = %d after final release", tr.Refs())
-	}
-	fresh, err := New(cfg, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = fresh.Replay(insts, tr)
-	if err == nil {
-		t.Fatal("sequential replay accepted a released trace")
-	}
-	if !strings.Contains(err.Error(), "released") {
-		t.Errorf("unhelpful error: %v", err)
-	}
-	fresh2, err := New(cfg, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fresh2.ReplaySharded(insts, tr, 4); err == nil {
-		t.Fatal("ReplaySharded accepted a released trace")
-	}
-}
-
 // TestReplayPolicyConfigs extends the live-vs-replay differential to FIFO
 // and Tree-PLRU ladders: non-LRU configurations never lane-pack, so the
 // compiled plans stream their probes through the general policy kernels,
@@ -82,7 +25,6 @@ func TestReplayPolicyConfigs(t *testing.T) {
 	ws := replayWorkloads(t)
 	const insts = 8_000
 	_, tr := captureTrace(t, Config{Quantum: 1_000}, ws, insts)
-	defer tr.Release()
 
 	for _, pol := range []cache.Policy{cache.PolicyFIFO, cache.PolicyTreePLRU} {
 		t.Run(pol.String(), func(t *testing.T) {
@@ -102,7 +44,6 @@ func TestReplayLastBlockTable(t *testing.T) {
 	ws := replayWorkloads(t)
 	const insts = 8_000
 	_, tr := captureTrace(t, Config{Quantum: 1_000}, ws, insts)
-	defer tr.Release()
 
 	for _, pol := range []cache.Policy{cache.PolicyLRU, cache.PolicyFIFO, cache.PolicyTreePLRU} {
 		t.Run(pol.String(), func(t *testing.T) {

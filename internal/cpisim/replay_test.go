@@ -1,7 +1,9 @@
 package cpisim
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pipecache/internal/cache"
@@ -47,7 +49,7 @@ func bankStats(b *cache.Bank, n int) []cache.Stats {
 }
 
 // captureTrace runs one live pass of cfg with a recorder teed in and
-// returns both the live result and the captured trace (caller releases).
+// returns both the live result and the captured trace.
 func captureTrace(t *testing.T, cfg Config, ws []Workload, insts int64) (*Result, *trace.EventTrace) {
 	t.Helper()
 	sim, err := New(cfg, ws)
@@ -117,7 +119,6 @@ func TestReplayBitIdentical(t *testing.T) {
 		Quantum:     20_000,
 	}
 	liveCapture, tr := captureTrace(t, captureCfg, ws, insts)
-	defer tr.Release()
 
 	big := cache.Config{SizeKW: 8, BlockWords: 8, Assoc: 2, WriteBack: false}
 	cfgs := map[string]Config{
@@ -165,7 +166,6 @@ func TestReplaySingleBench(t *testing.T) {
 	ws := replayWorkloads(t)[:1]
 	const insts = 10_000
 	_, tr := captureTrace(t, Config{Quantum: 900}, ws, insts)
-	defer tr.Release()
 	checkLiveAndReplay(t, Config{BranchSlots: 2, LoadSlots: 2,
 		ICaches: packedLadder(), DCaches: packedLadder(), Quantum: 900}, ws, insts, tr)
 }
@@ -206,7 +206,6 @@ func TestShardedReplayWorkers(t *testing.T) {
 			ICaches: packedLadder(), Quantum: 1_000},
 	}
 	_, tr := captureTrace(t, Config{Quantum: 1_000}, ws, insts)
-	defer tr.Release()
 
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
@@ -235,7 +234,6 @@ func TestShardedReplayGateFallback(t *testing.T) {
 			ICaches: []cache.Config{icfg()}, DCaches: []cache.Config{icfg()}, Quantum: 2_000},
 	}
 	_, tr := captureTrace(t, Config{Quantum: 2_000}, ws, insts)
-	defer tr.Release()
 
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
@@ -256,7 +254,6 @@ func TestReplayValidation(t *testing.T) {
 	const insts = 10_000
 	cfg := Config{ICaches: []cache.Config{icfg()}, DCaches: []cache.Config{icfg()}, Quantum: 5_000}
 	_, tr := captureTrace(t, cfg, ws, insts)
-	defer tr.Release()
 
 	sim, err := New(cfg, ws)
 	if err != nil {
@@ -285,5 +282,106 @@ func TestReplayValidation(t *testing.T) {
 	}
 	if _, err := wrong.Replay(insts, tr); err == nil {
 		t.Error("seed mismatch accepted")
+	}
+}
+
+// TestReplayAfterInPlaceEdit pins the block table to the program memo: a
+// pass builds the table the compiled plans decode against, then a block
+// grows in place and Program.Invalidate drops every derived artifact. A
+// trace captured from the edited program must replay bit-identically to a
+// live run, so the next simulator may not decode against the stale table.
+func TestReplayAfterInPlaceEdit(t *testing.T) {
+	ws := replayWorkloads(t)
+	const insts = 8_000
+	cfg := Config{BranchSlots: 1, ICaches: packedLadder(), DCaches: []cache.Config{icfg()}, Quantum: 1_000}
+	_, before := captureTrace(t, cfg, ws, insts)
+	checkLiveAndReplay(t, cfg, ws, insts, before)
+
+	p := ws[0].Prog
+	b0 := p.Blocks[0]
+	b0.Insts = append(b0.Insts[:1:1], b0.Insts...)
+	if err := p.Layout(); err != nil {
+		t.Fatal(err)
+	}
+	p.Invalidate()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, after := captureTrace(t, cfg, ws, insts)
+	checkLiveAndReplay(t, cfg, ws, insts, after)
+}
+
+// TestStoreEvictDuringReplay evicts a trace from an EventStore while
+// replays still hold it: a trace is an ordinary garbage-collected value,
+// so the replay racing the eviction, and one started after it and a
+// collection, must match the pre-eviction replay bit for bit, and the
+// store must stay intact.
+func TestStoreEvictDuringReplay(t *testing.T) {
+	ws := replayWorkloads(t)
+	const insts = 8_000
+	cfg := Config{BranchSlots: 2, ICaches: packedLadder(), DCaches: policyLadder(cache.PolicyTreePLRU), Quantum: 1_000}
+	_, captured := captureTrace(t, cfg, ws, insts)
+	_, other := captureTrace(t, cfg, ws, insts)
+
+	ctx := context.Background()
+	store := trace.NewStore(captured.Bytes()) // room for one trace
+	commit := func(key string, tr *trace.EventTrace) {
+		t.Helper()
+		_, tok, err := store.Acquire(ctx, key)
+		if err != nil || tok == nil {
+			t.Fatalf("acquire %s: tok=%v err=%v", key, tok, err)
+		}
+		tok.Commit(tr)
+	}
+	commit("a", captured)
+	held, _, err := store.Acquire(ctx, "a")
+	if err != nil || held == nil {
+		t.Fatalf("resident acquire: tr=%v err=%v", held, err)
+	}
+
+	type pass struct {
+		res  *Result
+		i, d []cache.Stats
+		err  error
+	}
+	replay := func() pass {
+		sim, err := New(cfg, ws)
+		if err != nil {
+			return pass{err: err}
+		}
+		res, err := sim.Replay(insts, held)
+		return pass{res, bankStats(sim.ibank, len(cfg.ICaches)), bankStats(sim.dbank, len(cfg.DCaches)), err}
+	}
+	want := replay()
+	if want.err != nil {
+		t.Fatal(want.err)
+	}
+
+	racing := make(chan pass)
+	go func() { racing <- replay() }()
+	commit("b", other) // evicts "a"
+	got := []pass{<-racing}
+	if store.Entries() != 1 {
+		t.Fatalf("%d resident traces, want 1", store.Entries())
+	}
+	if tr, tok, _ := store.Acquire(ctx, "a"); tr != nil || tok == nil {
+		t.Fatal("evicted trace still resident")
+	} else {
+		tok.Abort()
+	}
+	runtime.GC()
+	got = append(got, replay())
+
+	for i, g := range got {
+		if g.err != nil {
+			t.Fatalf("replay %d: %v", i, g.err)
+		}
+		if !reflect.DeepEqual(g, want) {
+			t.Errorf("replay %d after eviction differs:\n before: %+v\n after:  %+v", i, want, g)
+		}
+	}
+	if err := store.CheckIntegrity(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,8 +59,8 @@ type benchState struct {
 	seed uint64
 	xlat *sched.Translation
 	// slots and prof pin the translation's identity (together with prog)
-	// for the compiled-chunk plan cache: xlat itself is rebuilt per Sim,
-	// but these inputs are stable across simulators over one workload.
+	// for the compiled-chunk plan cache and the block table memo: these
+	// inputs are stable across simulators over one workload.
 	slots int
 	prof  *sched.Profile
 	sink  *benchSink
@@ -167,27 +167,11 @@ func New(cfg Config, ws []Workload) (*Sim, error) {
 	return s, nil
 }
 
-// Release returns the simulator's pooled resources (cache bank slabs, CTI
-// tables). Optional — the GC reclaims everything anyway — but a sweep
-// building thousands of simulators recycles the same slab shapes, keeping
-// steady-state passes allocation-free. The simulator must not be used
-// after Release.
-func (s *Sim) Release() {
-	if s.ibank != nil {
-		s.ibank.Release()
-	}
-	if s.dbank != nil {
-		s.dbank.Release()
-	}
-	if s.l2bank != nil {
-		s.l2bank.Release()
-	}
-	// ctis tables are shared through blockMetaCache, not pooled; just drop
-	// the references.
-	for _, b := range s.benches {
-		b.ctis = nil
-	}
-}
+// Release does nothing: a simulator's banks are ordinary
+// garbage-collected memory. It remains only because the end-to-end
+// benchmark (perfbench/layers.go) calls it; delete it at the next change
+// to the benchmark.
+func (s *Sim) Release() {}
 
 // Run executes instsPerBench useful instructions of every workload,
 // round-robin with the configured quantum, and returns the cycle

@@ -192,9 +192,6 @@ func Enable(p *Plan) {
 // Disable removes the installed plan; injection points revert to no-ops.
 func Disable() { active.Store(nil) }
 
-// Active reports whether a plan is installed.
-func Active() bool { return active.Load() != nil }
-
 // Fired returns the number of faults the plan has injected so far.
 func (p *Plan) Fired() int64 { return p.fired.Load() }
 

@@ -124,33 +124,6 @@ type Mix struct {
 	CTIFrac   float64
 }
 
-// StaticMix counts the static instruction mix of a program.
-func StaticMix(p *program.Program) Mix {
-	var loads, stores, ctis, total int
-	for _, b := range p.Blocks {
-		for _, in := range b.Insts {
-			total++
-			switch {
-			case in.Op.IsLoad():
-				loads++
-			case in.Op.IsStore():
-				stores++
-			case in.IsCTI():
-				ctis++
-			}
-		}
-	}
-	if total == 0 {
-		return Mix{}
-	}
-	return Mix{
-		Insts:     total,
-		LoadFrac:  float64(loads) / float64(total),
-		StoreFrac: float64(stores) / float64(total),
-		CTIFrac:   float64(ctis) / float64(total),
-	}
-}
-
 func within(got, want, tol float64) bool {
 	d := got - want
 	if d < 0 {

@@ -21,19 +21,29 @@ import (
 )
 
 // Counter is a monotonically increasing 64-bit counter. The zero value is
-// ready to use. All methods are safe for concurrent use.
+// ready to use, and a nil *Counter (what a nil Registry hands out) counts
+// nothing and reads 0. All methods are safe for concurrent use.
 type Counter struct {
 	v atomic.Int64
 }
 
 // Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
+func (c *Counter) Add(d int64) {
+	if c != nil {
+		c.v.Add(d)
+	}
+}
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current total.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // LocalCounter is an unsynchronized shard of a Counter for one goroutine's
 // hot path: increments are plain integer adds, and Flush folds the
@@ -62,22 +72,33 @@ func (l *LocalCounter) Flush() {
 }
 
 // Gauge is a 64-bit float gauge (last value wins). The zero value is ready
-// to use. All methods are safe for concurrent use.
+// to use, and a nil *Gauge stores nothing and reads 0. All methods are
+// safe for concurrent use.
 type Gauge struct {
 	bits atomic.Uint64
 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Value returns the last stored value (0 before any Set).
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // Histogram is a fixed-bucket histogram. Bucket i counts observations v
 // with v <= Bounds[i] (and greater than Bounds[i-1]); one extra overflow
 // bucket counts observations above the last bound. Observations also
-// accumulate a total count and sum. All methods are safe for concurrent
-// use and allocation-free.
+// accumulate a total count and sum. A nil *Histogram records nothing and
+// reads empty. All methods are safe for concurrent use and
+// allocation-free.
 type Histogram struct {
 	bounds  []float64
 	counts  []int64 // len(bounds)+1; updated with atomic adds
@@ -125,6 +146,9 @@ func ExponentialBounds(start, factor float64, n int) []float64 {
 
 // Observe records one observation.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	// Binary search the bucket; bounds are sorted.
 	lo, hi := 0, len(h.bounds)
 	for lo < hi {
@@ -148,6 +172,9 @@ func (h *Histogram) Observe(v float64) {
 
 // Bounds returns a copy of the bucket upper bounds.
 func (h *Histogram) Bounds() []float64 {
+	if h == nil {
+		return nil
+	}
 	b := make([]float64, len(h.bounds))
 	copy(b, h.bounds)
 	return b
@@ -156,6 +183,9 @@ func (h *Histogram) Bounds() []float64 {
 // Counts returns a copy of the per-bucket counts; the final element is the
 // overflow bucket.
 func (h *Histogram) Counts() []int64 {
+	if h == nil {
+		return nil
+	}
 	c := make([]int64, len(h.counts))
 	for i := range h.counts {
 		c[i] = atomic.LoadInt64(&h.counts[i])
@@ -164,16 +194,27 @@ func (h *Histogram) Counts() []int64 {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return math.Float64frombits(h.sumBits.Load())
+}
 
 // Registry is a run-scoped collection of named metrics. Get-or-create
 // lookups are guarded by a mutex (call them at setup or pass boundaries,
 // not per event); the returned metric handles are lock-free. A nil
-// *Registry is valid: lookups return live but unregistered metrics, so
-// instrumented code needs no nil checks.
+// *Registry is valid: lookups return nil metrics, whose methods do nothing
+// and read zero, so instrumented code needs no nil checks and a
+// registry-less caller pays no allocation per lookup.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -193,7 +234,7 @@ func NewRegistry() *Registry {
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
-		return new(Counter)
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -208,7 +249,7 @@ func (r *Registry) Counter(name string) *Counter {
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
-		return new(Gauge)
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -224,7 +265,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // on first use. Later lookups of an existing histogram ignore bounds.
 func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	if r == nil {
-		return NewHistogram(bounds...)
+		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -150,13 +150,23 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestNilRegistry: a nil registry must hand out working metrics so
-// instrumented code needs no nil checks.
+// TestNilRegistry: a nil registry hands out nil metrics that instrumented
+// code may use without nil checks: updates do nothing and reads are zero.
 func TestNilRegistry(t *testing.T) {
 	var reg *Registry
-	reg.Counter("x").Add(1)
-	reg.Gauge("y").Set(2)
-	reg.Histogram("z", 1, 2).Observe(1)
+	c, g, h := reg.Counter("x"), reg.Gauge("y"), reg.Histogram("z", 1, 2)
+	c.Add(1)
+	c.Inc()
+	g.Set(2)
+	h.Observe(1)
+	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 || h.Bounds() != nil || h.Counts() != nil {
+		t.Fatalf("nil metrics read %d, %v, %d, %v, %v, %v; want zeros", c.Value(), g.Value(), h.Count(), h.Sum(), h.Bounds(), h.Counts())
+	}
+	stop := reg.Time("t")
+	stop()
+	if v := reg.UptimeGauge("u", time.Now()); v < 0 {
+		t.Fatalf("uptime %v", v)
+	}
 	snap := reg.Snapshot()
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot not empty: %+v", snap)

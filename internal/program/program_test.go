@@ -1,6 +1,8 @@
 package program
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"pipecache/internal/isa"
@@ -341,5 +343,48 @@ func TestDataLayoutValidate(t *testing.T) {
 	withRegion.Regions[2].Size = 8
 	if err := withRegion.Validate(q); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMemoConcurrent races goroutines on one key: every caller must get
+// the one stored value whichever build ran, a failed build must not be
+// memoized, and Invalidate must drop the stored value.
+func TestMemoConcurrent(t *testing.T) {
+	p := buildLoopProgram(t)
+	type key struct{}
+	errBuild := errors.New("build failed")
+	if _, err := p.Memo(key{}, func() (any, error) { return nil, errBuild }); !errors.Is(err, errBuild) {
+		t.Fatalf("failed build returned %v", err)
+	}
+
+	const n = 8
+	got := make([]*int, n)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := p.Memo(key{}, func() (any, error) { return new(int), nil })
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = v.(*int)
+		}()
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v == nil || v != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p: want one value", i, v, got[0])
+		}
+	}
+
+	p.Invalidate()
+	v, err := p.Memo(key{}, func() (any, error) { return new(int), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.(*int) == got[0] {
+		t.Fatal("Invalidate kept the memoized value")
 	}
 }

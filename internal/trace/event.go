@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pipecache/internal/interp"
 )
@@ -24,11 +23,11 @@ import (
 // benchmark, and Cursor re-interleaves them at replay time with the same
 // block-granular scheduling rule the live simulator uses.
 //
-// Storage keeps the interpreter's kind/A/B columns in fixed-size chunks
-// drawn from a package-level pool: 9 bytes per event plus a
-// block-boundary index, no large contiguous allocations, and chunk reuse
-// across capture/evict cycles. Replay hands sinks zero-copy sub-slices of
-// the stored columns.
+// Storage keeps the interpreter's kind/A/B columns in fixed-size chunks:
+// 9 bytes per event plus a block-boundary index, and no large contiguous
+// allocations. A trace is an ordinary garbage-collected value, so it
+// lives exactly as long as the store or a replay still references it.
+// Replay hands sinks zero-copy sub-slices of the stored columns.
 
 // chunkEvents is the capacity of one columnar chunk (16Ki events ≈ 150 KB
 // with the block index).
@@ -50,22 +49,6 @@ type chunk struct {
 	// into kind/a/b), so Turn walks block boundaries directly instead of
 	// testing every event's kind.
 	blockPos []int32
-}
-
-var chunkPool = sync.Pool{New: func() any {
-	return &chunk{
-		kind: make([]uint8, 0, chunkEvents),
-		a:    make([]uint32, 0, chunkEvents),
-		b:    make([]uint32, 0, chunkEvents),
-	}
-}}
-
-func (c *chunk) reset() {
-	c.kind = c.kind[:0]
-	c.a = c.a[:0]
-	c.b = c.b[:0]
-	c.insts = 0
-	c.blockPos = c.blockPos[:0]
 }
 
 // BenchEvents is one benchmark's captured event stream.
@@ -97,9 +80,11 @@ func (b *BenchEvents) append(kind []uint8, as, bs []uint32) {
 	for len(kind) > 0 {
 		n := len(b.chunks)
 		if n == 0 || len(b.chunks[n-1].kind) == chunkEvents {
-			c := chunkPool.Get().(*chunk)
-			c.reset()
-			b.chunks = append(b.chunks, c)
+			b.chunks = append(b.chunks, &chunk{
+				kind: make([]uint8, 0, chunkEvents),
+				a:    make([]uint32, 0, chunkEvents),
+				b:    make([]uint32, 0, chunkEvents),
+			})
 			n++
 		}
 		cur := b.chunks[n-1]
@@ -119,15 +104,13 @@ func (b *BenchEvents) append(kind []uint8, as, bs []uint32) {
 }
 
 // EventTrace is a complete multiprogrammed capture: one event stream per
-// benchmark plus the identity it was captured under. Traces are shared
-// between the Store and concurrent replays via reference counting; when
-// the last reference is released the chunks return to the pool.
+// benchmark plus the identity it was captured under. A finished trace is
+// immutable, so the Store and any number of concurrent replays share it.
 type EventTrace struct {
 	key           string
 	instsPerBench int64
 	benches       []*BenchEvents
 	bytes         int64
-	refs          atomic.Int32
 
 	// aux carries replay-tier caches derived from this trace's immutable
 	// streams (e.g. compiled chunk plans); see Aux.
@@ -139,16 +122,11 @@ type EventTrace struct {
 // tier's compiled chunk plans. The streams are immutable, so a derivation
 // computed once stays valid for the trace's whole life; consumers must
 // choose keys that distinct derivations cannot collide on (chunk column
-// pointers are unique within one trace, and the pooled slabs they point
-// into are only recycled after the last Release).
+// pointers are unique within one trace).
 func (t *EventTrace) Aux() *sync.Map { return &t.aux }
 
 // Key returns the capture key the trace was recorded under.
 func (t *EventTrace) Key() string { return t.key }
-
-// InstsPerBench returns the per-benchmark instruction budget of the
-// capturing pass; a replay must request exactly this budget.
-func (t *EventTrace) InstsPerBench() int64 { return t.instsPerBench }
 
 // Len returns the number of benchmark streams.
 func (t *EventTrace) Len() int { return len(t.benches) }
@@ -168,27 +146,10 @@ func (t *EventTrace) Events() int64 {
 	return n
 }
 
-// Retain adds a reference. Every Retain (and the implicit reference held
-// by the creator) must be matched by a Release.
-func (t *EventTrace) Retain() { t.refs.Add(1) }
-
-// Refs returns the current reference count; the chaos suite's leak check
-// asserts a settled resident trace is held by exactly the store.
-func (t *EventTrace) Refs() int32 { return t.refs.Load() }
-
-// Release drops one reference; the last release returns the chunks to the
-// pool. Using a trace after its last release is a bug.
-func (t *EventTrace) Release() {
-	if t.refs.Add(-1) != 0 {
-		return
-	}
-	for _, b := range t.benches {
-		for _, c := range b.chunks {
-			chunkPool.Put(c)
-		}
-		b.chunks = nil
-	}
-}
+// Release does nothing: a trace is ordinary garbage-collected memory. It
+// remains only because the end-to-end benchmark (perfbench/layers.go)
+// calls it; delete it at the next change to the benchmark.
+func (t *EventTrace) Release() {}
 
 // Recorder captures an EventTrace: one Bench sink per workload, copying
 // the event stream into columnar chunks, either on its way to a live
@@ -227,15 +188,13 @@ func (br *benchRecorder) Events(kind []uint8, a, b []uint32) {
 	br.be.append(kind, a, b)
 }
 
-// Finish seals the capture and returns the trace with one reference held
-// by the caller.
+// Finish seals the capture and returns the trace.
 func (r *Recorder) Finish() *EventTrace {
 	t := r.tr
 	for _, b := range t.benches {
 		t.bytes += int64(len(b.chunks)) * chunkBytes
 	}
 	t.bytes += int64(len(t.benches)) * 64 // struct overhead, coarse
-	t.refs.Store(1)
 	return t
 }
 

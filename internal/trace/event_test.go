@@ -64,7 +64,6 @@ func record(t *testing.T, evs *stream, batchSize int, insts int64) (*EventTrace,
 func TestRecorderTeeTransparent(t *testing.T) {
 	evs := synthStream(100, 5)
 	tr, teed := record(t, evs, 17, 500)
-	defer tr.Release()
 	if !sameStream(teed, evs) {
 		t.Fatal("tee altered the forwarded stream")
 	}
@@ -91,7 +90,6 @@ func TestCursorTurnMatchesRunRule(t *testing.T) {
 	const blocks, per = 40_000, 3 // > 2 chunks of events
 	evs := synthStream(blocks, per)
 	tr, _ := record(t, evs, 4096, blocks*per)
-	defer tr.Release()
 
 	for _, target := range []int64{1, 2, 3, 7, 100, 12_345} {
 		// Reference: walk evs directly with the Run stop rule.
@@ -141,7 +139,6 @@ func sameStream(x, y *stream) bool {
 
 func TestEventTraceValidate(t *testing.T) {
 	tr, _ := record(t, synthStream(10, 5), 64, 50)
-	defer tr.Release()
 	if err := tr.Validate(50, []string{"b"}, []uint64{7}); err != nil {
 		t.Fatal(err)
 	}
@@ -156,18 +153,5 @@ func TestEventTraceValidate(t *testing.T) {
 	}
 	if err := tr.Validate(50, []string{"b", "c"}, []uint64{7, 7}); err == nil {
 		t.Error("count mismatch accepted")
-	}
-}
-
-func TestEventTraceRefcount(t *testing.T) {
-	tr, _ := record(t, synthStream(10, 5), 64, 50)
-	tr.Retain()
-	tr.Release()
-	if len(tr.Bench(0).chunks) == 0 {
-		t.Fatal("chunks freed while a reference was live")
-	}
-	tr.Release()
-	if len(tr.Bench(0).chunks) != 0 {
-		t.Fatal("chunks not returned to the pool at refcount zero")
 	}
 }

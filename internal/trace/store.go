@@ -142,8 +142,7 @@ func (s *EventStore) Entries() int {
 
 // Acquire resolves a trace key to one of three outcomes:
 //
-//   - a resident trace (retained for the caller — Release when done) and a
-//     nil token: replay it;
+//   - a resident trace and a nil token: replay it;
 //   - a nil trace and a non-nil CaptureToken: the caller is the designated
 //     capturer — record the key's streams with a Recorder (core.Lab runs
 //     its capture stage, interpreters only), then Commit (or Abort on
@@ -162,7 +161,6 @@ func (s *EventStore) Acquire(ctx context.Context, key string) (*EventTrace, *Cap
 		s.mu.Lock()
 		if e, ok := s.entries[key]; ok {
 			s.ll.MoveToFront(e.elem)
-			e.tr.Retain()
 			s.hits.Inc()
 			s.totals.hits++
 			s.mu.Unlock()
@@ -201,10 +199,9 @@ type CaptureToken struct {
 	done bool
 }
 
-// Commit installs the captured trace (the store takes its own reference;
-// the caller keeps, and must still Release, its creator reference) and
-// wakes every waiter. A trace larger than the whole budget is not
-// installed: the key is tombstoned so later passes run live.
+// Commit installs the captured trace and wakes every waiter. A trace
+// larger than the whole budget is not installed: the key is tombstoned so
+// later passes run live.
 func (t *CaptureToken) Commit(tr *EventTrace) {
 	ptStoreCommit.Perturb()
 	s := t.s
@@ -222,7 +219,6 @@ func (t *CaptureToken) Commit(tr *EventTrace) {
 		s.totals.oversizeDrops++
 		return
 	}
-	tr.Retain()
 	e := &storeEntry{key: t.key, tr: tr}
 	e.elem = s.ll.PushFront(e)
 	s.entries[t.key] = e
@@ -255,8 +251,8 @@ func (t *CaptureToken) Abort() {
 func (t *CaptureToken) Resolved() bool { return t.done }
 
 // evictLocked drops least-recently-used traces until the store is back
-// within budget. Evicted traces stay alive until their in-flight replays
-// release them; the chunks then return to the pool.
+// within budget. An evicted trace stays alive as long as an in-flight
+// replay still references it; the garbage collector reclaims it after.
 func (s *EventStore) evictLocked() {
 	for s.bytes > s.budget {
 		el := s.ll.Back()
@@ -267,18 +263,16 @@ func (s *EventStore) evictLocked() {
 		s.ll.Remove(el)
 		delete(s.entries, e.key)
 		s.bytes -= e.tr.Bytes()
-		e.tr.Release()
 		s.evictions.Inc()
 		s.totals.evictions++
 	}
 }
 
 // CheckIntegrity verifies the store's structural invariants: accounted
-// bytes match the resident traces, the LRU list and entry map agree, no
-// capture is still marked in flight, and — when the caller has released
-// every replay reference — each resident trace is held by exactly the
-// store's own reference. The chaos suite calls it after a run settles; any
-// violation means an error path leaked or double-released state.
+// bytes match the resident traces, the LRU list and entry map agree, the
+// store is within budget, and no capture is still marked in flight. The
+// chaos suite calls it after a run settles; any violation means an error
+// path leaked state.
 func (s *EventStore) CheckIntegrity() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -292,9 +286,6 @@ func (s *EventStore) CheckIntegrity() error {
 			return fmt.Errorf("trace: entry %q not in map", e.key)
 		}
 		bytes += e.tr.Bytes()
-		if refs := e.tr.Refs(); refs != 1 {
-			return fmt.Errorf("trace: resident %q holds %d refs, want 1 (leak or double release)", e.key, refs)
-		}
 	}
 	if bytes != s.bytes {
 		return fmt.Errorf("trace: accounted %d bytes, resident %d", s.bytes, bytes)

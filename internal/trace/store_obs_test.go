@@ -25,12 +25,10 @@ func TestSetObsRebindCarriesTotals(t *testing.T) {
 	}
 	captured := makeTrace(t, "k", 1)
 	tok.Commit(captured)
-	captured.Release()
 	tr, tok, err = s.Acquire(ctx, "k")
 	if err != nil || tr == nil || tok != nil {
 		t.Fatalf("second acquire: tr=%v tok=%v err=%v, want resident trace", tr, tok, err)
 	}
-	tr.Release()
 
 	if got := r1.Counter("trace.store.hits").Value(); got != 1 {
 		t.Fatalf("hits on first registry = %d, want 1", got)
@@ -65,7 +63,6 @@ func TestSetObsRebindCarriesTotals(t *testing.T) {
 	if err != nil || tr == nil {
 		t.Fatalf("acquire after rebind: tr=%v err=%v", tr, err)
 	}
-	tr.Release()
 	if got := r2.Counter("trace.store.hits").Value(); got != 2 {
 		t.Fatalf("hits after rebound activity = %d, want 2", got)
 	}

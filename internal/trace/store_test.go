@@ -38,7 +38,6 @@ func TestStoreHitMissCommit(t *testing.T) {
 	}
 	captured := makeTrace(t, "k", 1)
 	tok.Commit(captured)
-	captured.Release() // store holds its own reference
 
 	got, tok2, err := s.Acquire(ctx, "k")
 	if err != nil || tok2 != nil || got == nil {
@@ -47,7 +46,6 @@ func TestStoreHitMissCommit(t *testing.T) {
 	if got.Key() != "k" {
 		t.Fatalf("key %q", got.Key())
 	}
-	got.Release()
 
 	c := reg.Snapshot().Counters
 	if c["trace.store.misses"] != 1 || c["trace.store.hits"] != 1 {
@@ -61,7 +59,6 @@ func TestStoreHitMissCommit(t *testing.T) {
 func TestStoreLRUEviction(t *testing.T) {
 	probe := makeTrace(t, "probe", 1)
 	one := probe.Bytes()
-	probe.Release()
 	s := NewStore(2 * one) // room for two single-chunk traces
 	reg := obs.NewRegistry()
 	s.SetObs(reg)
@@ -72,15 +69,14 @@ func TestStoreLRUEviction(t *testing.T) {
 		if err != nil || tok == nil {
 			t.Fatalf("acquire %s: %v", key, err)
 		}
-		tr := makeTrace(t, key, 1)
-		tok.Commit(tr)
-		tr.Release()
+		tok.Commit(makeTrace(t, key, 1))
 	}
 	add("a")
 	add("b")
 	// Touch "a" so "b" is the LRU victim.
-	tr, _, _ := s.Acquire(ctx, "a")
-	tr.Release()
+	if _, _, err := s.Acquire(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
 	add("c")
 
 	if s.Bytes() > s.Budget() {
@@ -93,8 +89,6 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 	if tr, _, _ := s.Acquire(ctx, "a"); tr == nil {
 		t.Error("recently used key a evicted")
-	} else {
-		tr.Release()
 	}
 	if c := reg.Snapshot().Counters; c["trace.store.evictions"] != 1 {
 		t.Errorf("evictions = %d", c["trace.store.evictions"])
@@ -113,7 +107,6 @@ func TestStoreOversizeTombstone(t *testing.T) {
 	}
 	tr := makeTrace(t, "k", 1)
 	tok.Commit(tr)
-	tr.Release()
 
 	// Tombstoned: every later acquire is a live fallback, never a token.
 	for i := 0; i < 3; i++ {
@@ -153,15 +146,16 @@ func TestStoreSingleFlight(t *testing.T) {
 				return
 			}
 			if tok != nil {
-				captured := makeTrace(t, "k", 1)
-				tok.Commit(captured)
-				captured.Release()
+				tok.Commit(makeTrace(t, "k", 1))
 				mu.Lock()
 				tokens++
 				mu.Unlock()
 				return
 			}
-			tr.Release()
+			if tr == nil {
+				t.Error("waiter acquired no trace")
+				return
+			}
 			mu.Lock()
 			traces++
 			mu.Unlock()
