@@ -922,9 +922,12 @@ func BenchmarkCapture(b *testing.B) {
 // BenchmarkPrewarmCold times a cold lab's Prewarm, the first step of every
 // fresh study: the capture stage into the lab's own empty trace store, then
 // the five standard passes (static b = 0-3 and the BTB), whose instruction
-// jobs share one data job. Building the lab is not timed.
+// jobs share one data job. Building the lab is not timed. plan_B/op is
+// the bytes of the chunk plans the prewarmed lab keeps beside its trace
+// (cpisim.plan_bytes), which the trace store's budget does not count.
 func BenchmarkPrewarmCold(b *testing.B) {
 	fixture(b, ledgerSuite)
+	var planBytes int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		l, err := newLedgerLab(0)
@@ -935,7 +938,9 @@ func BenchmarkPrewarmCold(b *testing.B) {
 		if err := l.Prewarm(); err != nil {
 			b.Fatal(err)
 		}
+		planBytes += l.Obs().Counter("cpisim.plan_bytes").Value()
 	}
+	b.ReportMetric(float64(planBytes)/float64(b.N), "plan_B/op")
 }
 
 // policyStudy runs the replacement-policy ablation on a fresh lab, its

@@ -81,12 +81,15 @@ const benchtime = "3s"
 
 // benchRecord is one benchmark's summary row. NsPerProbeConfig is the
 // lane-pack figure of merit — bank ns/op normalized by ladder width.
+// PlanBytesPerOp is the bytes of compiled chunk plans a prewarmed lab
+// keeps beside its trace (BenchmarkPrewarmCold).
 type benchRecord struct {
 	Name             string  `json:"name"`
 	Iterations       int     `json:"iterations"`
 	NsPerOp          float64 `json:"ns_per_op"`
 	InstsPerSec      float64 `json:"insts_per_sec,omitempty"`
 	NsPerProbeConfig float64 `json:"ns_per_probe_config,omitempty"`
+	PlanBytesPerOp   float64 `json:"plan_bytes_per_op,omitempty"`
 }
 
 // speedupRecord relates two benchmark rows (baseline ns / against ns).
@@ -164,6 +167,8 @@ func parse(transcript io.Reader) (report, error) {
 				rec.InstsPerSec = v
 			case "ns/probe/config":
 				rec.NsPerProbeConfig = v
+			case "plan_B/op":
+				rec.PlanBytesPerOp = v
 			}
 		}
 		found[m[1]] = rec

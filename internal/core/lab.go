@@ -81,14 +81,17 @@ type Params struct {
 	// captures the interpreter event stream, and every pass, the first
 	// included, replays it under its own architecture/cache configuration
 	// without re-interpreting. Zero means DefaultTraceBudgetBytes;
-	// negative disables the tier entirely.
+	// negative disables the tier entirely. It bounds the traces' own
+	// bytes only: the compiled chunk plans replays keep beside a trace
+	// (on its Aux map) are not counted, and show in the
+	// cpisim.plan_bytes counter instead.
 	TraceBudgetBytes int64
 }
 
 // DefaultTraceBudgetBytes is the event-trace store budget used when
-// Params.TraceBudgetBytes is zero. A 1M-instruction pass over the default
-// five-benchmark suite captures ~60 MB, so the default keeps a few
-// distinct workload sets resident.
+// Params.TraceBudgetBytes is zero. A 1M-instruction pass over the 16
+// Table 1 benchmarks captures about 192 MB, so the default keeps one
+// such workload set resident, or several smaller ones.
 const DefaultTraceBudgetBytes = 256 << 20
 
 // DefaultParams returns the study's defaults.
@@ -188,6 +191,9 @@ type Lab struct {
 	// cycle times, so a Best allocates no candidate list and a point's
 	// per-query work is its penalty and one CPI table read.
 	cands map[candKey][]candidate
+	// candDepths holds each candidate list's distinct depths (depthsOf),
+	// the passes a Best over it resolves.
+	candDepths map[candKey][]int
 
 	// traces is the event-trace tier below the result memo (nil when
 	// disabled): passes that differ only in architecture or cache
@@ -303,6 +309,10 @@ func NewLab(s *Suite, p Params) (*Lab, error) {
 			sym := candKey{scheme: dp.Scheme, symmetric: true}
 			l.cands[sym] = append(l.cands[sym], c)
 		}
+	}
+	l.candDepths = map[candKey][]int{}
+	for k, cands := range l.cands {
+		l.candDepths[k] = depthsOf(cands)
 	}
 	budget := p.TraceBudgetBytes
 	if budget == 0 {

@@ -113,21 +113,33 @@ type depthTables [maxDelaySlots + 1]*cpisim.CPITable
 // worker on one pass at a time, as a point sweep in enumeration order (b
 // outermost) would. Only a sweep with a pass still to run uses the pool;
 // when every pass is memoized, the lookups run on the calling goroutine,
-// so a warm sweep starts and wakes no worker. Every depth must lie in
+// so a warm sweep starts and wakes no worker. It allocates nothing either:
+// only the pool's closure escapes (to the workers), so only the cold path
+// fills a heap copy of the tables. Every depth must lie in
 // 0..maxDelaySlots.
 func (l *Lab) sweepPasses(ctx context.Context, pol cache.Policy, depths []int) (depthTables, error) {
-	var passes depthTables
-	resolve := func(ctx context.Context, i int) error {
-		tab, err := l.staticTable(ctx, depths[i], pol)
-		passes[depths[i]] = tab
-		return err
-	}
 	for _, d := range depths {
 		if !l.memoized(passKey{b: d, scheme: cpisim.BranchStatic, policy: pol}) {
-			return passes, l.forEach(ctx, len(depths), resolve)
+			cold := new(depthTables)
+			err := l.forEach(ctx, len(depths), func(ctx context.Context, i int) error {
+				return l.resolvePass(ctx, pol, depths[i], cold)
+			})
+			return *cold, err
 		}
 	}
-	return passes, eachSerial(ctx, len(depths), resolve)
+	var passes depthTables
+	err := eachSerial(ctx, len(depths), func(ctx context.Context, i int) error {
+		return l.resolvePass(ctx, pol, depths[i], &passes)
+	})
+	return passes, err
+}
+
+// resolvePass stores the CPI table of the static pass at depth d under pol
+// in passes.
+func (l *Lab) resolvePass(ctx context.Context, pol cache.Policy, d int, passes *depthTables) error {
+	tab, err := l.staticTable(ctx, d, pol)
+	passes[d] = tab
+	return err
 }
 
 // depthsOf returns the distinct branch depths of cands in first-seen
@@ -236,25 +248,26 @@ func (l *Lab) Best(ctx context.Context, q Query, scheme cpisim.LoadScheme, symme
 	if err := ValidateL2TimeNs(q.L2TimeNs); err != nil {
 		return nil, err
 	}
-	cands := l.cands[candKey{scheme: scheme, symmetric: symmetric}]
+	key := candKey{scheme: scheme, symmetric: symmetric}
+	cands := l.cands[key]
 	l.progress.StartPhase("design-space sweep", int64(len(cands)))
 	defer l.progress.Finish()
-	best, err := l.minTPI(ctx, q, cands)
+	best, err := l.minTPI(ctx, q, cands, l.candDepths[key])
 	if err != nil {
 		return nil, err
 	}
 	return &Optimum{Best: best, Evaluated: len(cands)}, nil
 }
 
-// minTPI resolves the passes of cands, then evaluates the points in cands
-// order on the calling goroutine and returns the first point of minimum
-// TPI (TPINs +Inf when no point has a TPI below it). Only the running
-// minimum becomes a TPIPoint. The points run as one sweep item, so the
+// minTPI resolves the passes of cands at depths, their depthsOf, then
+// evaluates the points in cands order on the calling goroutine and
+// returns the first point of minimum TPI (TPINs +Inf when no point has a
+// TPI below it). Only the running minimum becomes a TPIPoint. The points run as one sweep item, so the
 // panic boundary and the lab.sweep.item fault point are paid once per
 // sweep; ctx is still checked at every point, by a non-blocking receive
 // on its Done channel. The caller has validated q.
-func (l *Lab) minTPI(ctx context.Context, q Query, cands []candidate) (TPIPoint, error) {
-	passes, err := l.sweepPasses(ctx, q.Policy, depthsOf(cands))
+func (l *Lab) minTPI(ctx context.Context, q Query, cands []candidate, depths []int) (TPIPoint, error) {
+	passes, err := l.sweepPasses(ctx, q.Policy, depths)
 	if err != nil {
 		return TPIPoint{}, err
 	}
@@ -489,7 +502,7 @@ func (l *Lab) AsymmetryStudy(l2TimeNs float64) (*AsymmetryStudyResult, error) {
 	defer l.progress.Finish()
 	res := &AsymmetryStudyResult{L2TimeNs: l2TimeNs}
 	for c, cl := range classes {
-		best, err := l.minTPI(context.Background(), l.queryAt(l2TimeNs), cands[c])
+		best, err := l.minTPI(context.Background(), l.queryAt(l2TimeNs), cands[c], depthsOf(cands[c]))
 		if err != nil {
 			return nil, err
 		}

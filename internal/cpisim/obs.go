@@ -90,9 +90,13 @@ func (s *Sim) publish(res *Result) {
 // PublishReplayGate counts, once for a completed replay, each reason the
 // plan gate (planOK) sent it to the generic handlers instead of the
 // compiled chunk plans: the BTB scheme (cpisim.replay.generic.btb) and a
-// second cache level (cpisim.replay.generic.l2). A replay the plans cover
-// counts nothing. publish leaves these out, so a live pass and its replay
-// still publish the same counters.
+// second cache level (cpisim.replay.generic.l2); a replay the plans cover
+// counts no reason. It also adds the chunk plans the replay compiled and
+// stored on the trace (cpisim.plans_compiled) and the bytes of their
+// fetch streams (cpisim.plan_bytes): plans ride on the trace outside the
+// trace store's byte budget, so this is where their memory shows.
+// publish leaves all of these out, so a live pass and its replay still
+// publish the same counters.
 func (s *Sim) PublishReplayGate() {
 	if s.btb != nil {
 		s.obs.Counter("cpisim.replay.generic.btb").Inc()
@@ -100,4 +104,6 @@ func (s *Sim) PublishReplayGate() {
 	if s.l2bank != nil {
 		s.obs.Counter("cpisim.replay.generic.l2").Inc()
 	}
+	s.obs.Counter("cpisim.plans_compiled").Add(s.plansCompiled)
+	s.obs.Counter("cpisim.plan_bytes").Add(s.planBytes)
 }

@@ -78,6 +78,7 @@ func (s *Sim) ReplayContext(ctx context.Context, instsPerBench int64, tr *trace.
 	// does not keep an evicted trace alive.
 	s.replayAux = tr.Aux()
 	defer func() { s.replayAux = nil }()
+	s.plansCompiled, s.planBytes = 0, 0
 	quantum := s.cfg.Quantum
 	if len(s.benches) == 1 {
 		// A single workload has no interleaving: its turns concatenate

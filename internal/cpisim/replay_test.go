@@ -35,6 +35,16 @@ func packedLadder() []cache.Config {
 	}
 }
 
+// writeThroughLadder is a direct-mapped write-through ladder: its write
+// misses do not allocate, so the D probes' store flags must reach the bank.
+func writeThroughLadder() []cache.Config {
+	return []cache.Config{
+		{SizeKW: 1, BlockWords: 4, Assoc: 1, WriteBack: false},
+		{SizeKW: 2, BlockWords: 4, Assoc: 1, WriteBack: false},
+		{SizeKW: 4, BlockWords: 4, Assoc: 1, WriteBack: false},
+	}
+}
+
 // bankStats collects every configuration's folded statistics, so tests
 // can pin bank state, not just the per-benchmark counters.
 func bankStats(b *cache.Bank, n int) []cache.Stats {
@@ -137,6 +147,10 @@ func TestReplayBitIdentical(t *testing.T) {
 			ICaches: append(packedLadder(), big), DCaches: append(packedLadder(), big), Quantum: 3_000},
 		"icache-only": {BranchSlots: 2,
 			ICaches: packedLadder(), Quantum: 1_000},
+		// The plans probe the D bank from the delivered columns; a small
+		// quantum delivers chunks in pieces, each its own plan.
+		"dcache-only-write-through": {BranchSlots: 1, LoadSlots: 1,
+			DCaches: writeThroughLadder(), Quantum: 1_000},
 	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {

@@ -50,6 +50,10 @@ type Sim struct {
 	// replayAux is the active trace's plan cache (plan.go) while a replay
 	// is running; nil during live runs, where no columns arrive anyway.
 	replayAux *sync.Map
+	// plansCompiled and planBytes count the plans the last replay
+	// compiled and stored, and their fetch streams' bytes
+	// (PublishReplayGate).
+	plansCompiled, planBytes int64
 }
 
 type benchState struct {
@@ -239,6 +243,11 @@ func (s *Sim) multiprogram(ctx context.Context, instsPerBench, quantum int64, tu
 type benchSink struct {
 	s *Sim
 	b *benchState
+	// scratch is the fetch stream plan compilation decodes into before
+	// copying it out at its exact length (buildChunkPlan); refs holds a
+	// delivery's load and store positions (applyPlan).
+	scratch []uint64
+	refs    []uint32
 }
 
 // Events consumes one batch of the event stream, live or replayed. A
@@ -247,7 +256,7 @@ type benchSink struct {
 // and replayed streams drive exactly the same state transitions.
 func (h *benchSink) Events(kinds []uint8, as, bs []uint32) {
 	if aux := h.s.replayAux; aux != nil && h.b.ctis != nil && len(kinds) > 0 {
-		h.applyPlan(h.planFor(aux, kinds, as, bs))
+		h.applyPlan(h.planFor(aux, kinds, as, bs), kinds, as)
 		return
 	}
 	// Reslicing to the kind column's length lets the compiler drop the
