@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParsePlan -fuzztime 30s ./internal/fault/
 	$(GO) test -fuzz FuzzSurfaceReader -fuzztime 30s ./internal/surface/
 	$(GO) test -fuzz FuzzCPITable -fuzztime 30s ./internal/cpisim/
+	$(GO) test -fuzz FuzzPlanReplay -fuzztime 30s ./internal/cpisim/
 
 # Chaos suite: the ablation cross-product and the HTTP service under seeded
 # deterministic fault schedules, race detector on (see DESIGN.md §12).

@@ -922,12 +922,13 @@ func BenchmarkCapture(b *testing.B) {
 // BenchmarkPrewarmCold times a cold lab's Prewarm, the first step of every
 // fresh study: the capture stage into the lab's own empty trace store, then
 // the five standard passes (static b = 0-3 and the BTB), whose instruction
-// jobs share one data job. Building the lab is not timed. plan_B/op is
-// the bytes of the chunk plans the prewarmed lab keeps beside its trace
+// jobs share one data job. Building the lab is not timed. trace_B/op is
+// the accounted bytes of the trace the prewarmed lab's store holds, and
+// plan_B/op the bytes of the chunk plans it keeps beside that trace
 // (cpisim.plan_bytes), which the trace store's budget does not count.
 func BenchmarkPrewarmCold(b *testing.B) {
 	fixture(b, ledgerSuite)
-	var planBytes int64
+	var traceBytes, planBytes int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		l, err := newLedgerLab(0)
@@ -938,8 +939,10 @@ func BenchmarkPrewarmCold(b *testing.B) {
 		if err := l.Prewarm(); err != nil {
 			b.Fatal(err)
 		}
+		traceBytes += l.TraceStore().Bytes()
 		planBytes += l.Obs().Counter("cpisim.plan_bytes").Value()
 	}
+	b.ReportMetric(float64(traceBytes)/float64(b.N), "trace_B/op")
 	b.ReportMetric(float64(planBytes)/float64(b.N), "plan_B/op")
 }
 

@@ -10,10 +10,11 @@ import (
 // streamSink collects one benchmark's whole event stream.
 type streamSink struct {
 	kind []uint8
-	a, b []uint32
+	a    []uint32
+	b    []uint8
 }
 
-func (s *streamSink) Events(kind []uint8, a, b []uint32) {
+func (s *streamSink) Events(kind []uint8, a []uint32, b []uint8) {
 	s.kind = append(s.kind, kind...)
 	s.a = append(s.a, a...)
 	s.b = append(s.b, b...)
@@ -128,11 +129,12 @@ func TestCaptureStageMatchesLiveTee(t *testing.T) {
 
 // TestPlanBytesWithinTraceBytes bounds the chunk plans a prewarmed ledger
 // lab keeps beside its trace. A plan is compiled per static depth, four
-// per chunk here, but each holds only its fetch stream at its exact
-// length, and the D probes read the trace's own columns, so all of them
-// together stay below the trace's accounted bytes: 0.81 times here. Plans
-// that also copied the data references, in streams sized from the kind
-// counts, held 1.75 times the trace.
+// per chunk here, but each holds only its fetch stream of 4-byte runs at
+// its exact length, and the D probes read the trace's own columns, so all
+// of them together stay below the trace's accounted bytes: 0.66 times
+// here, at 8 accounted bytes per event. Plans that also copied the data
+// references, in streams sized from the kind counts, held 1.75 times a
+// trace accounted at 13 bytes per event.
 func TestPlanBytesWithinTraceBytes(t *testing.T) {
 	l, err := newLedgerLab(0)
 	if err != nil {

@@ -81,14 +81,16 @@ const benchtime = "3s"
 
 // benchRecord is one benchmark's summary row. NsPerProbeConfig is the
 // lane-pack figure of merit — bank ns/op normalized by ladder width.
-// PlanBytesPerOp is the bytes of compiled chunk plans a prewarmed lab
-// keeps beside its trace (BenchmarkPrewarmCold).
+// TraceBytesPerOp is the accounted bytes of the trace a prewarmed lab
+// holds, and PlanBytesPerOp the bytes of compiled chunk plans it keeps
+// beside that trace (BenchmarkPrewarmCold).
 type benchRecord struct {
 	Name             string  `json:"name"`
 	Iterations       int     `json:"iterations"`
 	NsPerOp          float64 `json:"ns_per_op"`
 	InstsPerSec      float64 `json:"insts_per_sec,omitempty"`
 	NsPerProbeConfig float64 `json:"ns_per_probe_config,omitempty"`
+	TraceBytesPerOp  float64 `json:"trace_bytes_per_op,omitempty"`
 	PlanBytesPerOp   float64 `json:"plan_bytes_per_op,omitempty"`
 }
 
@@ -167,6 +169,8 @@ func parse(transcript io.Reader) (report, error) {
 				rec.InstsPerSec = v
 			case "ns/probe/config":
 				rec.NsPerProbeConfig = v
+			case "trace_B/op":
+				rec.TraceBytesPerOp = v
 			case "plan_B/op":
 				rec.PlanBytesPerOp = v
 			}

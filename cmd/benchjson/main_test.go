@@ -30,7 +30,7 @@ BenchmarkCacheBankAccess/plru4-2          	71346534	        49.06 ns/op	        
 BenchmarkAblationSuite/live-2             	      15	 220913885 ns/op
 BenchmarkAblationSuite/replay-2           	      92	  39007756 ns/op
 BenchmarkCapture-2                        	     510	   6743762 ns/op	  59314689 insts/s
-BenchmarkPrewarmCold-2                    	     152	  23521606 ns/op	   4657960 plan_B/op
+BenchmarkPrewarmCold-2                    	     152	  23521606 ns/op	   2328980 plan_B/op	   3539072 trace_B/op
 BenchmarkPolicyStudy-2                    	     172	  20775947 ns/op
 BenchmarkLabBest-2                        	  525021	      6689 ns/op	     232 B/op	       6 allocs/op
 BenchmarkSurfaceLookup-2                  	  833880	      4303 ns/op
@@ -81,7 +81,7 @@ func TestRecordTranscript(t *testing.T) {
 				"BenchmarkAblationSuite/live":    {Iterations: 15, NsPerOp: 220913885},
 				"BenchmarkCacheAccess/direct":    {Iterations: 447670866, NsPerOp: 8.005},
 				"BenchmarkCacheBankAccess/plru4": {Iterations: 71346534, NsPerOp: 49.06, NsPerProbeConfig: 8.177},
-				"BenchmarkPrewarmCold":           {Iterations: 152, NsPerOp: 23521606, PlanBytesPerOp: 4657960},
+				"BenchmarkPrewarmCold":           {Iterations: 152, NsPerOp: 23521606, TraceBytesPerOp: 3539072, PlanBytesPerOp: 2328980},
 				"BenchmarkLabBest":               {Iterations: 525021, NsPerOp: 6689},
 			} {
 				want.Name = name

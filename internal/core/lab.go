@@ -90,8 +90,8 @@ type Params struct {
 
 // DefaultTraceBudgetBytes is the event-trace store budget used when
 // Params.TraceBudgetBytes is zero. A 1M-instruction pass over the 16
-// Table 1 benchmarks captures about 192 MB, so the default keeps one
-// such workload set resident, or several smaller ones.
+// Table 1 benchmarks captures about 118 MB, so the default keeps two
+// such workload sets resident, or several smaller ones.
 const DefaultTraceBudgetBytes = 256 << 20
 
 // DefaultParams returns the study's defaults.

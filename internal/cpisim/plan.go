@@ -33,17 +33,25 @@ import (
 // which never emit CTI events). Entries are squeezed to 16 bytes — four
 // per cache line — because the table is indexed by block id in trace
 // order, an effectively random pattern: the narrow fields (lengths, slot
-// counts, and skips are bounded by the translation's block-length cap,
-// far below 16 bits) keep the footprint small.
+// counts, and skips are bounded by blockMetaFits's block-length cap,
+// far below 16 bits) keep the footprint small. Addresses are offsets
+// above the table's base, the form the plans' fetch runs store.
 type blockMeta struct {
-	newAddr     uint32 // translated fetch address (Translation.NewAddr)
-	squashAddr  uint32 // fall-through fetch address on a taken mispredict
+	newOff      uint32 // translated fetch address (Translation.NewAddr) - base
+	squashOff   uint32 // fall-through fetch address on a taken mispredict - base
 	newLen      uint16 // translated fetch length (Translation.NewLen)
 	squashN     uint8  // squashed delay-slot fetches on a taken mispredict
 	wastedTaken uint8  // WastedSlots(id, true)
 	wastedNT    uint8  // WastedSlots(id, false)
 	skip        uint8  // delay-slot skip handed to the next block when taken
 	predTaken   bool
+}
+
+// blockTable is one translation's block table and the base its fetch
+// offsets are measured from: the translation's lowest fetch address.
+type blockTable struct {
+	metas []blockMeta
+	base  uint32
 }
 
 // blockMetaKey memoizes one block table on its program (Program.Memo):
@@ -56,46 +64,89 @@ type blockMetaKey struct {
 	prof  *sched.Profile
 }
 
-// cachedBlockMeta returns the shared table for one translation identity,
-// building it from xlat on first sight. Concurrent builders (parallel
-// sweep passes over one workload) converge on one canonical table.
-func cachedBlockMeta(prog *program.Program, xlat *sched.Translation, slots int, prof *sched.Profile) []blockMeta {
+// cachedBlockTable returns the shared table for one translation identity,
+// building it from xlat on first sight, or nil when the translation does
+// not fit the plan encodings (blockMetaFits). Concurrent builders
+// (parallel sweep passes over one workload) converge on one canonical
+// table.
+func cachedBlockTable(prog *program.Program, xlat *sched.Translation, slots int, prof *sched.Profile) *blockTable {
 	v, _ := prog.Memo(blockMetaKey{slots: slots, prof: prof}, func() (any, error) {
-		return buildBlockMeta(xlat), nil
+		return newBlockTable(xlat), nil
 	})
-	return v.([]blockMeta)
+	return v.(*blockTable)
 }
 
-// blockMetaFits reports whether every translated block length fits the
-// compact table's 16-bit field; the delay-slot counts are bounded by the
-// validated slot budget and always fit. Oversized translations (not
-// produced by any current workload) fall back to the generic dispatch.
+// The plans' fetch runs pack (addr - base)<<runWordBits | words into 32
+// bits: a run is at most one translated block, so blockMetaFits bounds
+// both fields.
+const (
+	runWordBits = 10
+	runWordMask = 1<<runWordBits - 1
+	runOffLimit = 1 << (32 - runWordBits)
+)
+
+// fetchBounds returns the lowest and highest word addresses any fetch of
+// the translation touches (zeros when it fetches nothing): the blocks'
+// translated images and the squashed fall-through slots. Every fetch run
+// starts within them.
+func fetchBounds(xlat *sched.Translation) (lo, hi uint32) {
+	lo = ^uint32(0)
+	span := func(addr uint32, n int) {
+		if n > 0 {
+			lo = min(lo, addr)
+			hi = max(hi, addr+uint32(n)-1)
+		}
+	}
+	for id := range xlat.Blocks {
+		x := &xlat.Blocks[id]
+		span(x.NewAddr, x.NewLen)
+		span(x.SquashAddr, x.SquashN)
+	}
+	if lo > hi {
+		return 0, 0
+	}
+	return lo, hi
+}
+
+// blockMetaFits reports whether the translation's fetch runs fit the
+// plans' packed encoding: every translated block shorter than 2^10 words
+// (a run is at most one block; squashed runs are bounded by the validated
+// slot budget), and the span from the lowest to the highest fetched word
+// below 2^22 words. Every workload the suite generates spans at most a
+// few thousand words. A translation that does not fit (a hand-built one;
+// no generated workload comes near) replays through the generic dispatch.
 func blockMetaFits(xlat *sched.Translation) bool {
 	for id := range xlat.Blocks {
-		if xlat.Blocks[id].NewLen > 0xffff {
+		if xlat.Blocks[id].NewLen > runWordMask {
 			return false
 		}
 	}
-	return true
+	lo, hi := fetchBounds(xlat)
+	return hi-lo < runOffLimit
 }
 
-// buildBlockMeta tabulates every block's fetch geometry and static-scheme
-// CTI consequences from one workload's translation.
-func buildBlockMeta(xlat *sched.Translation) []blockMeta {
+// newBlockTable tabulates every block's fetch geometry and static-scheme
+// CTI consequences from one workload's translation, or returns nil when
+// the translation does not fit the plan encodings.
+func newBlockTable(xlat *sched.Translation) *blockTable {
+	if !blockMetaFits(xlat) {
+		return nil
+	}
+	base, _ := fetchBounds(xlat)
 	ms := make([]blockMeta, len(xlat.Blocks))
 	for id := range xlat.Blocks {
 		x := &xlat.Blocks[id]
 		m := &ms[id]
-		m.newAddr = x.NewAddr
+		m.newOff = x.NewAddr - base
 		m.newLen = uint16(x.NewLen)
-		m.squashAddr = x.SquashAddr
+		m.squashOff = x.SquashAddr - base
 		m.squashN = uint8(x.SquashN)
 		m.skip = uint8(x.Skip)
 		m.predTaken = x.PredTaken
 		m.wastedTaken = uint8(xlat.WastedSlots(id, true))
 		m.wastedNT = uint8(xlat.WastedSlots(id, false))
 	}
-	return ms
+	return &blockTable{metas: ms, base: base}
 }
 
 // planOK reports whether compiled chunk plans cover this configuration:
@@ -133,10 +184,12 @@ type chunkPlan struct {
 	eps         *stats.Hist
 	epsBlock    *stats.Hist
 
-	// fetches is the resolved I-fetch stream, uint64(addr)<<16 | words, at
-	// its exact length. Skip consumption, noop padding, and mispredict
-	// squash fetches are already folded in, so applying it is pure probing.
-	fetches []uint64
+	// fetches is the resolved I-fetch stream at its exact length, one
+	// run per entry packed as (addr - base)<<runWordBits | words against
+	// the block table's base. Skip consumption, noop padding, and
+	// mispredict squash fetches are already folded in, so applying it is
+	// pure probing.
+	fetches []uint32
 	skipOut int32 // delay-slot skip carried to the next delivery
 }
 
@@ -175,7 +228,7 @@ func (p *chunkPlan) loadStall(l int, dynamic bool) int64 {
 // generic handlers' (block, loadUse, mem, cti in sim.go), reordered into
 // plan form. The fetch stream is decoded into the reused *scratch and
 // copied out at its exact length.
-func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn int, scratch *[]uint64) *chunkPlan {
+func buildChunkPlan(metas []blockMeta, kinds []uint8, as []uint32, bvals []uint8, skipIn int, scratch *[]uint32) *chunkPlan {
 	p := &chunkPlan{
 		eps:      stats.NewHist(epsBins),
 		epsBlock: stats.NewHist(epsBins),
@@ -188,7 +241,7 @@ func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn
 		switch interp.EventKind(kinds[i]) {
 		case interp.EvBlock:
 			x := &metas[as[i]]
-			addr := x.newAddr
+			off := x.newOff
 			n := int(x.newLen)
 			if skip != 0 {
 				if pad := skip - n; pad > 0 {
@@ -197,14 +250,14 @@ func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn
 				if skip >= n {
 					n = 0
 				} else {
-					addr += uint32(skip)
+					off += uint32(skip)
 					n -= skip
 				}
 				skip = 0
 			}
 			p.ifetches += int64(n)
 			if n > 0 {
-				fetches = append(fetches, uint64(addr)<<16|uint64(n))
+				fetches = append(fetches, off<<runWordBits|uint32(n))
 			}
 			p.insts += int64(bvals[i])
 		case interp.EvLoadUse:
@@ -230,7 +283,7 @@ func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn
 					// The squashed slots were fetched from the fall-through
 					// block before control transferred.
 					p.ifetches += int64(m.squashN)
-					fetches = append(fetches, uint64(m.squashAddr)<<16|uint64(m.squashN))
+					fetches = append(fetches, m.squashOff<<runWordBits|uint32(m.squashN))
 				}
 			}
 		case interp.EvCTINotTaken:
@@ -246,7 +299,7 @@ func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn
 		}
 	}
 	p.skipOut = int32(skip)
-	p.fetches = make([]uint64, len(fetches))
+	p.fetches = make([]uint32, len(fetches))
 	copy(p.fetches, fetches)
 	*scratch = fetches
 	return p
@@ -258,17 +311,17 @@ func buildChunkPlan(metas []blockMeta, kinds []uint8, as, bvals []uint32, skipIn
 // share the trace's cache) compile the same chunk at once; the build is a
 // pure function of the key, so either instance is identical; only the
 // stored one counts in the pass's plan counters.
-func (h *benchSink) planFor(aux *sync.Map, kinds []uint8, as, bvals []uint32) *chunkPlan {
+func (h *benchSink) planFor(aux *sync.Map, kinds []uint8, as []uint32, bvals []uint8) *chunkPlan {
 	b := h.b
 	key := planKey{col: &kinds[0], n: len(kinds), prog: b.prog, slots: b.slots, prof: b.prof, skipIn: b.skip}
 	if v, ok := aux.Load(key); ok {
 		return v.(*chunkPlan)
 	}
-	p := buildChunkPlan(b.ctis, kinds, as, bvals, b.skip, &h.scratch)
+	p := buildChunkPlan(b.tab.metas, kinds, as, bvals, b.skip, &h.scratch)
 	v, loaded := aux.LoadOrStore(key, p)
 	if !loaded {
 		h.s.plansCompiled++
-		h.s.planBytes += 8 * int64(cap(p.fetches))
+		h.s.planBytes += 4 * int64(cap(p.fetches))
 	}
 	return v.(*chunkPlan)
 }
@@ -301,9 +354,10 @@ func (h *benchSink) applyPlan(p *chunkPlan, kinds []uint8, as []uint32) {
 	if ib := h.s.ibank; ib != nil {
 		probe := ib.ProbeWords()
 		probeM := probe - 1
+		base := b.tab.base
 		for _, f := range p.fetches {
-			addr := uint32(f >> 16)
-			n := int(f & 0xffff)
+			addr := base + f>>runWordBits
+			n := int(f & runWordMask)
 			for n > 0 {
 				run := int(probe - addr&probeM)
 				if run > n {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestPlanLayout pins what a compiled chunk plan keeps on the trace: one
-// probe stream, the resolved I-fetch stream, allocated at its exact
-// length. The D probes read the trace's own columns, so a plan holds no
-// copy of the data references. The plan counters must account for every
+// probe stream, the resolved I-fetch stream of 4-byte runs, allocated at
+// its exact length. The D probes read the trace's own columns, so a plan
+// holds no copy of the data references. The plan counters must account for every
 // stored plan and its stream bytes once, on the replay that compiled it.
 func TestPlanLayout(t *testing.T) {
 	var slices []string
@@ -22,6 +22,9 @@ func TestPlanLayout(t *testing.T) {
 	}
 	if !reflect.DeepEqual(slices, []string{"fetches"}) {
 		t.Errorf("chunkPlan slice fields %v, want only the fetch stream", slices)
+	}
+	if size := reflect.TypeOf(chunkPlan{}.fetches).Elem().Size(); size != 4 {
+		t.Errorf("fetch run entries take %d bytes, want 4", size)
 	}
 
 	ws := replayWorkloads(t)
@@ -51,7 +54,7 @@ func TestPlanLayout(t *testing.T) {
 			return true
 		}
 		plans++
-		bytes += 8 * int64(cap(p.fetches))
+		bytes += 4 * int64(cap(p.fetches))
 		if cap(p.fetches) != len(p.fetches) {
 			t.Errorf("fetch stream cap %d, len %d: want an exact allocation", cap(p.fetches), len(p.fetches))
 		}

@@ -74,10 +74,10 @@ type benchState struct {
 	drive interp.EventSink
 	skip  int // delay-slot instructions already executed for the next block
 
-	// ctis is the precomputed static-scheme block table the compiled
-	// chunk plans decode against (plan.go); nil when the configuration
-	// needs the generic dispatch.
-	ctis []blockMeta
+	// tab is the precomputed static-scheme block table the compiled
+	// chunk plans decode against (plan.go); nil when the configuration or
+	// the translation needs the generic dispatch.
+	tab *blockTable
 
 	// Deferred BTB resolution: the target address of a taken CTI is the
 	// next block's address, which arrives with the next Block event.
@@ -163,9 +163,7 @@ func New(cfg Config, ws []Workload) (*Sim, error) {
 	}
 	if s.planOK() {
 		for _, bs := range s.benches {
-			if blockMetaFits(bs.xlat) {
-				bs.ctis = cachedBlockMeta(bs.prog, bs.xlat, bs.slots, bs.prof)
-			}
+			bs.tab = cachedBlockTable(bs.prog, bs.xlat, bs.slots, bs.prof)
 		}
 	}
 	return s, nil
@@ -246,7 +244,7 @@ type benchSink struct {
 	// scratch is the fetch stream plan compilation decodes into before
 	// copying it out at its exact length (buildChunkPlan); refs holds a
 	// delivery's load and store positions (applyPlan).
-	scratch []uint64
+	scratch []uint32
 	refs    []uint32
 }
 
@@ -254,8 +252,8 @@ type benchSink struct {
 // configuration the compiled plans cover (plan.go) books a replayed batch
 // through its chunk plan; everything else runs the switch below, so live
 // and replayed streams drive exactly the same state transitions.
-func (h *benchSink) Events(kinds []uint8, as, bs []uint32) {
-	if aux := h.s.replayAux; aux != nil && h.b.ctis != nil && len(kinds) > 0 {
+func (h *benchSink) Events(kinds []uint8, as []uint32, bs []uint8) {
+	if aux := h.s.replayAux; aux != nil && h.b.tab != nil && len(kinds) > 0 {
 		h.applyPlan(h.planFor(aux, kinds, as, bs), kinds, as)
 		return
 	}

@@ -42,7 +42,7 @@ func NewCollector(p *program.Program, epsBins int) *Collector {
 }
 
 // Events implements EventSink.
-func (c *Collector) Events(kind []uint8, a, b []uint32) {
+func (c *Collector) Events(kind []uint8, a []uint32, b []uint8) {
 	a = a[:len(kind)]
 	b = b[:len(kind)]
 	for i := range kind {

@@ -27,12 +27,13 @@ type EventKind uint8
 
 const (
 	// EvBlock: the instructions of block A are about to execute; B is the
-	// block's instruction count (saving the consumer the block lookup).
+	// block's instruction count (saving the consumer the block lookup), at
+	// most program.MaxBlockInsts.
 	EvBlock EventKind = iota
 	// EvLoadUse: a load's value was first consumed; A is the unrestricted
 	// epsilon = c + d (Figure 6), B the same truncated at basic-block
-	// boundaries (Figure 7). Loads whose values are never consumed are not
-	// reported.
+	// boundaries (Figure 7), both at most EpsCap. Loads whose values are
+	// never consumed are not reported.
 	EvLoadUse
 	// EvMemLoad / EvMemStore: one data reference at word address A.
 	EvMemLoad
@@ -45,11 +46,20 @@ const (
 
 // EventSink consumes the event stream in program order, one batch of
 // parallel columns per call: row i is the event (kind[i], a[i], b[i]).
+// B is one byte wide: it only ever holds a block's instruction count,
+// which program.Validate caps at program.MaxBlockInsts = 255, or a
+// block-truncated epsilon, capped at EpsCap; every other kind leaves it 0.
 // Batch boundaries carry no meaning. The columns are reused between calls;
 // implementations must not retain them.
 type EventSink interface {
-	Events(kind []uint8, a, b []uint32)
+	Events(kind []uint8, a []uint32, b []uint8)
 }
+
+// Both caps must fit the B column; these fail to compile otherwise.
+var (
+	_ uint8 = program.MaxBlockInsts
+	_ uint8 = EpsCap
+)
 
 // instMeta is the per-instruction static decode: the class-derived flags,
 // single def register and source registers that the loop would otherwise
@@ -144,7 +154,7 @@ func (it *Interp) Run(n int64, sink EventSink) int64 {
 func (it *Interp) grow(n int) {
 	it.kind = make([]uint8, 0, n)
 	it.a = make([]uint32, 0, n)
-	it.b = make([]uint32, 0, n)
+	it.b = make([]uint8, 0, n)
 }
 
 // flush hands the pending batch to sink and empties the columns.
@@ -156,7 +166,7 @@ func (it *Interp) flush(sink EventSink) {
 }
 
 // emit appends one event row to the batch columns.
-func (it *Interp) emit(k EventKind, a, b uint32) {
+func (it *Interp) emit(k EventKind, a uint32, b uint8) {
 	it.kind = append(it.kind, uint8(k))
 	it.a = append(it.a, a)
 	it.b = append(it.b, b)
@@ -166,7 +176,7 @@ func (it *Interp) emit(k EventKind, a, b uint32) {
 // advances to the successor, with the static per-instruction facts read
 // from the decode table.
 func (it *Interp) step(b *program.Block) {
-	it.emit(EvBlock, uint32(b.ID), uint32(len(b.Insts)))
+	it.emit(EvBlock, uint32(b.ID), uint8(len(b.Insts)))
 	bm := &it.meta[b.ID]
 	blockLen := len(b.Insts)
 	for idx := range bm.insts {
@@ -196,7 +206,7 @@ func (it *Interp) step(b *program.Block) {
 				if cBlk > rec.maxC {
 					cBlk = rec.maxC
 				}
-				it.emit(EvLoadUse, uint32(eps), uint32(capEps(cBlk+dBlk)))
+				it.emit(EvLoadUse, uint32(eps), uint8(capEps(cBlk+dBlk)))
 			}
 		}
 

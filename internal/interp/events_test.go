@@ -11,18 +11,20 @@ import (
 )
 
 // digestSink folds every event row into an FNV-1a hash, independent of
-// how the stream is cut into batches.
+// how the stream is cut into batches. Each row hashes as 9 bytes, B
+// widened to four, so the pinned digests do not depend on the column's
+// width.
 type digestSink struct {
 	h      hash.Hash64
 	events int
 }
 
-func (s *digestSink) Events(kind []uint8, a, b []uint32) {
+func (s *digestSink) Events(kind []uint8, a []uint32, b []uint8) {
 	var row [9]byte
 	for i := range kind {
 		row[0] = kind[i]
 		binary.LittleEndian.PutUint32(row[1:], a[i])
-		binary.LittleEndian.PutUint32(row[5:], b[i])
+		binary.LittleEndian.PutUint32(row[5:], uint32(b[i]))
 		s.h.Write(row[:])
 	}
 	s.events += len(kind)

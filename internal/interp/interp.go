@@ -49,7 +49,8 @@ type Interp struct {
 	// kind, a and b are the batch columns Run fills and hands to its sink,
 	// allocated by the first Run.
 	kind []uint8
-	a, b []uint32
+	a    []uint32
+	b    []uint8
 
 	lastDef [isa.NumRegs]int64
 	pending [isa.NumRegs]loadRec

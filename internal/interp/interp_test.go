@@ -21,7 +21,7 @@ type eventLog struct {
 }
 
 // Events implements EventSink, decoding each row into the log's fields.
-func (l *eventLog) Events(kind []uint8, a, b []uint32) {
+func (l *eventLog) Events(kind []uint8, a []uint32, b []uint8) {
 	for i, k := range kind {
 		switch EventKind(k) {
 		case EvBlock:

@@ -276,11 +276,17 @@ func (p *Program) Memo(key any, build func() (any, error)) (any, error) {
 	return actual, nil
 }
 
+// MaxBlockInsts is the longest basic block Validate accepts. The event
+// stream carries a block's instruction count in a one-byte column
+// (interp.EventSink), so a longer block could not be streamed.
+const MaxBlockInsts = 255
+
 // Validate checks structural invariants: block IDs match positions, every
-// block belongs to exactly one procedure, CTIs appear only as terminators,
-// successor edges are present exactly where the terminator requires them,
-// and probabilities are in range. A successful result is cached until
-// Invalidate; repeated calls on an unchanged program are free.
+// block belongs to exactly one procedure, no block is empty or longer than
+// MaxBlockInsts, CTIs appear only as terminators, successor edges are
+// present exactly where the terminator requires them, and probabilities
+// are in range. A successful result is cached until Invalidate; repeated
+// calls on an unchanged program are free.
 func (p *Program) Validate() error {
 	if p.validated.Load() {
 		return nil
@@ -321,6 +327,9 @@ func (p *Program) Validate() error {
 		}
 		if len(b.Insts) == 0 {
 			return fmt.Errorf("program %s: block %d is empty", p.Name, i)
+		}
+		if len(b.Insts) > MaxBlockInsts {
+			return fmt.Errorf("program %s: block %d has %d instructions, more than %d", p.Name, i, len(b.Insts), MaxBlockInsts)
 		}
 		for j, in := range b.Insts {
 			if in.IsCTI() && j != len(b.Insts)-1 {

@@ -2,6 +2,7 @@ package program
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -154,6 +155,31 @@ func TestValidateCatchesEmptyBlock(t *testing.T) {
 	p.Invalidate()
 	if err := p.Validate(); err == nil {
 		t.Fatal("empty block not caught")
+	}
+}
+
+// TestValidateBlockLengthCap: a block of MaxBlockInsts instructions
+// validates, and one more is rejected with an error naming the block.
+func TestValidateBlockLengthCap(t *testing.T) {
+	for _, n := range []int{MaxBlockInsts, MaxBlockInsts + 1} {
+		p := buildLoopProgram(t)
+		b := p.Blocks[2] // the return block of main
+		pad := make([]Inst, n-len(b.Insts), n)
+		for i := range pad {
+			pad[i] = Inst{Inst: isa.Inst{Op: isa.ADDU, Rd: isa.T0}}
+		}
+		b.Insts = append(pad, b.Insts...)
+		p.Invalidate()
+		err := p.Validate()
+		if n <= MaxBlockInsts {
+			if err != nil {
+				t.Errorf("%d-instruction block rejected: %v", n, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "block 2 has 256 instructions") {
+			t.Errorf("%d-instruction block: error %v, want one naming block 2", n, err)
+		}
 	}
 }
 

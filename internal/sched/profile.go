@@ -38,7 +38,7 @@ type profileCollector struct {
 	prof *Profile
 }
 
-func (c *profileCollector) Events(kind []uint8, a, _ []uint32) {
+func (c *profileCollector) Events(kind []uint8, a []uint32, _ []uint8) {
 	for i, k := range kind {
 		switch interp.EventKind(k) {
 		case interp.EvCTITaken:

@@ -142,14 +142,16 @@ func strongETag(body []byte) string {
 	return `"` + hex.EncodeToString(sum[:])[:32] + `"`
 }
 
-// etagMatch implements If-None-Match: a wildcard or any listed tag equal
-// to etag revalidates.
+// etagMatch implements If-None-Match: a wildcard or any listed tag that
+// matches etag under the weak comparison RFC 9110 §13.1.2 requires
+// (opaque tags equal, either tag's W/ prefix ignored) revalidates.
 func etagMatch(header, etag string) bool {
 	if strings.TrimSpace(header) == "*" {
 		return true
 	}
+	etag = strings.TrimPrefix(etag, "W/")
 	for _, c := range strings.Split(header, ",") {
-		if strings.TrimSpace(c) == etag {
+		if strings.TrimPrefix(strings.TrimSpace(c), "W/") == etag {
 			return true
 		}
 	}

@@ -39,7 +39,7 @@ func (c *Capture) fetch(addr uint32, n int) {
 // (sched.BlockXlat): squashed fetches after a not-taken prediction, a
 // delay-slot skip into the target after a taken one. Dependency distances
 // are not part of an address trace.
-func (c *Capture) Events(kind []uint8, a, _ []uint32) {
+func (c *Capture) Events(kind []uint8, a []uint32, _ []uint8) {
 	for i, k := range kind {
 		switch interp.EventKind(k) {
 		case interp.EvBlock:

@@ -24,22 +24,25 @@ import (
 // block-granular scheduling rule the live simulator uses.
 //
 // Storage keeps the interpreter's kind/A/B columns in fixed-size chunks:
-// 9 bytes per event plus a block-boundary index, and no large contiguous
-// allocations. A trace is an ordinary garbage-collected value, so it
-// lives exactly as long as the store or a replay still references it.
-// Replay hands sinks zero-copy sub-slices of the stored columns.
+// 6 bytes per event (a one-byte kind, a four-byte A and a one-byte B) plus
+// a two-byte block-boundary index, and no large contiguous allocations. A
+// trace is an ordinary garbage-collected value, so it lives exactly as
+// long as the store or a replay still references it. Replay hands sinks
+// zero-copy sub-slices of the stored columns.
 
-// chunkEvents is the capacity of one columnar chunk (16Ki events ≈ 150 KB
-// with the block index).
+// chunkEvents is the capacity of one columnar chunk (16Ki events = 128 KiB
+// with the block index). Offsets within a chunk fit the block index's 16
+// bits.
 const chunkEvents = 1 << 14
 
-// chunkBytes is the accounted storage cost of one chunk: 9 bytes per event
-// for the kind/a/b columns plus 4 for the worst-case block index.
-const chunkBytes = chunkEvents * 13
+// chunkBytes is the accounted storage cost of one chunk: 6 bytes per event
+// for the kind/a/b columns plus 2 for the worst-case block index.
+const chunkBytes = chunkEvents * 8
 
 type chunk struct {
 	kind []uint8
-	a, b []uint32
+	a    []uint32
+	b    []uint8
 	// insts is the sum of the EvBlock B fields stored in this chunk,
 	// maintained on append. Cursor.Turn uses it to deliver chunks that
 	// cannot reach the stop threshold wholesale, without scanning for
@@ -48,7 +51,7 @@ type chunk struct {
 	// blockPos indexes the EvBlock events in the chunk (ascending offsets
 	// into kind/a/b), so Turn walks block boundaries directly instead of
 	// testing every event's kind.
-	blockPos []int32
+	blockPos []uint16
 }
 
 // BenchEvents is one benchmark's captured event stream.
@@ -75,7 +78,7 @@ func (b *BenchEvents) Events() int64 { return b.events }
 
 // append copies one batch of columns onto the stream, a chunk-sized run
 // at a time, indexing its block boundaries.
-func (b *BenchEvents) append(kind []uint8, as, bs []uint32) {
+func (b *BenchEvents) append(kind []uint8, as []uint32, bs []uint8) {
 	b.events += int64(len(kind))
 	for len(kind) > 0 {
 		n := len(b.chunks)
@@ -83,7 +86,7 @@ func (b *BenchEvents) append(kind []uint8, as, bs []uint32) {
 			b.chunks = append(b.chunks, &chunk{
 				kind: make([]uint8, 0, chunkEvents),
 				a:    make([]uint32, 0, chunkEvents),
-				b:    make([]uint32, 0, chunkEvents),
+				b:    make([]uint8, 0, chunkEvents),
 			})
 			n++
 		}
@@ -93,7 +96,7 @@ func (b *BenchEvents) append(kind []uint8, as, bs []uint32) {
 			if interp.EventKind(k) == interp.EvBlock {
 				b.insts += int64(bs[i])
 				cur.insts += int64(bs[i])
-				cur.blockPos = append(cur.blockPos, int32(len(cur.kind)+i))
+				cur.blockPos = append(cur.blockPos, uint16(len(cur.kind)+i))
 			}
 		}
 		cur.kind = append(cur.kind, kind[:run]...)
@@ -181,7 +184,7 @@ type benchRecorder struct {
 	next interp.EventSink
 }
 
-func (br *benchRecorder) Events(kind []uint8, a, b []uint32) {
+func (br *benchRecorder) Events(kind []uint8, a []uint32, b []uint8) {
 	if br.next != nil {
 		br.next.Events(kind, a, b)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -11,17 +12,18 @@ import (
 // appends every batch it receives.
 type stream struct {
 	kind []uint8
-	a, b []uint32
+	a    []uint32
+	b    []uint8
 }
 
-func (s *stream) Events(kind []uint8, a, b []uint32) {
+func (s *stream) Events(kind []uint8, a []uint32, b []uint8) {
 	s.kind = append(s.kind, kind...)
 	s.a = append(s.a, a...)
 	s.b = append(s.b, b...)
 }
 
-func (s *stream) add(k interp.EventKind, a, b uint32) {
-	s.Events([]uint8{uint8(k)}, []uint32{a}, []uint32{b})
+func (s *stream) add(k interp.EventKind, a uint32, b uint8) {
+	s.Events([]uint8{uint8(k)}, []uint32{a}, []uint8{b})
 }
 
 // slice returns rows [lo, hi) as a stream.
@@ -32,12 +34,12 @@ func (s *stream) slice(lo, hi int) *stream {
 // synthStream builds a deterministic synthetic event stream of n blocks,
 // each EvBlock followed by a little memory and control traffic, with
 // instsPerBlock instructions per block.
-func synthStream(n int, instsPerBlock uint32) *stream {
+func synthStream(n int, instsPerBlock uint8) *stream {
 	s := &stream{}
 	for i := 0; i < n; i++ {
 		s.add(interp.EvBlock, uint32(i), instsPerBlock)
 		s.add(interp.EvMemLoad, uint32(0x1000+4*i), 0)
-		s.add(interp.EvLoadUse, 0, uint32(i%4))
+		s.add(interp.EvLoadUse, 0, uint8(i%4))
 		if i%2 == 0 {
 			s.add(interp.EvCTITaken, uint32(i), 0)
 		} else {
@@ -135,6 +137,25 @@ func TestCursorTurnMatchesRunRule(t *testing.T) {
 // and empty columns alike.
 func sameStream(x, y *stream) bool {
 	return slices.Equal(x.kind, y.kind) && slices.Equal(x.a, y.a) && slices.Equal(x.b, y.b)
+}
+
+// TestChunkLayout pins the accounted chunk size to the columns a chunk
+// holds: one byte of kind, four of A, one of B and two of block index per
+// event, 8 in all.
+func TestChunkLayout(t *testing.T) {
+	perEvent := uintptr(0)
+	ct := reflect.TypeOf(chunk{})
+	for i := 0; i < ct.NumField(); i++ {
+		if f := ct.Field(i); f.Type.Kind() == reflect.Slice {
+			perEvent += f.Type.Elem().Size()
+		}
+	}
+	if perEvent != 8 || chunkBytes != chunkEvents*perEvent {
+		t.Errorf("chunk columns take %d bytes per event and chunkBytes is %d; want 8 and %d", perEvent, chunkBytes, chunkEvents*8)
+	}
+	if size := reflect.TypeOf(chunk{}.b).Elem().Size(); size != 1 {
+		t.Errorf("B column entries take %d bytes, want 1", size)
+	}
 }
 
 func TestEventTraceValidate(t *testing.T) {

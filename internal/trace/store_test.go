@@ -15,7 +15,7 @@ func makeTrace(t *testing.T, key string, nChunks int) *EventTrace {
 	rec := NewRecorder(key, 1)
 	sink := rec.Bench("b", 1, &stream{})
 	kind := make([]uint8, 1024)
-	a, b := make([]uint32, len(kind)), make([]uint32, len(kind))
+	a, b := make([]uint32, len(kind)), make([]uint8, len(kind))
 	for i := range kind {
 		kind[i] = uint8(interp.EvMemLoad)
 		a[i] = uint32(i)
