@@ -49,8 +49,6 @@ bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_sim.json -replay-floor $(REPLAY_FLOOR)
 
 fuzz:
-	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/isa/
-	$(GO) test -fuzz FuzzParseInst -fuzztime 30s ./internal/isa/
 	$(GO) test -fuzz FuzzReader -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzParseCircuit -fuzztime 30s ./internal/timing/
 	$(GO) test -fuzz FuzzDesignRequest -fuzztime 30s ./internal/server/

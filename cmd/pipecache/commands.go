@@ -195,7 +195,6 @@ func runDisasm(args []string) error {
 	fs := flag.NewFlagSet("disasm", flag.ExitOnError)
 	name := fs.String("benchmark", "small", "benchmark to disassemble")
 	out := fs.String("o", "", "output file (default stdout)")
-	image := fs.Bool("image", false, "also assemble the binary image and report its size")
 	fs.Parse(args)
 
 	spec, ok := gen.LookupSpec(*name)
@@ -215,17 +214,7 @@ func runDisasm(args []string) error {
 		defer f.Close()
 		w = f
 	}
-	if err := program.Disassemble(prog, w); err != nil {
-		return err
-	}
-	if *image {
-		img, err := program.EncodeImage(prog)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "binary image: %d words (%d KB)\n", len(img), len(img)*4/1024)
-	}
-	return nil
+	return program.Disassemble(prog, w)
 }
 
 func runSimulate(args []string) error {
@@ -259,7 +248,6 @@ func runTracegen(args []string) error {
 	o := commonFlags(fs)
 	out := fs.String("o", "trace.pct", "output trace file")
 	slots := fs.Int("b", 0, "branch delay slots encoded in the fetch stream")
-	pct1 := fs.Bool("pct1", false, "write the legacy fixed-record PCT1 format instead of PCT2")
 	replay := fs.Bool("replay", false,
 		"after writing, replay the trace through the fused cache bank and print per-size miss ratios")
 	fs.Parse(args)
@@ -273,11 +261,7 @@ func runTracegen(args []string) error {
 		return err
 	}
 	defer f.Close()
-	newWriter := trace.NewWriter
-	if *pct1 {
-		newWriter = trace.NewWriterV1
-	}
-	w, err := newWriter(f)
+	w, err := trace.NewWriter(f)
 	if err != nil {
 		return err
 	}
@@ -337,8 +321,8 @@ func replayTrace(path string, sizesKW []int, blockWords int) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replayed %d refs (PCT%d): %d ifetch, %d load, %d store\n",
-		st.Refs, r.Version(), st.IFetches, st.Loads, st.Stores)
+	fmt.Printf("replayed %d refs: %d ifetch, %d load, %d store\n",
+		st.Refs, st.IFetches, st.Loads, st.Stores)
 	for i, s := range sizesKW {
 		is, ds := ibank.Stats(i), dbank.Stats(i)
 		fmt.Printf("  %2d KW/side: I miss %.4f, D miss %.4f\n",

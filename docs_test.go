@@ -17,7 +17,7 @@ import (
 )
 
 // testFuncs collects the names of the `func <kind>…` declarations (kind
-// Test or Benchmark) in the _test.go files of dir, and of its
+// Test, Benchmark or Fuzz) in the _test.go files of dir, and of its
 // subdirectories when recursive. A nested module (perfbench) is not part
 // of ./... and is skipped.
 func testFuncs(t *testing.T, kind, dir string, recursive bool) map[string]bool {
@@ -134,58 +134,61 @@ func TestLedgerRowsAreBenchmarks(t *testing.T) {
 
 // TestMakefileRunPatternsNameTests guards the make targets that select
 // tests by name: `go test -run` passes silently when its pattern matches
-// nothing, so a renamed or deleted test would quietly empty the target.
-// Every alternative of the top level of a Makefile -run pattern must match
-// a `func Test…` in the packages its command line names (./... means the
-// module; no package means the root). The bare `^$` selects no test on
-// purpose, for benchmark-only runs.
+// nothing, and so does `go test -fuzz`, so a renamed or deleted test or
+// fuzz target would quietly empty the target. Every alternative of the top
+// level of a Makefile -run pattern must match a `func Test…`, and every
+// -fuzz pattern a `func Fuzz…`, in the packages its command line names
+// (./... means the module; no package means the root). The bare `^$`
+// selects no test on purpose, for benchmark-only runs.
 func TestMakefileRunPatternsNameTests(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
-	runFlag := regexp.MustCompile(`-run\s+('[^']*'|\S+)`)
-	checked := 0
-	for _, line := range strings.Split(string(mk), "\n") {
-		m := runFlag.FindStringSubmatch(line)
-		if m == nil {
-			continue
-		}
-		pattern := strings.ReplaceAll(strings.Trim(m[1], "'"), "$$", "$") // make's escape
-		if pattern == "^$" {
-			continue
-		}
-		tests := map[string]bool{}
-		for _, f := range strings.Fields(line) {
-			switch {
-			case f == "./...":
-				maps.Copy(tests, testFuncs(t, "Test", ".", true))
-			case f == "." || strings.HasPrefix(f, "./"):
-				maps.Copy(tests, testFuncs(t, "Test", f, false))
-			}
-		}
-		if len(tests) == 0 {
-			tests = testFuncs(t, "Test", ".", false)
-		}
-		top, _, _ := strings.Cut(pattern, "/")
-		for _, alt := range strings.Split(top, "|") {
-			re, err := regexp.Compile(alt)
-			if err != nil {
-				t.Errorf("Makefile -run %q: %v", pattern, err)
+	for _, sel := range []struct{ flag, kind string }{{"-run", "Test"}, {"-fuzz", "Fuzz"}} {
+		flagRe := regexp.MustCompile(sel.flag + `\s+('[^']*'|\S+)`)
+		checked := 0
+		for _, line := range strings.Split(string(mk), "\n") {
+			m := flagRe.FindStringSubmatch(line)
+			if m == nil {
 				continue
 			}
-			checked++
-			found := false
-			for name := range tests {
-				found = found || re.MatchString(name)
+			pattern := strings.ReplaceAll(strings.Trim(m[1], "'"), "$$", "$") // make's escape
+			if pattern == "^$" {
+				continue
 			}
-			if !found {
-				t.Errorf("Makefile -run %q: %q matches no func Test… in the packages of %q", pattern, alt, strings.TrimSpace(line))
+			funcs := map[string]bool{}
+			for _, f := range strings.Fields(line) {
+				switch {
+				case f == "./...":
+					maps.Copy(funcs, testFuncs(t, sel.kind, ".", true))
+				case f == "." || strings.HasPrefix(f, "./"):
+					maps.Copy(funcs, testFuncs(t, sel.kind, f, false))
+				}
+			}
+			if len(funcs) == 0 {
+				funcs = testFuncs(t, sel.kind, ".", false)
+			}
+			top, _, _ := strings.Cut(pattern, "/")
+			for _, alt := range strings.Split(top, "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("Makefile %s %q: %v", sel.flag, pattern, err)
+					continue
+				}
+				checked++
+				found := false
+				for name := range funcs {
+					found = found || re.MatchString(name)
+				}
+				if !found {
+					t.Errorf("Makefile %s %q: %q matches no func %s… in the packages of %q", sel.flag, pattern, alt, sel.kind, strings.TrimSpace(line))
+				}
 			}
 		}
-	}
-	if checked == 0 {
-		t.Fatal("no Makefile -run patterns found; the pattern is stale")
+		if checked == 0 {
+			t.Fatalf("no Makefile %s patterns found; the pattern is stale", sel.flag)
+		}
 	}
 }
 

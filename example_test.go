@@ -19,16 +19,6 @@ func ExampleRefillPenalty() {
 	// 18
 }
 
-// Assemble, encode, decode, and disassemble one instruction.
-func ExampleParseInst() {
-	in, _ := pipecache.ParseInst("lw $t0, 4($sp)")
-	word, _ := pipecache.EncodeWord(in, 0x100)
-	back, _ := pipecache.DecodeWord(word, 0x100)
-	fmt.Printf("%08x %s\n", word, back)
-	// Output:
-	// 8fa80004 lw $t0, 4($sp)
-}
-
 // The timing analyzer on the paper's ALU feedback loop: a 2.1 ns add plus
 // a 1.4 ns forward path around one latch gives the 3.5 ns cycle floor.
 func ExampleTimingGraph() {

@@ -82,8 +82,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nreplayed %d refs once (PCT%d: %d fetch / %d load / %d store)\n",
-		st.Refs, r.Version(), st.IFetches, st.Loads, st.Stores)
+	fmt.Printf("\nreplayed %d refs once (%d fetch / %d load / %d store)\n",
+		st.Refs, st.IFetches, st.Loads, st.Stores)
 	for i, kw := range sizes {
 		fmt.Printf("  %2dKW caches: L1-I miss ratio %.2f%%   L1-D miss ratio %.2f%%\n",
 			kw, 100*ibank.Stats(i).MissRatio(), 100*dbank.Stats(i).MissRatio())

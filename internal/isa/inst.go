@@ -173,27 +173,6 @@ func (in Inst) DependsOn(prev Inst) bool {
 	return false
 }
 
-// Conflicts reports whether the pair (prev, in) cannot be reordered:
-// a true dependency, an anti dependency (in writes what prev reads), an
-// output dependency (both write the same register), or a potential memory
-// conflict. Stores may not move past loads or other stores without alias
-// information; the schedulers that assume perfect disambiguation handle
-// memory separately and use DependsOn instead.
-func (in Inst) Conflicts(prev Inst) bool {
-	if in.DependsOn(prev) {
-		return true
-	}
-	for _, d := range in.Defs() {
-		if prev.UsesReg(d) || prev.DefsReg(d) {
-			return true
-		}
-	}
-	if in.Op.IsMem() && prev.Op.IsMem() && (in.Op.IsStore() || prev.Op.IsStore()) {
-		return true
-	}
-	return false
-}
-
 // String disassembles the instruction.
 func (in Inst) String() string {
 	switch in.Op.Class() {

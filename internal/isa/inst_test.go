@@ -99,37 +99,6 @@ func TestDependsOn(t *testing.T) {
 	}
 }
 
-func TestConflicts(t *testing.T) {
-	write := Inst{Op: ADDU, Rd: T0, Rs: A0, Rt: A1}
-	// Anti dependency: second writes what first reads.
-	anti := Inst{Op: ADDU, Rd: A0, Rs: T5, Rt: T6}
-	if !anti.Conflicts(write) {
-		t.Fatal("anti dependency missed")
-	}
-	// Output dependency.
-	out := Inst{Op: ADDU, Rd: T0, Rs: T5, Rt: T6}
-	if !out.Conflicts(write) {
-		t.Fatal("output dependency missed")
-	}
-	// Store/store conflict.
-	s1 := Inst{Op: SW, Rt: T0, Rs: SP, Imm: 0}
-	s2 := Inst{Op: SW, Rt: T1, Rs: SP, Imm: 4}
-	if !s2.Conflicts(s1) {
-		t.Fatal("store-store conflict missed")
-	}
-	// Load/load never conflicts through memory.
-	l1 := Inst{Op: LW, Rd: T3, Rs: SP, Imm: 0}
-	l2 := Inst{Op: LW, Rd: T4, Rs: GP, Imm: 4}
-	if l2.Conflicts(l1) {
-		t.Fatal("load-load flagged as conflict")
-	}
-	// Independent ALU ops don't conflict.
-	a := Inst{Op: ADDU, Rd: T1, Rs: A2, Rt: A3}
-	if a.Conflicts(write) {
-		t.Fatal("independent ops flagged as conflict")
-	}
-}
-
 func TestInstString(t *testing.T) {
 	cases := []struct {
 		in   Inst
@@ -155,7 +124,7 @@ func TestInstString(t *testing.T) {
 func TestInstStringCoversAllOps(t *testing.T) {
 	// Every op should render something without panicking and include its
 	// mnemonic.
-	for o := Op(0); int(o) < NumOps(); o++ {
+	for o := Op(0); o < numOps; o++ {
 		in := Inst{Op: o, Rd: T0, Rs: T1, Rt: T2, Imm: 4, Target: 0x10}
 		s := in.String()
 		if o != NOP && !strings.Contains(s, o.String()) {

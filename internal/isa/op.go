@@ -1,6 +1,7 @@
 // Package isa defines the MIPS-I-like instruction set used by the
-// reproduction: opcodes, registers, instruction words, binary encoding, and
-// the def/use metadata needed by the delay-slot schedulers.
+// reproduction: opcodes, registers, instructions, and the def/use metadata
+// needed by the delay-slot schedulers. The MIPS-I field widths are checked
+// where programs are built (program.Validate and Program.Layout).
 //
 // The paper's experiments were driven by MIPS R2000 object code. We model
 // the subset of the R2000 ISA that matters for cache and pipeline
@@ -218,10 +219,6 @@ func (o Op) Class() Class {
 func (o Op) Valid() bool {
 	return o < numOps && (o == NOP || opTable[o].name != "")
 }
-
-// NumOps returns the number of defined ops (for exhaustive iteration in
-// tests).
-func NumOps() int { return int(numOps) }
 
 // IsCTI reports whether the op is a control transfer instruction: a
 // conditional branch, a direct jump/call, or a register-indirect jump.

@@ -3,7 +3,7 @@ package isa
 import "testing"
 
 func TestEveryOpHasNameAndClass(t *testing.T) {
-	for o := Op(0); int(o) < NumOps(); o++ {
+	for o := Op(0); o < numOps; o++ {
 		if !o.Valid() {
 			t.Errorf("op %d has no table entry", o)
 		}

@@ -16,6 +16,7 @@ package program
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -185,7 +186,9 @@ func (p *Program) Block(id int) *Block {
 // the laid-out address of its destination. It must be called after any
 // transformation that changes block sizes. JAL targets point at the entry
 // block of CallProc; conditional branch and J targets point at the Taken
-// block.
+// block. A target the MIPS-I CTI could not encode is an error: a branch
+// displacement (target − pc − 1 words) outside int16, or a J/JAL whose
+// target leaves the 2^26-word region of its own address.
 func (p *Program) Layout() error {
 	addr := p.Base
 	for _, proc := range p.Procs {
@@ -225,6 +228,43 @@ func (p *Program) Layout() error {
 			}
 		case isa.ClassJumpReg:
 			// Target resolved at run time (return address or jump table).
+			continue
+		}
+		if err := targetFits(b.Insts[last].Inst, b.Addr+uint32(last)); err != nil {
+			return fmt.Errorf("program %s: block %d inst %d (%q): %w", p.Name, b.ID, last, b.Insts[last].Inst, err)
+		}
+	}
+	return nil
+}
+
+// targetFits reports whether the CTI at word address pc reaches its target
+// within its MIPS-I field: a 16-bit signed word displacement from the next
+// instruction for branches, and the 26-bit pseudo-absolute target for J
+// and JAL, which keep the top bits of the PC.
+func targetFits(in isa.Inst, pc uint32) error {
+	if in.Op.Class() == isa.ClassBranch {
+		if off := int64(in.Target) - int64(pc) - 1; off < math.MinInt16 || off > math.MaxInt16 {
+			return fmt.Errorf("branch displacement %d words outside int16", off)
+		}
+	} else if in.Target>>26 != pc>>26 {
+		return fmt.Errorf("jump target 0x%x outside the 2^26-word region of 0x%x", in.Target, pc)
+	}
+	return nil
+}
+
+// fieldsFit reports whether the instruction's immediate fits its MIPS-I
+// field: int16 for loads, stores and the immediate ALU ops, 0–31 for a
+// shift amount.
+func fieldsFit(in isa.Inst) error {
+	switch op := in.Op; {
+	case op == isa.SLL || op == isa.SRL || op == isa.SRA:
+		if in.Imm < 0 || in.Imm > 31 {
+			return fmt.Errorf("shift amount %d outside 0-31", in.Imm)
+		}
+	case op.IsMem(), op == isa.ADDIU, op == isa.SLTI, op == isa.SLTIU, op == isa.ANDI,
+		op == isa.ORI, op == isa.XORI, op == isa.LUI:
+		if in.Imm < math.MinInt16 || in.Imm > math.MaxInt16 {
+			return fmt.Errorf("immediate %d outside int16", in.Imm)
 		}
 	}
 	return nil
@@ -283,10 +323,11 @@ const MaxBlockInsts = 255
 
 // Validate checks structural invariants: block IDs match positions, every
 // block belongs to exactly one procedure, no block is empty or longer than
-// MaxBlockInsts, CTIs appear only as terminators, successor edges are
-// present exactly where the terminator requires them, and probabilities
-// are in range. A successful result is cached until Invalidate; repeated
-// calls on an unchanged program are free.
+// MaxBlockInsts, CTIs appear only as terminators, every immediate and
+// shift amount fits its MIPS-I field, successor edges are present exactly
+// where the terminator requires them, and probabilities are in range. A
+// successful result is cached until Invalidate; repeated calls on an
+// unchanged program are free.
 func (p *Program) Validate() error {
 	if p.validated.Load() {
 		return nil
@@ -340,6 +381,9 @@ func (p *Program) Validate() error {
 			}
 			if !in.Op.IsMem() && in.Mem.Kind != MemNone {
 				return fmt.Errorf("program %s: block %d inst %d (%q) is not a memory op but has memory behaviour", p.Name, i, j, in.Inst)
+			}
+			if err := fieldsFit(in.Inst); err != nil {
+				return fmt.Errorf("program %s: block %d inst %d (%q): %w", p.Name, i, j, in.Inst, err)
 			}
 		}
 		if b.TakenProb < 0 || b.TakenProb > 1 {

@@ -2,6 +2,7 @@ package program
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -180,6 +181,131 @@ func TestValidateBlockLengthCap(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "block 2 has 256 instructions") {
 			t.Errorf("%d-instruction block: error %v, want one naming block 2", n, err)
 		}
+	}
+}
+
+// TestValidateFieldRanges: immediates fit int16 and shift amounts 0-31,
+// as the MIPS-I fields hold them; one past either bound is rejected with
+// an error naming the program, block and instruction.
+func TestValidateFieldRanges(t *testing.T) {
+	cases := []struct {
+		op  isa.Op
+		imm int32
+		ok  bool
+	}{
+		{isa.ADDIU, -32768, true},
+		{isa.ADDIU, 32767, true},
+		{isa.ADDIU, 32768, false},
+		{isa.ADDIU, -32769, false},
+		{isa.LUI, 32768, false},
+		{isa.ORI, -32769, false},
+		{isa.LW, -32768, true},
+		{isa.LW, 32767, true},
+		{isa.LW, 32768, false},
+		{isa.LW, -32769, false},
+		{isa.SW, 32768, false},
+		{isa.SLL, 0, true},
+		{isa.SLL, 31, true},
+		{isa.SLL, 32, false},
+		{isa.SRA, -1, false},
+		{isa.ADDU, 1 << 20, true}, // no immediate field: Imm is not read
+	}
+	for _, c := range cases {
+		p := buildLoopProgram(t)
+		// Block 1 is load, addu, store, branch; the case replaces the
+		// instruction of its class, keeping the memory behaviour.
+		j := 1
+		if c.op.IsMem() {
+			j = 0
+			if c.op.IsStore() {
+				j = 2
+			}
+		}
+		in := &p.Blocks[1].Insts[j]
+		in.Op, in.Imm = c.op, c.imm
+		p.Invalidate()
+		err := p.Validate()
+		if c.ok {
+			if err != nil {
+				t.Errorf("%v imm %d rejected: %v", c.op, c.imm, err)
+			}
+			continue
+		}
+		want := fmt.Sprintf("program loop: block 1 inst %d", j)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%v imm %d: error %v, want one naming %q", c.op, c.imm, err, want)
+		}
+	}
+}
+
+// buildBranchSpan builds one procedure whose entry block branches forward
+// over span words of straight-line filler (blocks of at most
+// MaxBlockInsts) to a return block, so the branch's word displacement is
+// exactly span.
+func buildBranchSpan(span int) (*Program, error) {
+	bd := NewBuilder("span", 0x1000)
+	main := bd.StartProc("main")
+	entry := bd.NewBlock()
+	var fill []int
+	for left := span; left > 0; left -= MaxBlockInsts {
+		b := bd.NewBlock()
+		for i := 0; i < min(left, MaxBlockInsts); i++ {
+			bd.ALU(b, isa.ADDU, isa.T0, isa.T0, isa.T1)
+		}
+		fill = append(fill, b)
+	}
+	target := bd.NewBlock()
+	bd.Return(target)
+	for i, b := range fill {
+		next := target
+		if i+1 < len(fill) {
+			next = fill[i+1]
+		}
+		bd.Fallthrough(b, next)
+	}
+	bd.Branch(entry, isa.BEQ, isa.T0, isa.Zero, target, fill[0], 0.5)
+	bd.SetEntry(main)
+	return bd.Finish()
+}
+
+// TestLayoutBranchReach: Layout accepts a branch whose displacement is
+// the largest int16 and rejects one a word further.
+func TestLayoutBranchReach(t *testing.T) {
+	if _, err := buildBranchSpan(1<<15 - 1); err != nil {
+		t.Fatalf("displacement 2^15-1 rejected: %v", err)
+	}
+	_, err := buildBranchSpan(1 << 15)
+	if err == nil || !strings.Contains(err.Error(), "program span: block 0 inst 0") ||
+		!strings.Contains(err.Error(), "displacement 32768") {
+		t.Fatalf("displacement 2^15: error %v, want one naming block 0 and the displacement", err)
+	}
+}
+
+// TestLayoutJumpRegion: a jal must land in the 2^26-word region of its own
+// address. main's call block, its return block and the callee's entry are
+// laid out back to back from base, so the call crosses the boundary only
+// when the callee starts at 2^26.
+func TestLayoutJumpRegion(t *testing.T) {
+	build := func(base uint32) error {
+		bd := NewBuilder("region", base)
+		main := bd.StartProc("main")
+		call := bd.NewBlock()
+		ret := bd.NewBlock()
+		helper := bd.StartProc("helper")
+		h0 := bd.NewBlock()
+		bd.Call(call, helper, ret)
+		bd.Return(ret)
+		bd.Return(h0)
+		bd.SetEntry(main)
+		_, err := bd.Finish()
+		return err
+	}
+	if err := build(1<<26 - 3); err != nil {
+		t.Fatalf("jal within its region rejected: %v", err)
+	}
+	err := build(1<<26 - 2)
+	if err == nil || !strings.Contains(err.Error(), "program region: block 0 inst 0") {
+		t.Fatalf("jal across 2^26: error %v, want one naming block 0", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -111,10 +112,14 @@ func TestReaderRejectsBadMagic(t *testing.T) {
 	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")
 	}
+	// PCT1, the retired fixed-record format, is not read.
+	if _, err := NewReader(bytes.NewReader([]byte("PCT1\x00\x00\x10\x00\x00\x00"))); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("PCT1 header: %v, want a bad magic error", err)
+	}
 }
 
 func TestReaderDetectsTruncation(t *testing.T) {
-	// PCT2: a large first delta spans several varint bytes; a cut inside
+	// A large first delta spans several varint bytes; a cut inside
 	// them must surface as an error, not a clean EOF.
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
@@ -126,92 +131,7 @@ func TestReaderDetectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := r.Read(); err == nil || err == io.EOF {
-		t.Fatalf("PCT2 truncation not detected: %v", err)
-	}
-
-	// PCT1: cut inside the fixed 6-byte record.
-	var buf1 bytes.Buffer
-	w1, _ := NewWriterV1(&buf1)
-	w1.Write(Ref{IFetch, 1, 2})
-	w1.Flush()
-	data1 := buf1.Bytes()[:buf1.Len()-2]
-	r1, err := NewReader(bytes.NewReader(data1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r1.Read(); err == nil || err == io.EOF {
-		t.Fatalf("PCT1 truncation not detected: %v", err)
-	}
-}
-
-func TestV1RoundTripAndVersion(t *testing.T) {
-	refs := []Ref{
-		{IFetch, 0, 0x1000},
-		{Load, 5, 0xdeadbee},
-		{Store, 63, 0},
-		{IFetch, 1, 0xffffffff},
-	}
-	for _, v1 := range []bool{false, true} {
-		var buf bytes.Buffer
-		var w *Writer
-		var err error
-		if v1 {
-			w, err = NewWriterV1(&buf)
-		} else {
-			w, err = NewWriter(&buf)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range refs {
-			if err := w.Write(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		w.Flush()
-		r, err := NewReader(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantVer := 2
-		if v1 {
-			wantVer = 1
-		}
-		if r.Version() != wantVer {
-			t.Fatalf("version = %d, want %d", r.Version(), wantVer)
-		}
-		for i, want := range refs {
-			got, err := r.Read()
-			if err != nil || got != want {
-				t.Fatalf("v1=%v record %d: got %+v (%v), want %+v", v1, i, got, err, want)
-			}
-		}
-	}
-}
-
-func TestV2SmallerThanV1(t *testing.T) {
-	// A realistic stream — mostly sequential fetches with nearby data refs
-	// — has small per-PID deltas, which is exactly what the delta/varint
-	// encoding exploits.
-	var v1, v2 bytes.Buffer
-	w1, _ := NewWriterV1(&v1)
-	w2, _ := NewWriter(&v2)
-	for pid := uint8(0); pid < 4; pid++ {
-		for i := uint32(0); i < 1000; i++ {
-			refs := []Ref{
-				{IFetch, pid, 0x10000 + i},
-				{Load, pid, 0x40000 + 4*(i%64)},
-			}
-			for _, r := range refs {
-				w1.Write(r)
-				w2.Write(r)
-			}
-		}
-	}
-	w1.Flush()
-	w2.Flush()
-	if v2.Len() >= v1.Len()/2 {
-		t.Fatalf("PCT2 %d bytes vs PCT1 %d: expected at least 2x smaller", v2.Len(), v1.Len())
+		t.Fatalf("truncation not detected: %v", err)
 	}
 }
 

@@ -44,7 +44,6 @@ import (
 	"pipecache/internal/cpisim"
 	"pipecache/internal/gen"
 	"pipecache/internal/interp"
-	"pipecache/internal/isa"
 	"pipecache/internal/obs"
 	"pipecache/internal/program"
 	"pipecache/internal/sched"
@@ -248,10 +247,10 @@ func NewProgress(w io.Writer) *Progress { return obs.NewProgress(w) }
 type (
 	// TraceRef is one reference record of the binary trace format.
 	TraceRef = trace.Ref
-	// TraceWriter streams references to a file (PCT2 delta/varint by
-	// default; see NewTraceWriterV1 for the legacy fixed-record format).
+	// TraceWriter streams references to a file in the PCT2 delta/varint
+	// format.
 	TraceWriter = trace.Writer
-	// TraceReader reads both trace format versions back.
+	// TraceReader reads a PCT2 trace file back.
 	TraceReader = trace.Reader
 	// TraceCapture is an event sink that records a process's reference
 	// stream through a delay-slot translation.
@@ -270,9 +269,6 @@ type (
 	EventStore = trace.EventStore
 )
 
-// NewTraceWriterV1 writes the legacy fixed-record PCT1 trace format.
-func NewTraceWriterV1(w io.Writer) (*TraceWriter, error) { return trace.NewWriterV1(w) }
-
 // NewEventRecorder starts an event-trace capture for the given key and
 // per-benchmark instruction budget.
 func NewEventRecorder(key string, instsPerBench int64) *EventRecorder {
@@ -282,21 +278,7 @@ func NewEventRecorder(key string, instsPerBench int64) *EventRecorder {
 // NewEventStore returns a bounded event-trace store.
 func NewEventStore(budgetBytes int64) *EventStore { return trace.NewStore(budgetBytes) }
 
-// Assembly and binary-image helpers (internal/isa, internal/program).
-
-// ParseInst assembles one instruction from its disassembly syntax (the
-// inverse of the instruction's String method).
-func ParseInst(s string) (isa.Inst, error) { return isa.ParseInst(s) }
-
-// EncodeWord assembles one instruction located at word address pc into its
-// 32-bit machine word.
-func EncodeWord(in isa.Inst, pc uint32) (uint32, error) { return isa.Encode(in, pc) }
-
-// DecodeWord is the inverse of EncodeWord.
-func DecodeWord(word, pc uint32) (isa.Inst, error) { return isa.Decode(word, pc) }
-
-// EncodeImage assembles a whole program into its binary text image.
-func EncodeImage(p *Program) ([]uint32, error) { return program.EncodeImage(p) }
+// Program listings (internal/program).
 
 // Disassemble writes an assembly listing of the program.
 func Disassemble(p *Program, w io.Writer) error { return program.Disassemble(p, w) }

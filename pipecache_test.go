@@ -154,36 +154,11 @@ func TestPublicBTBPath(t *testing.T) {
 	}
 }
 
-func TestPublicAssemblerPath(t *testing.T) {
-	in, err := ParseInst("lw $t0, 4($sp)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := EncodeWord(in, 0x100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeWord(w, 0x100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.String() != "lw $t0, 4($sp)" {
-		t.Fatalf("round trip: %q", back.String())
-	}
-}
-
-func TestPublicImageAndDisasm(t *testing.T) {
+func TestPublicDisassemble(t *testing.T) {
 	spec, _ := LookupBenchmark("small")
 	prog, err := BuildProgram(spec, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	img, err := EncodeImage(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(img) != prog.NumInsts() {
-		t.Fatalf("image %d words", len(img))
 	}
 	var sb strings.Builder
 	if err := Disassemble(prog, &sb); err != nil {
